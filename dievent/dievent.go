@@ -160,7 +160,11 @@ const (
 )
 
 // Streaming execution (DESIGN.md §10). RunStream drives the pipeline as
-// an online process over a finite or cycled-unbounded frame stream:
+// an online process over a finite or cycled-unbounded frame stream; Run
+// is RunStream with the zero options. Custom windowed stages set
+// Stage.Emit and Stage.RunEmit and keep whatever trailing frames' worth
+// of state they need themselves — the engine retains no frame once its
+// frame-phase stages have run.
 //
 //	repo := dievent.NewMemRepository()
 //	go pipe.RunStream(dievent.StreamOptions{

@@ -203,8 +203,8 @@ func attentionStage(b *stageBuild) (*Stage, error) {
 			return nil
 		},
 		RunEmit: func(env *runEnv, _ *FrameArtifacts) error {
-			fresh := an.drainClosed(env.bounded)
-			if env.live {
+			fresh := an.drainClosed(env.opts.Bounded)
+			if env.opts.Live {
 				for _, s := range fresh {
 					env.QueueDerived(attentionSpanRecord(s))
 				}

@@ -23,14 +23,17 @@
 // frames in index order for the frame-serial stages. Config.Workers
 // sets the pool size (default GOMAXPROCS; 1 selects the plain
 // sequential loop); every worker count produces byte-identical
-// results, and the retained monolithic oracle (oracle.go) proves the
-// graph equivalent to the pre-refactor pipeline.
+// results, and the monolithic oracle retained in the package's tests
+// (oracle_test.go) proves the graph equivalent to the pre-refactor
+// pipeline.
 //
 // Config.Stages plugs additional registered analyzers into the graph
 // (e.g. "attention-span"), and Config.Incremental persists a run
 // manifest through the metadata repository so RunIncremental can
 // re-run only stale stages — re-deriving one layer without re-decoding
-// video (manifest.go).
+// video (manifest.go). Run, RunStream and RunIncremental are one driver
+// (Pipeline.run): they differ only in the options and the frame source
+// they hand it.
 package core
 
 import (
@@ -353,24 +356,17 @@ type runEnv struct {
 	timer     *stageTimer
 	numFrames int
 	identity  string
+	// opts is the run's streaming drive (the zero value on plain and
+	// incremental runs).
+	opts StreamOptions
 	// quar is the degraded-mode quarantine table; nil on strict runs
 	// (stages are then invoked directly, with no recover).
 	quar *stageQuarantine
 	// pending is the raw-layer record batch queue (see Queue).
 	pending []metadata.Record
-
-	// Streaming state (RunStream; all zero on plain runs). ring holds
-	// the last len(ring) merged frames so windowed stages can reach back
-	// through Window; a slot is overwritten — evicting its frame — as
-	// soon as no stage's declared Window can still reference it.
-	ring     []*FrameArtifacts
-	curFrame int
 	// framesDone counts frames fully through the frame phase, so an
 	// interrupted stream reports exactly what it consumed.
 	framesDone int
-	live       bool // emit live- records at stage Emit ticks
-	bounded    bool // drain/trim derived state at Emit ticks
-	discard    bool // drop queued raw records (monitoring-only stream)
 }
 
 // Env is one run's shared state as seen by stage callbacks.
@@ -380,7 +376,7 @@ type Env = runEnv
 // once per metadataBatch records). End-of-run stages writing derived
 // layers should append through Repository directly instead.
 func (env *runEnv) Queue(recs ...metadata.Record) {
-	if env.discard {
+	if env.opts.DiscardRecords {
 		return
 	}
 	env.pending = append(env.pending, recs...)
@@ -395,31 +391,12 @@ func (env *runEnv) QueueDerived(recs ...metadata.Record) {
 
 // Live reports whether the run is a live stream: windowed stages emit
 // live- records from RunEmit only when set.
-func (env *runEnv) Live() bool { return env.live }
+func (env *runEnv) Live() bool { return env.opts.Live }
 
 // Bounded reports whether the run must hold memory steady on unbounded
 // streams: windowed stages drain and trim accumulated derived state at
 // their Emit ticks when set.
-func (env *runEnv) Bounded() bool { return env.bounded }
-
-// Window returns the merged artifacts of the frame k frames before the
-// current one (k = 0 is the current frame), or nil once the frame has
-// been evicted — k beyond the stage's declared Window, or before the
-// stream's first frame.
-func (env *runEnv) Window(k int) *FrameArtifacts {
-	if k < 0 || env.ring == nil || k >= len(env.ring) {
-		return nil
-	}
-	idx := env.curFrame - k
-	if idx < 0 {
-		return nil
-	}
-	fa := env.ring[idx%len(env.ring)]
-	if fa == nil || fa.Index != idx {
-		return nil
-	}
-	return fa
-}
+func (env *runEnv) Bounded() bool { return env.opts.Bounded }
 
 // Result is the run's accumulating result (Layers is nil until the
 // multilayer stage finalizes).
@@ -431,16 +408,15 @@ func (env *runEnv) Repository() *metadata.Repository { return env.repo }
 // Frames is the number of frames this run analyses.
 func (env *runEnv) Frames() int { return env.numFrames }
 
-// flushIfFull appends the pending batch once it reaches metadataBatch
-// records, under the metadata timer.
-func (env *runEnv) flushIfFull() error {
-	if len(env.pending) < metadataBatch {
+// flush appends the pending raw-record batch, under the metadata timer.
+func (env *runEnv) flush() error {
+	env.timer.start("metadata")
+	defer env.timer.stop("metadata")
+	if len(env.pending) == 0 {
 		return nil
 	}
-	env.timer.start("metadata")
 	err := env.repo.AppendBatch(env.pending)
 	env.pending = env.pending[:0]
-	env.timer.stop("metadata")
 	if err != nil {
 		// The batch spans records from up to metadataBatch earlier
 		// frames, so don't blame the frame that triggered the flush.
@@ -449,33 +425,27 @@ func (env *runEnv) flushIfFull() error {
 	return nil
 }
 
-// buildRunGraph resolves and builds the run's stage graph. The
-// incremental flag forces manifest-keeping (RunIncremental implies it).
-func (p *Pipeline) buildRunGraph(incremental bool) (*stageGraph, *stageBuild, error) {
-	return p.buildRunGraphFrames(incremental, 0)
+// scenarioFrames is one pass over the scenario, capped by MaxFrames.
+func (p *Pipeline) scenarioFrames() int {
+	n := p.sim.NumFrames()
+	if p.cfg.MaxFrames > 0 && p.cfg.MaxFrames < n {
+		n = p.cfg.MaxFrames
+	}
+	return n
 }
 
-// buildRunGraphFrames additionally overrides the run's frame count —
-// how RunStream sizes stages for a cycled unbounded stream (0 keeps the
-// scenario's own length, capped by MaxFrames).
-func (p *Pipeline) buildRunGraphFrames(incremental bool, framesOverride int) (*stageGraph, *stageBuild, error) {
+// buildStages resolves and builds the stage graph of a numFrames-frame
+// run. The incremental flag forces manifest-keeping (RunIncremental
+// implies it).
+func (p *Pipeline) buildStages(incremental bool, numFrames int) (*stageGraph, *stageBuild, error) {
 	cfg := p.cfg
-	if incremental {
-		cfg.Incremental = true
-	}
 	names := p.stageNames
-	if incremental && !p.cfg.Incremental {
+	if incremental && !cfg.Incremental {
+		cfg.Incremental = true
 		var err error
 		if names, err = resolveStageNames(cfg, p.reg); err != nil {
 			return nil, nil, err
 		}
-	}
-	numFrames := p.sim.NumFrames()
-	if cfg.MaxFrames > 0 && cfg.MaxFrames < numFrames {
-		numFrames = cfg.MaxFrames
-	}
-	if framesOverride > 0 {
-		numFrames = framesOverride
 	}
 	ctx := p.Context()
 	ids := make([]int, 0, len(ctx.Participants))
@@ -497,63 +467,23 @@ func (p *Pipeline) buildRunGraphFrames(incremental bool, framesOverride int) (*s
 	return g, b, nil
 }
 
-// Run executes the pipeline.
+// Run executes the pipeline over one pass of the scenario.
 func (p *Pipeline) Run() (*Result, error) {
-	graph, b, err := p.buildRunGraph(false)
-	if err != nil {
-		return nil, err
-	}
-	return p.runGraph(graph, b, nil)
+	return p.RunStream(StreamOptions{})
 }
 
-// streamRun is the extra drive state of a RunStream invocation; nil for
-// plain end-of-run executions.
-type streamRun struct {
-	ctx     context.Context
-	frameAt func(int) scene.FrameState // nil = the simulator's FrameState
-	live    bool
-	bounded bool
-	discard bool
-	// flushEvery forces the pending raw-record batch out every N frames
-	// (in addition to the metadataBatch size trigger), bounding the
-	// append→follower latency of a live stream. 0 keeps batch-only.
-	flushEvery int
-	// repo, when non-nil, is a caller-owned repository the stream
-	// ingests into — how in-process followers Tail data the run is still
-	// producing. The caller keeps ownership of Close.
-	repo *metadata.Repository
-	// monitor, when non-nil, observes the stream after every frame — the
-	// bounded-memory gate's probe point.
-	monitor func(frame int)
-}
-
-// runGraph drives one run of a built stage graph: full extraction
-// through the engine when rd is nil, the incremental replay loop
-// otherwise.
-func (p *Pipeline) runGraph(graph *stageGraph, b *stageBuild, rd *replayData) (*Result, error) {
-	return p.runGraphStream(graph, b, rd, nil)
-}
-
-// runGraphStream is runGraph with an optional streaming drive: a frame
-// source that may cycle an unbounded synthetic stream, cancellation,
-// windowed-stage Emit ticks, and bounded-memory eviction.
-func (p *Pipeline) runGraphStream(graph *stageGraph, b *stageBuild, rd *replayData, sr *streamRun) (*Result, error) {
-	cfg := b.cfg
-
-	var repo *metadata.Repository
-	var err error
-	ownedRepo := true
-	switch {
-	case sr != nil && sr.repo != nil:
-		repo = sr.repo
-		ownedRepo = false
-	case cfg.RepoDir != "":
-		repo, err = metadata.Open(cfg.RepoDir, cfg.RepoOptions...)
-		if err != nil {
-			return nil, fmt.Errorf("core: opening repository: %w", err)
+// run drives one execution of a built stage graph — Run, RunStream and
+// RunIncremental all end up here: open the repository, build the run
+// environment, loop the frames through the sink, finalize. rd is the
+// raw layer an incremental run replays instead of extracting (graph is
+// then already narrowed to what re-runs); nil extracts in full.
+func (p *Pipeline) run(graph *stageGraph, b *stageBuild, opts StreamOptions, rd *replayData) (*Result, error) {
+	repo := opts.Repo
+	if repo == nil {
+		var err error
+		if repo, err = openRepo(b.cfg); err != nil {
+			return nil, err
 		}
-	default:
-		repo = metadata.NewMem()
 	}
 	// On any error return the repository must be closed: callers never
 	// see it, and a persistent repository holds the directory's
@@ -563,158 +493,148 @@ func (p *Pipeline) runGraphStream(graph *stageGraph, b *stageBuild, rd *replayDa
 	// followers may still be tailing them.)
 	finished := false
 	defer func() {
-		if !finished && ownedRepo {
+		if !finished && opts.Repo == nil {
 			repo.Close()
 		}
 	}()
 
-	ctx := p.Context()
-	res := &Result{Context: ctx, Repo: repo}
-	timer := newStageTimer()
+	env := p.newEnv(graph, b, repo, opts)
+	if rd != nil {
+		env.res.StaleStages = rd.stale
+		env.res.ReusedStages = rd.reused
+	}
+	// Context records first.
+	if err := writeContext(repo, env.res.Context); err != nil {
+		return nil, err
+	}
+	if err := p.frameLoop(env, b, rd); err != nil {
+		return nil, err
+	}
+	if err := env.finalize(); err != nil {
+		return nil, err
+	}
+	finished = true
+	return env.res, nil
+}
+
+// openRepo opens the run's own repository: persistent under
+// Config.RepoDir, in memory without one.
+func openRepo(cfg Config) (*metadata.Repository, error) {
+	if cfg.RepoDir == "" {
+		return metadata.NewMem(), nil
+	}
+	repo, err := metadata.Open(cfg.RepoDir, cfg.RepoOptions...)
+	if err != nil {
+		return nil, fmt.Errorf("core: opening repository: %w", err)
+	}
+	return repo, nil
+}
+
+// newEnv builds the run's shared state around an open repository.
+func (p *Pipeline) newEnv(graph *stageGraph, b *stageBuild, repo *metadata.Repository, opts StreamOptions) *runEnv {
 	env := &runEnv{
-		graph: graph, res: res, repo: repo, timer: timer,
+		graph: graph, repo: repo, timer: newStageTimer(), opts: opts,
+		res:       &Result{Context: p.Context(), Repo: repo},
 		numFrames: b.numFrames, identity: p.runIdentity(b.numFrames, b.nCams),
 		pending: make([]metadata.Record, 0, metadataBatch),
 	}
-	// The frame ring is sized to the widest declared stage window, so a
-	// frame's artifacts are evicted (slot overwritten) exactly when no
-	// window can still reference them — the memory bound of an unbounded
-	// stream.
-	maxWindow := 0
-	for _, st := range graph.byPhase[PhaseFrame] {
-		if st.Window > maxWindow {
-			maxWindow = st.Window
-		}
-	}
-	env.ring = make([]*FrameArtifacts, maxWindow+1)
-	if sr != nil {
-		env.live = sr.live
-		env.bounded = sr.bounded
-		env.discard = sr.discard
-	}
-	if cfg.Degraded {
+	if b.cfg.Degraded {
 		env.quar = newStageQuarantine(graph)
 	}
-	if rd != nil {
-		res.StaleStages = rd.stale
-		res.ReusedStages = rd.reused
-	}
-
 	// Pre-register the timing entries in graph order so Timings stays
 	// deterministic even when workers race to report first.
 	if b.numFrames > 0 {
-		timer.add("feature-extraction", 0)
+		env.timer.add("feature-extraction", 0)
 		for _, ph := range []StagePhase{PhasePrepare, PhaseOrdered, PhaseMerge, PhaseFrame} {
 			for _, st := range graph.byPhase[ph] {
-				if rd == nil || rd.rerun[st.Name] || ph == PhaseFrame {
-					timer.add(st.Name, 0)
-				}
+				env.timer.add(st.Name, 0)
 			}
 		}
-		timer.add("metadata", 0)
+		env.timer.add("metadata", 0)
 	}
+	return env
+}
 
-	// Context records first.
-	if err := writeContext(repo, ctx); err != nil {
-		return nil, err
+// frameLoop extracts every frame and feeds it, in index order, through
+// the sink: on the engine for full extraction, from the replay store
+// for an incremental run.
+func (p *Pipeline) frameLoop(env *runEnv, b *stageBuild, rd *replayData) error {
+	workers := b.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-
+	var vision frameVision
 	if rd == nil {
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		vision := newGraphVision(graph, env, b.nCams)
-		// RunEmit fires only on live/bounded streams, so plain finite
-		// runs (streamed or not) stay byte-identical to the end-of-run
-		// oracle.
-		emitting := sr != nil && (sr.live || sr.bounded)
-		sink := func(i int, fs scene.FrameState, out any) error {
-			fa := out.(*FrameArtifacts)
-			env.curFrame = i
-			env.ring[i%len(env.ring)] = fa
-			for _, st := range graph.byPhase[PhaseFrame] {
-				timer.start(st.Name)
-				err := env.invoke(st, func() error { return st.RunFrame(env, fa) })
-				timer.stop(st.Name)
-				if err != nil {
-					return fmt.Errorf("core: frame %d: stage %s: %w", i, st.Name, err)
-				}
-			}
-			if emitting {
-				for _, st := range graph.byPhase[PhaseFrame] {
-					if st.RunEmit == nil || (i+1)%st.Emit != 0 {
-						continue
-					}
-					timer.start(st.Name)
-					err := env.invoke(st, func() error { return st.RunEmit(env, fa) })
-					timer.stop(st.Name)
-					if err != nil {
-						return fmt.Errorf("core: frame %d: stage %s emit: %w", i, st.Name, err)
-					}
-				}
-			}
-			if err := env.flushIfFull(); err != nil {
-				return err
-			}
-			if sr != nil && sr.flushEvery > 0 && (i+1)%sr.flushEvery == 0 && len(env.pending) > 0 {
-				env.timer.start("metadata")
-				err := repo.AppendBatch(env.pending)
-				env.pending = env.pending[:0]
-				env.timer.stop("metadata")
-				if err != nil {
-					return fmt.Errorf("core: flushing observations: %w", err)
-				}
-			}
-			env.framesDone = i + 1
-			if sr != nil && sr.monitor != nil {
-				sr.monitor(i)
-			}
-			return nil
-		}
-		var ctx context.Context
-		frameAt := p.sim.FrameState
-		if sr != nil {
-			ctx = sr.ctx
-			if sr.frameAt != nil {
-				frameAt = sr.frameAt
-			}
-		}
-		if err := p.runFrames(ctx, frameAt, b.numFrames, workers, vision, timer, sink); err != nil {
-			// A cancelled streaming context ends the stream gracefully:
-			// the frames consumed so far are finalized into a partial
-			// result instead of being thrown away.
-			if sr == nil || sr.ctx == nil || sr.ctx.Err() == nil ||
-				!(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-				return nil, err
-			}
-			res.Interrupted = true
-		}
+		vision = newGraphVision(env.graph, env, b.nCams)
 	} else {
-		if err := p.runReplay(env, rd); err != nil {
-			return nil, err
-		}
+		vision = &replayVision{stale: newGraphVision(env.graph, env, 1), rd: rd}
 	}
-
+	ctx := env.opts.Ctx
+	frameAt := cycleFrames(p.sim, p.scenarioFrames())
+	if err := p.runFrames(ctx, frameAt, b.numFrames, workers, vision, env.timer, env.sink); err != nil {
+		// A cancelled streaming context ends the stream gracefully: the
+		// frames consumed so far are finalized into a partial result
+		// instead of being thrown away.
+		if ctx == nil || ctx.Err() == nil ||
+			!(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			return err
+		}
+		env.res.Interrupted = true
+	}
 	// Flush the raw-layer tail before any derived records are written,
 	// keeping the record log's layer order identical to the monolith's.
-	timer.start("metadata")
-	if len(env.pending) > 0 {
-		if err := repo.AppendBatch(env.pending); err != nil {
-			return nil, fmt.Errorf("core: flushing observations: %w", err)
+	return env.flush()
+}
+
+// sink is the run's frameSink: the one place a merged frame meets the
+// frame-phase stages, their Emit ticks, the batch flush and the
+// progress bookkeeping, for full, streamed and incremental runs alike.
+func (env *runEnv) sink(i int, _ scene.FrameState, out any) error {
+	fa := out.(*FrameArtifacts)
+	stages := env.graph.byPhase[PhaseFrame]
+	for _, st := range stages {
+		env.timer.start(st.Name)
+		err := env.invoke(st, func() error { return st.RunFrame(env, fa) })
+		env.timer.stop(st.Name)
+		if err != nil {
+			return fmt.Errorf("core: frame %d: stage %s: %w", i, st.Name, err)
 		}
-		env.pending = env.pending[:0]
 	}
-	timer.stop("metadata")
-
-	res.FramesAnalyzed = b.numFrames
-	if res.Interrupted {
-		res.FramesAnalyzed = env.framesDone
+	// RunEmit fires only on live/bounded streams, so plain finite runs
+	// (streamed or not) stay byte-identical to the end-of-run oracle.
+	if env.opts.Live || env.opts.Bounded {
+		for _, st := range stages {
+			if st.RunEmit == nil || (i+1)%st.Emit != 0 {
+				continue
+			}
+			env.timer.start(st.Name)
+			err := env.invoke(st, func() error { return st.RunEmit(env, fa) })
+			env.timer.stop(st.Name)
+			if err != nil {
+				return fmt.Errorf("core: frame %d: stage %s emit: %w", i, st.Name, err)
+			}
+		}
 	}
+	every := env.opts.FlushEvery
+	if n := len(env.pending); n >= metadataBatch || (n > 0 && every > 0 && (i+1)%every == 0) {
+		if err := env.flush(); err != nil {
+			return err
+		}
+	}
+	env.framesDone = i + 1
+	if env.opts.Monitor != nil {
+		env.opts.Monitor(i)
+	}
+	return nil
+}
 
-	// Frame-stage finalizers (multilayer finalize, analyzer summaries),
-	// then the end-of-run stages, in graph order.
-	for _, st := range graph.byPhase[PhaseFrame] {
+// finalize runs the frame-stage finalizers (multilayer finalize,
+// analyzer summaries), then the end-of-run stages, in graph order, over
+// the frames the loop consumed, and makes the repository durable.
+func (env *runEnv) finalize() error {
+	res, timer := env.res, env.timer
+	res.FramesAnalyzed = env.framesDone
+	for _, st := range env.graph.byPhase[PhaseFrame] {
 		if st.RunFinal == nil {
 			continue
 		}
@@ -722,10 +642,10 @@ func (p *Pipeline) runGraphStream(graph *stageGraph, b *stageBuild, rd *replayDa
 		err := env.invoke(st, func() error { return st.RunFinal(env) })
 		timer.stop(st.Name)
 		if err != nil {
-			return nil, fmt.Errorf("core: stage %s: %w", st.Name, err)
+			return fmt.Errorf("core: stage %s: %w", st.Name, err)
 		}
 	}
-	for _, st := range graph.byPhase[PhaseFinal] {
+	for _, st := range env.graph.byPhase[PhaseFinal] {
 		name := st.Name
 		if name == StageDerived || name == StageManifest {
 			name = "metadata"
@@ -734,13 +654,12 @@ func (p *Pipeline) runGraphStream(graph *stageGraph, b *stageBuild, rd *replayDa
 		err := env.invoke(st, func() error { return st.RunFinal(env) })
 		timer.stop(name)
 		if err != nil {
-			return nil, fmt.Errorf("core: stage %s: %w", st.Name, err)
+			return fmt.Errorf("core: stage %s: %w", st.Name, err)
 		}
 	}
-
 	timer.start("metadata")
-	if err := repo.Flush(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if err := env.repo.Flush(); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	timer.stop("metadata")
 
@@ -748,8 +667,7 @@ func (p *Pipeline) runGraphStream(graph *stageGraph, b *stageBuild, rd *replayDa
 	if env.quar != nil {
 		res.Quarantined = env.quar.failures()
 	}
-	finished = true
-	return res, nil
+	return nil
 }
 
 // writeContext stores the time-invariant layer.

@@ -78,7 +78,6 @@ func diningPhaseStage(b *stageBuild) (*Stage, error) {
 		Version: 1,
 		Phase:   PhaseFrame,
 		Config:  fmt.Sprintf("window=%d emit=%d seed=%d", diningWindow, diningEmitEvery, seed),
-		Window:  diningWindow,
 		Emit:    diningEmitEvery,
 		RunFrame: func(env *runEnv, fa *FrameArtifacts) error {
 			s := hmm.DiningSymbol(fa.FS, 0, seed)
@@ -88,13 +87,13 @@ func diningPhaseStage(b *stageBuild) (*Stage, error) {
 			} else {
 				win = append(win, s)
 			}
-			if !env.bounded {
+			if !env.opts.Bounded {
 				all = append(all, s)
 			}
 			return nil
 		},
 		RunEmit: func(env *runEnv, fa *FrameArtifacts) error {
-			if !env.live || len(win) == 0 {
+			if !env.opts.Live || len(win) == 0 {
 				return nil
 			}
 			states, err := model.Viterbi(win)
@@ -112,7 +111,7 @@ func diningPhaseStage(b *stageBuild) (*Stage, error) {
 		},
 		RunFinal: func(env *runEnv) error {
 			seq, offset := all, 0
-			if env.bounded {
+			if env.opts.Bounded {
 				seq, offset = win, env.framesDone-len(win)
 			}
 			if len(seq) == 0 {
@@ -154,7 +153,6 @@ func liveSummaryStage(b *stageBuild) (*Stage, error) {
 		Phase:   PhaseFrame,
 		Needs:   []ArtifactKey{ArtLookAt, ArtEmotions},
 		Config:  fmt.Sprintf("window=%d emit=%d", liveSummaryWindow, liveSummaryEmitEvery),
-		Window:  liveSummaryWindow,
 		Emit:    liveSummaryEmitEvery,
 		RunFrame: func(_ *runEnv, fa *FrameArtifacts) error {
 			if err := sum.Add(fa.LookAt); err != nil {
@@ -186,7 +184,7 @@ func liveSummaryStage(b *stageBuild) (*Stage, error) {
 			return nil
 		},
 		RunEmit: func(env *runEnv, fa *FrameArtifacts) error {
-			if !env.live || len(ohWin) == 0 {
+			if !env.opts.Live || len(ohWin) == 0 {
 				return nil
 			}
 			var s float64

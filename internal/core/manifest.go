@@ -16,12 +16,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/emotion"
 	"repro/internal/gaze"
 	"repro/internal/layers"
 	"repro/internal/metadata"
+	"repro/internal/scene"
 )
 
 // Manifest record vocabulary.
@@ -234,7 +234,7 @@ func (p *Pipeline) RunIncremental(prev *metadata.Repository, stale ...string) (*
 		// message blaming "another process".
 		return nil, fmt.Errorf("core: incremental output RepoDir %q is the previous run's open repository — write elsewhere (or leave RepoDir empty for in-memory): %w", dir, ErrBadConfig)
 	}
-	graph, b, err := p.buildRunGraph(true)
+	graph, b, err := p.buildStages(true, p.scenarioFrames())
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +245,7 @@ func (p *Pipeline) RunIncremental(prev *metadata.Repository, stale ...string) (*
 	if identity != p.runIdentity(b.numFrames, b.nCams) {
 		// The previous run's raw layers describe a different event —
 		// nothing is replayable.
-		return p.runGraph(graph, b, nil)
+		return p.run(graph, b, StreamOptions{}, nil)
 	}
 
 	forced := make(map[string]bool, len(stale))
@@ -272,7 +272,7 @@ func (p *Pipeline) RunIncremental(prev *metadata.Repository, stale ...string) (*
 	// alone; otherwise the raw layer cannot be rebuilt without video.
 	for _, st := range graph.stages {
 		if staleSet[st.Name] && st.Phase < PhaseFrame && !st.Replayable {
-			return p.runGraph(graph, b, nil)
+			return p.run(graph, b, StreamOptions{}, nil)
 		}
 	}
 
@@ -333,7 +333,7 @@ func (p *Pipeline) RunIncremental(prev *metadata.Repository, stale ...string) (*
 					continue
 				}
 				if !prov.Replayable {
-					return p.runGraph(graph, b, nil)
+					return p.run(graph, b, StreamOptions{}, nil)
 				}
 				rd.rerun[prov.Name] = true
 				changed = true
@@ -351,75 +351,52 @@ func (p *Pipeline) RunIncremental(prev *metadata.Repository, stale ...string) (*
 	sort.Strings(rd.stale)
 	sort.Strings(rd.reused)
 
-	return p.runGraph(graph, b, rd)
+	return p.run(graph.replaying(rd), b, StreamOptions{}, rd)
 }
 
-// runReplay is the incremental frame loop: fresh raw layers come from
-// the replay store, stale chains are recomputed from the frame state,
-// and the frame-serial stages re-derive everything downstream. No
-// engine, no rendering — the loop is a pure function of (frame state,
-// replayed records).
-func (p *Pipeline) runReplay(env *runEnv, rd *replayData) error {
-	g := env.graph
-	// Re-running prepare stages get real per-stage scratch, the same
-	// contract graphVision gives them on full runs.
-	scratch := make([]any, len(g.byPhase[PhasePrepare]))
-	for si, st := range g.byPhase[PhasePrepare] {
-		if rd.rerun[st.Name] && st.NewScratch != nil {
-			scratch[si] = st.NewScratch()
+// replaying narrows the graph to what an incremental run executes:
+// of the extraction phases only the re-running stages, and of the frame
+// phase everything except a gaze analysis whose look-at layer is
+// replayed. stages stays complete — the manifest records every stage.
+func (g *stageGraph) replaying(rd *replayData) *stageGraph {
+	out := &stageGraph{stages: g.stages}
+	out.byPhase[PhaseFinal] = g.byPhase[PhaseFinal]
+	for ph := PhasePrepare; ph <= PhaseFrame; ph++ {
+		for _, st := range g.byPhase[ph] {
+			keep := rd.rerun[st.Name]
+			if ph == PhaseFrame {
+				keep = !(st.Name == StageGazeAnalysis && rd.gazeReplayed)
+			}
+			if keep {
+				out.byPhase[ph] = append(out.byPhase[ph], st)
+			}
 		}
 	}
-	for i := 0; i < env.numFrames; i++ {
-		fs := p.sim.FrameState(i)
-		fa := &FrameArtifacts{Index: i, FS: fs}
-		var a *Artifacts
-		t := time.Now()
-		for si, st := range g.byPhase[PhasePrepare] {
-			if !rd.rerun[st.Name] {
-				continue
-			}
-			if a == nil {
-				a = &Artifacts{Cam: 0, FS: fs}
-				fa.PerCam = []*Artifacts{a}
-			}
-			if err := env.invoke(st, func() error { return st.RunCam(env, a, scratch[si]) }); err != nil {
-				return fmt.Errorf("core: frame %d: stage %s: %w", i, st.Name, err)
-			}
-			now := time.Now()
-			env.timer.add(st.Name, now.Sub(t))
-			t = now
-		}
-		for _, st := range g.byPhase[PhaseMerge] {
-			if !rd.rerun[st.Name] {
-				continue
-			}
-			if fa.PerCam == nil {
-				fa.PerCam = []*Artifacts{{Cam: 0, FS: fs}}
-			}
-			if err := env.invoke(st, func() error { return st.RunFrame(env, fa) }); err != nil {
-				return fmt.Errorf("core: frame %d: stage %s: %w", i, st.Name, err)
-			}
-		}
-		if rd.gazeReplayed {
-			fa.LookAt = rd.lookat[i]
-		}
-		if rd.emoReplayed {
-			fa.Emotions = rd.emotions[i]
-		}
-		for _, st := range g.byPhase[PhaseFrame] {
-			if st.Name == StageGazeAnalysis && rd.gazeReplayed {
-				continue
-			}
-			env.timer.start(st.Name)
-			err := env.invoke(st, func() error { return st.RunFrame(env, fa) })
-			env.timer.stop(st.Name)
-			if err != nil {
-				return fmt.Errorf("core: frame %d: stage %s: %w", i, st.Name, err)
-			}
-		}
-		if err := env.flushIfFull(); err != nil {
-			return err
-		}
+	return out
+}
+
+// replayVision is the incremental run's frame source: the stale
+// extraction stages are recomputed from the frame state — the narrowed
+// graph on one lane, through the same stage code as a full run — and
+// the fresh raw layers come from the replay store. No engine, no
+// rendering: a frame is a pure function of (frame state, replayed
+// records), so it runs on runFrames' sequential loop.
+type replayVision struct {
+	stale *graphVision
+	rd    *replayData
+}
+
+func (v *replayVision) extract(fs scene.FrameState) (any, error) {
+	out, err := v.stale.extract(fs)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	fa := out.(*FrameArtifacts)
+	if v.rd.gazeReplayed {
+		fa.LookAt = v.rd.lookat[fs.Index]
+	}
+	if v.rd.emoReplayed {
+		fa.Emotions = v.rd.emotions[fs.Index]
+	}
+	return fa, nil
 }

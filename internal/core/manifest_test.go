@@ -45,9 +45,18 @@ func mustRun(t *testing.T, cfg Config) *Result {
 
 // TestIncrementalNothingStale replays every raw layer: no extraction,
 // byte-identical output, and the manifest diff reports the gaze and
-// emotion chains as reused.
+// emotion chains as reused. The online-stages case pins that replayed
+// frames go through the same per-frame bookkeeping as extracted ones:
+// the windowed analyzers see every frame and the frame count is the
+// sink's own.
 func TestIncrementalNothingStale(t *testing.T) {
+	t.Run("base", func(t *testing.T) { checkIncrementalNothingStale(t, nil) })
+	t.Run("online-stages", func(t *testing.T) { checkIncrementalNothingStale(t, onlineStages) })
+}
+
+func checkIncrementalNothingStale(t *testing.T, stages []string) {
 	cfg := baseIncrementalConfig()
+	cfg.Stages = stages
 	prev := mustRun(t, cfg)
 	defer prev.Repo.Close()
 
@@ -69,6 +78,19 @@ func TestIncrementalNothingStale(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want.layers, got.layers) {
 		t.Error("incremental layers differ")
+	}
+	if res.FramesAnalyzed != cfg.MaxFrames || prev.FramesAnalyzed != cfg.MaxFrames {
+		t.Errorf("frames analyzed: incremental %d, originating %d, want %d",
+			res.FramesAnalyzed, prev.FramesAnalyzed, cfg.MaxFrames)
+	}
+	if !reflect.DeepEqual(prev.Phases, res.Phases) {
+		t.Errorf("incremental phases %v differ from the originating run's %v", res.Phases, prev.Phases)
+	}
+	if !reflect.DeepEqual(prev.Attention, res.Attention) {
+		t.Error("incremental attention layer differs from the originating run's")
+	}
+	if stages != nil && (len(res.Phases) == 0 || res.Attention == nil) {
+		t.Errorf("online stages produced no phases (%v) or no attention layer (%v)", res.Phases, res.Attention)
 	}
 	if len(res.StaleStages) != 0 {
 		t.Errorf("nothing changed but stale stages = %v", res.StaleStages)

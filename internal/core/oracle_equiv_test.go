@@ -2,11 +2,12 @@ package core
 
 // Equivalence suite (DESIGN.md §7): the stage-graph pipeline must
 // produce byte-identical metadata records (context, raw, derived),
-// layers and summaries to the retained monolithic oracle (oracle.go)
-// for both vision modes, at every worker count. check.sh runs this
-// under the race detector with Workers > 1.
+// layers and summaries to the retained monolithic oracle
+// (oracle_test.go) for both vision modes, at every worker count.
+// check.sh runs this under the race detector with Workers > 1.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -93,24 +94,66 @@ func TestStageGraphMatchesOracleGeometric(t *testing.T) {
 // TestStageGraphMatchesOraclePixel proves the pixel stage set — the
 // render → detect → track → classify chain plus cross-camera fusion —
 // byte-identical to the monolith, including under the worker pool with
-// two camera lanes.
+// two camera lanes, with every frame on the detector's cadence (1) and
+// with the tracker coasting between detections (3, the default, and 4).
 func TestStageGraphMatchesOraclePixel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pixel vision is expensive")
 	}
-	cfg := Config{
+	for _, every := range []int{1, 3, 4} {
+		cfg := Config{
+			Scenario:     scene.PrototypeScenario(),
+			Mode:         PixelVision,
+			Gaze:         gaze.EstimatorOptions{Seed: 4},
+			Classifier:   engineTestClassifier(t),
+			MaxFrames:    24,
+			DetectEvery:  every,
+			PixelCameras: 2,
+		}
+		oracle := captureOracle(t, cfg)
+		for _, workers := range []int{1, 4} {
+			wcfg := cfg
+			wcfg.Workers = workers
+			assertRunsEqual(t, oracle, captureRun(t, wcfg), fmt.Sprintf("pixel every=%d", every))
+		}
+	}
+}
+
+// TestDefaultCadenceYieldsObservations pins the pixel path's yield at
+// the default detector cadence: frames between detections must coast
+// the tracker, not count misses, or no track is ever confirmed and the
+// run stores almost no emotion observations (10 of 240 person-frames
+// before the coast step; 120 with it, the same as at DetectEvery 1).
+func TestDefaultCadenceYieldsObservations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pixel vision is expensive")
+	}
+	const frames = 60
+	p, err := New(Config{
 		Scenario:     scene.PrototypeScenario(),
 		Mode:         PixelVision,
 		Gaze:         gaze.EstimatorOptions{Seed: 4},
 		Classifier:   engineTestClassifier(t),
-		MaxFrames:    24,
-		DetectEvery:  3,
+		MaxFrames:    frames,
 		PixelCameras: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	oracle := captureOracle(t, cfg)
-	for _, workers := range []int{1, 4} {
-		wcfg := cfg
-		wcfg.Workers = workers
-		assertRunsEqual(t, oracle, captureRun(t, wcfg), "pixel")
+	res, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Repo.Close()
+	var obs int
+	res.Repo.Scan(func(r metadata.Record) bool {
+		if r.Kind == metadata.KindObservation {
+			obs++
+		}
+		return true
+	})
+	personFrames := frames * len(res.Context.Participants)
+	if obs*10 < personFrames*4 {
+		t.Errorf("default cadence stored %d observations over %d person-frames, want ≥ 40%%", obs, personFrames)
 	}
 }

@@ -420,12 +420,12 @@ func (pv *oraclePixelVision) extract(fs scene.FrameState) ([]gaze.Observation, m
 	for ci := range pv.cams {
 		pc := &pv.cams[ci]
 		frame := pc.renderer.RenderStateInto(fs, pc.renderer.AcquireFrame())
-		var dets []face.Detection
 		if (fs.Index+ci)%pv.cfg.DetectEvery == 0 {
 			pv.scratch.in, pv.scratch.sq = img.BuildIntegrals(frame, pv.scratch.in, pv.scratch.sq)
-			dets = pv.detector.DetectIntegrals(frame, pv.scratch.in, pv.scratch.sq)
+			pc.tracker.Step(pv.detector.DetectIntegrals(frame, pv.scratch.in, pv.scratch.sq))
+		} else {
+			pc.tracker.Coast()
 		}
-		pc.tracker.Step(dets)
 		for _, tr := range pc.tracker.Tracks() {
 			if tr.State != face.Confirmed && fs.Index > 5 {
 				continue

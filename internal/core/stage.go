@@ -131,22 +131,19 @@ type Stage struct {
 	// RunFinal executes once after the frame loop.
 	RunFinal func(env *runEnv) error
 
-	// Window declares how many merged frames of history the stage reads
-	// through Env.Window (0 = only the current frame). The engine
-	// retains a ring of the last max(Window) FrameArtifacts and evicts a
-	// frame as soon as no stage's window can still reference it, so
-	// unbounded streams run in bounded memory (PhaseFrame only).
-	Window int
 	// Emit is the stage's incremental emission cadence in frames: during
 	// streaming runs (RunStream with Live or Bounded set) the engine
 	// invokes RunEmit after every Emit-th merged frame. 0 = never.
 	Emit int
 	// RunEmit is the stage's incremental windowed operator: it emits or
 	// drains derived output mid-stream (live records, span draining,
-	// series trimming) every Emit frames. It is never invoked by the
-	// end-of-run Run path nor by a plain finite RunStream, so stage
-	// output on finite streams stays byte-identical to the end-of-run
-	// oracle (PhaseFrame only; requires Emit > 0).
+	// series trimming) every Emit frames. The stage owns its window —
+	// whatever trailing state RunEmit needs is kept (and, on Bounded
+	// streams, trimmed) by the stage's own closure; the engine retains
+	// no frame after RunFrame returns. RunEmit is never invoked on a
+	// stream with Live and Bounded off, so stage output there stays
+	// byte-identical to the end-of-run oracle (PhaseFrame only; requires
+	// Emit > 0).
 	RunEmit func(env *runEnv, fa *FrameArtifacts) error
 }
 
@@ -342,11 +339,11 @@ func checkStageShape(st *Stage) error {
 	if st.NewScratch != nil && st.Phase != PhasePrepare {
 		return bad("worker scratch is prepare-only")
 	}
-	if st.Window < 0 || st.Emit < 0 {
-		return bad("negative Window or Emit")
+	if st.Emit < 0 {
+		return bad("negative Emit")
 	}
-	if (st.Window > 0 || st.Emit > 0 || st.RunEmit != nil) && st.Phase != PhaseFrame {
-		return bad("windowed operators (Window/Emit/RunEmit) are frame-phase only")
+	if (st.Emit > 0 || st.RunEmit != nil) && st.Phase != PhaseFrame {
+		return bad("windowed operators (Emit/RunEmit) are frame-phase only")
 	}
 	if st.RunEmit != nil && st.Emit <= 0 {
 		return bad("RunEmit requires an Emit cadence")

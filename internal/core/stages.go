@@ -103,9 +103,13 @@ func renderStage(b *stageBuild) (*Stage, error) {
 	}, nil
 }
 
+// onCadence reports whether camera cam runs its detector on frame
+// index: every DetectEvery-th frame, staggered by camera so the
+// per-frame cost stays flat.
+func onCadence(index, cam, every int) bool { return (index+cam)%every == 0 }
+
 // detectStage runs face detection on cadence frames, sharing the
-// frame's summed-area tables through the artifact store. Cameras
-// stagger their cadence so the per-frame cost stays flat.
+// frame's summed-area tables through the artifact store.
 func detectStage(b *stageBuild) (*Stage, error) {
 	det, err := face.NewDetector(face.DetectorOptions{})
 	if err != nil {
@@ -120,7 +124,7 @@ func detectStage(b *stageBuild) (*Stage, error) {
 		Provides: []ArtifactKey{ArtDetections},
 		Config:   fmt.Sprintf("every=%d", every),
 		RunCam: func(_ *runEnv, a *Artifacts, _ any) error {
-			if (a.FS.Index+a.Cam)%every == 0 {
+			if onCadence(a.FS.Index, a.Cam, every) {
 				in, sq := a.Integrals()
 				a.Dets = det.DetectIntegrals(a.Gray, in, sq)
 			}
@@ -129,21 +133,31 @@ func detectStage(b *stageBuild) (*Stage, error) {
 	}, nil
 }
 
-// trackStage advances each camera's Kalman/Hungarian tracker. Ordered:
-// trackers are stateful per camera.
+// trackStage advances each camera's Kalman/Hungarian tracker: a full
+// association step on the detector's cadence, a coast between — an
+// off-cadence frame carries no detections because nobody looked, which
+// must not count as a miss (at the default cadence of 3 it would kill
+// every tentative track before its second detection). Ordered: trackers
+// are stateful per camera.
 func trackStage(b *stageBuild) (*Stage, error) {
 	trackers := make([]*face.Tracker, b.nCams)
 	for c := range trackers {
 		trackers[c] = face.NewTracker(face.TrackerOptions{})
 	}
+	every := b.cfg.DetectEvery
 	return &Stage{
 		Name:     StageTrack,
-		Version:  1,
+		Version:  2,
 		Phase:    PhaseOrdered,
 		Needs:    []ArtifactKey{ArtDetections},
 		Provides: []ArtifactKey{ArtTracks},
+		Config:   fmt.Sprintf("every=%d", every),
 		RunCam: func(_ *runEnv, a *Artifacts, _ any) error {
-			trackers[a.Cam].Step(a.Dets)
+			if onCadence(a.FS.Index, a.Cam, every) {
+				trackers[a.Cam].Step(a.Dets)
+			} else {
+				trackers[a.Cam].Coast()
+			}
 			a.Tracks = trackers[a.Cam].Tracks()
 			return nil
 		},
@@ -470,8 +484,8 @@ func multilayerStage(b *stageBuild) (*Stage, error) {
 			})
 		},
 		RunEmit: func(env *runEnv, _ *FrameArtifacts) error {
-			ev, al := analyzer.DrainDerived(env.bounded)
-			if env.live {
+			ev, al := analyzer.DrainDerived(env.opts.Bounded)
+			if env.opts.Live {
 				for _, e := range ev {
 					env.QueueDerived(ecEventRecord(e))
 				}
@@ -479,7 +493,7 @@ func multilayerStage(b *stageBuild) (*Stage, error) {
 					env.QueueDerived(alertRecord(a))
 				}
 			}
-			if env.bounded {
+			if env.opts.Bounded {
 				analyzer.TrimSeries(multilayerKeepFrames)
 			}
 			return nil

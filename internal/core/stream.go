@@ -9,13 +9,12 @@ import (
 	"repro/internal/scene"
 )
 
-// Streaming execution (DESIGN.md §10): RunStream drives the same stage
-// graph as Run, but as an online process — frame states come from a
-// source that may cycle the scenario into an unbounded synthetic
-// stream, windowed stages fire their RunEmit operators mid-stream, and
-// cancellation finalizes a partial result instead of discarding the
-// run. On a finite stream with Live and Bounded off, RunStream is
-// byte-identical to Run (pinned by TestRunStreamMatchesRun).
+// Streaming execution (DESIGN.md §10): RunStream drives the stage graph
+// as an online process — frame states come from a source that may cycle
+// the scenario into an unbounded synthetic stream, windowed stages fire
+// their RunEmit operators mid-stream, and cancellation finalizes a
+// partial result instead of discarding the run. Run is RunStream with
+// the zero options.
 
 // StreamOptions configures one streaming execution.
 type StreamOptions struct {
@@ -69,7 +68,7 @@ type PhaseSpan struct {
 }
 
 // RunStream executes the pipeline as an online stream. See
-// StreamOptions; with the zero options it is Run, byte for byte.
+// StreamOptions; the zero options are Run.
 func (p *Pipeline) RunStream(opts StreamOptions) (*Result, error) {
 	if opts.Frames < 0 {
 		return nil, fmt.Errorf("core: negative stream length %d: %w", opts.Frames, ErrBadConfig)
@@ -77,10 +76,7 @@ func (p *Pipeline) RunStream(opts StreamOptions) (*Result, error) {
 	if opts.FlushEvery < 0 {
 		return nil, fmt.Errorf("core: negative flush cadence %d: %w", opts.FlushEvery, ErrBadConfig)
 	}
-	base := p.sim.NumFrames()
-	if p.cfg.MaxFrames > 0 && p.cfg.MaxFrames < base {
-		base = p.cfg.MaxFrames
-	}
+	base := p.scenarioFrames()
 	frames := opts.Frames
 	if frames == 0 {
 		frames = base
@@ -89,23 +85,11 @@ func (p *Pipeline) RunStream(opts StreamOptions) (*Result, error) {
 		return nil, fmt.Errorf("core: stream of %d frames exceeds the %d-frame scenario (set Cycle for an unbounded synthetic stream): %w",
 			frames, base, ErrBadConfig)
 	}
-	graph, b, err := p.buildRunGraphFrames(false, frames)
+	graph, b, err := p.buildStages(false, frames)
 	if err != nil {
 		return nil, err
 	}
-	sr := &streamRun{
-		ctx:        opts.Ctx,
-		live:       opts.Live,
-		bounded:    opts.Bounded,
-		discard:    opts.DiscardRecords,
-		flushEvery: opts.FlushEvery,
-		repo:       opts.Repo,
-		monitor:    opts.Monitor,
-	}
-	if frames > base {
-		sr.frameAt = cycleFrames(p.sim, base)
-	}
-	return p.runGraphStream(graph, b, nil, sr)
+	return p.run(graph, b, opts, nil)
 }
 
 // cycleFrames wraps the simulator into an unbounded source: past the

@@ -79,8 +79,8 @@ var ErrBadOptions = errors.New("face: bad options")
 // mean/variance come from per-frame summed-area tables in O(1), and
 // the NCC numerator is a single in-place dot product over the frame —
 // no per-window crop or mean pass. The pre-engine crop-and-img.NCC
-// scan is retained as detectOracle, the tested reference the fused
-// path must match box-for-box.
+// scan is retained in the package's tests as detectOracle, the
+// reference the fused path must match box-for-box.
 type Detector struct {
 	opt DetectorOptions
 	// templates holds the canonical face resized per scale, wider

@@ -333,6 +333,38 @@ func TestTrackerLifecycle(t *testing.T) {
 	}
 }
 
+// TestTrackerCoastCountsNoMiss drives the tracker the way a detector
+// cadence of 3 does — one Step, two Coasts — and requires the track to
+// survive and confirm: a frame nobody looked at is not a miss, whereas
+// Step(nil) on the same frames kills the tentative track.
+func TestTrackerCoastCountsNoMiss(t *testing.T) {
+	det := func(x int) []Detection {
+		return []Detection{{Box: img.Rect{X: x, Y: 100, W: 40, H: 48}, Score: 0.9}}
+	}
+	tr := NewTracker(TrackerOptions{})
+	id := tr.Step(det(100))[0].ID
+	for i := 1; i <= 2; i++ {
+		tr.Coast()
+		tr.Coast()
+		got := tr.Step(det(100 + 6*i))
+		if got[0].ID != id || got[0].Misses != 0 {
+			t.Fatalf("after %d coasted gaps: track %d misses %d, want track %d with no misses",
+				i, got[0].ID, got[0].Misses, id)
+		}
+	}
+	if live := tr.Tracks(); len(live) != 1 || live[0].State != Confirmed || live[0].Age != 6 {
+		t.Errorf("after 3 hits over 7 frames: %+v, want one confirmed track aged 6", live)
+	}
+
+	starved := NewTracker(TrackerOptions{})
+	starved.Step(det(100))
+	starved.Step(nil)
+	starved.Step(nil)
+	if live := starved.Tracks(); len(live) != 0 {
+		t.Errorf("Step(nil) twice left %d tentative tracks alive", len(live))
+	}
+}
+
 func TestTrackerKeepsIdentitiesApart(t *testing.T) {
 	tr := NewTracker(TrackerOptions{ConfirmHits: 2})
 	mk := func(x1, x2 int) []Detection {

@@ -6,8 +6,7 @@ import "repro/internal/img"
 // CropInto + Variance + img.NCC scan — as the reference oracle the
 // fused template-matching engine is tested against (DESIGN.md §6):
 // detectOracle must produce byte-identical boxes and scores within
-// 1e-9 of DetectIntegrals across the seeded scenario suite. It is not
-// called outside tests.
+// 1e-9 of DetectIntegrals across the seeded scenario suite.
 
 // detectOracle is the exhaustive crop-based Detect.
 func (d *Detector) detectOracle(g *img.Gray) []Detection {

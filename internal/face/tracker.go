@@ -16,7 +16,7 @@ const (
 	Tentative TrackState = iota
 	// Confirmed tracks have been matched ConfirmHits times.
 	Confirmed
-	// Lost tracks have missed more than MaxMisses consecutive frames
+	// Lost tracks have missed more than MaxMisses consecutive Steps
 	// and are about to be removed.
 	Lost
 )
@@ -67,8 +67,8 @@ type TrackerOptions struct {
 	// ConfirmHits promotes a tentative track after this many total
 	// hits (default 3).
 	ConfirmHits int
-	// MaxMisses drops a track after this many consecutive missed
-	// frames (default 10).
+	// MaxMisses drops a track after this many consecutive Steps that
+	// matched it no detection (default 10); Coasted frames do not count.
 	MaxMisses int
 	// ProcessNoise and MeasNoise parameterise the Kalman filters
 	// (defaults 1.0 and 4.0).
@@ -128,6 +128,26 @@ func (tr *Tracker) Confirmed() []*Track {
 		}
 	}
 	return out
+}
+
+// recentre keeps the box centred on the Kalman estimate while no
+// detection pins it.
+func (t *Track) recentre() {
+	px, py := t.kf.pos()
+	t.Box.X, t.Box.Y = int(px)-t.Box.W/2, int(py)-t.Box.H/2
+}
+
+// Coast advances one frame on which detection was not attempted: every
+// track is predicted forward, re-centred on its estimate and aged, but
+// no miss is counted — a frame the detector never looked at is no
+// evidence the face is gone. Call it instead of Step off the detector's
+// cadence; Step(nil) means "looked and found nothing".
+func (tr *Tracker) Coast() {
+	for _, t := range tr.tracks {
+		t.kf.predict()
+		t.Age++
+		t.recentre()
+	}
 }
 
 // Step advances one frame: predicts all tracks, associates the given
@@ -193,12 +213,7 @@ func (tr *Tracker) Step(dets []Detection) []*Track {
 	for _, t := range tr.tracks {
 		if !matched[t] {
 			t.Misses++
-			// Keep the predicted box roughly centred on the estimate.
-			px, py := t.kf.pos()
-			t.Box = img.Rect{
-				X: int(px) - t.Box.W/2, Y: int(py) - t.Box.H/2,
-				W: t.Box.W, H: t.Box.H,
-			}
+			t.recentre()
 			if t.Misses > tr.opt.MaxMisses ||
 				(t.State == Tentative && t.Misses > 1) {
 				t.State = Lost

@@ -140,9 +140,12 @@ func TestPyrBoundNeverBelowNumerator(t *testing.T) {
 // justified — either the window truly scores below the bound, or (when
 // a variance floor is given) it truly falls below the floor. This is
 // the never-wrong-skip contract for every reject tier at once
-// (variance gate, pyramid ladder, block prescreen, and the in-scan
-// row early-out with its deviation tracking).
+// (variance gate, pyramid ladder, and the in-scan row early-out with
+// its deviation tracking). The variance gate must also be exact the
+// other way — a window below the floor is never scored — and both
+// outcomes must occur, or the contract is checked vacuously.
 func TestScoreCascadeSkipContract(t *testing.T) {
+	var skips, accepts int
 	for seed := int64(0); seed < 4; seed++ {
 		g := scenicImage(160, 120, seed+50)
 		in, sq := BuildIntegrals(g, nil, nil)
@@ -164,12 +167,18 @@ func TestScoreCascadeSkipContract(t *testing.T) {
 				variance := float64(n*q-s*s) / float64(n*n)
 				got, ok := m.ScoreCascade(g, in, sq, pyr, x, y, bound, minVar)
 				if ok {
+					accepts++
+					if minVar >= 0 && variance < minVar {
+						t.Fatalf("seed=%d h=%d (%d,%d): variance %v < floor %v but window was scored",
+							seed, th, x, y, variance, minVar)
+					}
 					if got != exact {
 						t.Fatalf("seed=%d h=%d (%d,%d): accepted score %v != exact %v",
 							seed, th, x, y, got, exact)
 					}
 					continue
 				}
+				skips++
 				if minVar >= 0 && variance < minVar {
 					continue // variance-gate skip: justified
 				}
@@ -179,5 +188,8 @@ func TestScoreCascadeSkipContract(t *testing.T) {
 				}
 			}
 		}
+	}
+	if skips == 0 || accepts == 0 {
+		t.Errorf("%d skips, %d accepts: the cascade must both prune and score", skips, accepts)
 	}
 }

@@ -39,14 +39,6 @@ type TemplateMatcher struct {
 	// tailSq[k] is Σ tpl′² over order[k:] — the Cauchy–Schwarz factors
 	// behind the early-out bound. Both have length H+1.
 	tailSum, tailSq []float64
-	// The prescreen partitions the template into a grid of (at most)
-	// 4×4 blocks. gx/gy are the column/row boundaries (gw+1 and gh+1
-	// entries); blocks holds Σ tpl′, √(Σ tpl′²) and 1/area per cell in
-	// row-major grid order. Window-side block sums are read off a
-	// shared corner grid, so the prescreen costs 2·(gw+1)·(gh+1) table
-	// loads instead of 8 per block.
-	gx, gy []int32
-	blocks []tplBlock
 	// tiers is the pyramid reject ladder, coarsest block size first:
 	// each tier bounds the NCC numerator from one block-sum level of
 	// the frame pyramid, so cheap wide blocks reject the bulk of the
@@ -75,14 +67,6 @@ type pyrParity struct {
 	nbx, nby int
 	t        []float64
 	p        float64
-}
-
-// tplBlock is one prescreen cell of the template partition.
-type tplBlock struct {
-	sum   float64 // Σ tpl′ over the block
-	sqrtE float64 // √(Σ tpl′²) over the block
-	n     uint64  // block area
-	invN  float64 // 1 / block area
 }
 
 // NewTemplateMatcher precomputes the zero-mean form of tpl.
@@ -117,39 +101,6 @@ func NewTemplateMatcher(tpl *Gray) *TemplateMatcher {
 		j := m.order[k]
 		m.tailSum[k] = m.tailSum[k+1] + rowSum[j]
 		m.tailSq[k] = m.tailSq[k+1] + rowSq[j]
-	}
-	gw, gh := 4, 4
-	if tpl.W < gw {
-		gw = tpl.W
-	}
-	if tpl.H < gh {
-		gh = tpl.H
-	}
-	for bx := 0; bx <= gw; bx++ {
-		m.gx = append(m.gx, int32(bx*tpl.W/gw))
-	}
-	for by := 0; by <= gh; by++ {
-		m.gy = append(m.gy, int32(by*tpl.H/gh))
-	}
-	for by := 0; by < gh; by++ {
-		y0, y1 := int(m.gy[by]), int(m.gy[by+1])
-		for bx := 0; bx < gw; bx++ {
-			x0, x1 := int(m.gx[bx]), int(m.gx[bx+1])
-			var bs, be float64
-			for yy := y0; yy < y1; yy++ {
-				for _, p := range tpl.Pix[yy*tpl.W+x0 : yy*tpl.W+x1] {
-					z := float64(p) - m.mean
-					bs += z
-					be += z * z
-				}
-			}
-			m.blocks = append(m.blocks, tplBlock{
-				sum:   bs,
-				sqrtE: math.Sqrt(be),
-				n:     uint64((x1 - x0) * (y1 - y0)),
-				invN:  1 / float64((x1-x0)*(y1-y0)),
-			})
-		}
 	}
 	// Pyramid reject ladder, coarsest first. In practice a single tier
 	// per template wins: small templates bound against the 2×2 level
@@ -207,75 +158,70 @@ func buildPyrTier(tpl *Gray, mean float64, k int) pyrTier {
 	return tier
 }
 
-// Score returns NCC(window, template) for the W×H window of g anchored
-// at (x, y). The window must lie fully inside g, and in/sq must be the
-// summed-area tables of g.
+// Score returns the exact NCC(window, template) for the W×H window of
+// g anchored at (x, y): ScoreCascade with every early-out off. It is
+// the reference the cascade's accepted scores are compared against.
+// The window must lie fully inside g, and in/sq must be the summed-area
+// tables of g.
 func (m *TemplateMatcher) Score(g *Gray, in *Integral, sq *IntegralSq, x, y int) float64 {
-	s, _ := m.scoreBounded(g, in, sq, x, y, -2, -1)
+	s, _ := m.ScoreCascade(g, in, sq, nil, x, y, -2, -1)
 	return s
 }
 
-// ScoreBounded is Score with a Cauchy–Schwarz early-out: while the dot
-// product accumulates row by row (template rows in decreasing-energy
-// order), the unseen rows' contribution is bounded by
-// mean·Σ tpl′_rem + √(Σ tpl′²_rem)·√(Σ win′²) — valid for any row
-// subset since window deviation terms are non-negative. Once even that
-// bound cannot reach the caller's threshold, scanning stops and
-// (0, false) is returned, guaranteeing score < bound without finishing
-// the window. (true, score) means score is the exact fused value. The
-// bound carries a 1e-6 safety margin so float rounding in the bound
-// arithmetic can never skip a window whose true score reaches the
-// threshold; callers comparing the result against bound therefore make
-// decisions identical to the exhaustive oracle. Pass a bound ≤ -1 to
-// disable the early-out.
-func (m *TemplateMatcher) ScoreBounded(g *Gray, in *Integral, sq *IntegralSq, x, y int, bound float64) (float64, bool) {
-	return m.scoreBounded(g, in, sq, x, y, bound, -1)
-}
-
-// ScoreVarBounded is ScoreBounded with a variance gate folded in:
-// windows whose intensity variance (the exact-integer RegionVariance
-// value) is below minVar return (0, false) before any scoring work, so
-// one corner-grid sample serves the gate, the prescreen and the
-// kernel. Pass a negative minVar to disable the gate. Note the gate
-// compares the exact-integer variance where a crop-based caller would
-// compare float-accumulated Gray.Variance — the two agree to ~1e-12
-// relative, so a window whose true variance sits within rounding
-// distance of minVar could in principle gate differently; thresholds
-// are tuning knobs, not contract boundaries, and the seeded
-// equivalence suite pins the behaviour empirically.
-func (m *TemplateMatcher) ScoreVarBounded(g *Gray, in *Integral, sq *IntegralSq, x, y int, bound, minVar float64) (float64, bool) {
-	return m.scoreBounded(g, in, sq, x, y, bound, minVar)
-}
-
-func (m *TemplateMatcher) scoreBounded(g *Gray, in *Integral, sq *IntegralSq, x, y int, bound, minVar float64) (float64, bool) {
+// ScoreCascade scores the window anchored at (x, y) behind a ladder of
+// rejects, each of which proves score < bound without finishing the
+// window: (score, true) is the exact fused value, (0, false) a skip.
+//
+// Variance gate: windows whose intensity variance (the exact-integer
+// RegionVariance value) is below minVar are skipped before any scoring
+// work. Pass a negative minVar to disable it. The gate compares the
+// exact-integer variance where a crop-based caller would compare
+// float-accumulated Gray.Variance — the two agree to ~1e-12 relative,
+// so a window whose true variance sits within rounding distance of
+// minVar could in principle gate differently; thresholds are tuning
+// knobs, not contract boundaries, and the seeded equivalence suite pins
+// the behaviour empirically.
+//
+// Pyramid tier: before any full-resolution pixel is read, the NCC
+// numerator is bounded from the frame's block-sum pyramid (DESIGN.md
+// §12). Per template group G inside block B (nominal block mean
+// c = S_B/k²),
+//
+//	Σ_G tpl′·f ≤ T_G·c + √ê_G·√(Σ_B (f−c)²)
+//
+// by Cauchy–Schwarz (centred through the group mean for full groups,
+// where Σ_G f = S_B exactly), so summing groups and applying
+// Cauchy–Schwarz once more over the per-block factors,
+//
+//	num ≤ dot(T, S)/k² + √(P · devsum)
+//
+// with dot(T, S) a short contiguous dot product over the block grid,
+// P the parity's residual template energy, and devsum =
+// ΣQ − ΣS²/k² ≥ Σ_B Σ_G (f−c)² the covered blocks' deviation mass
+// (ΣQ one squared-table probe, ΣS² accumulated inside the dot loop —
+// for frame-edge partial blocks the k² denominator overestimates the
+// true deviation, which only loosens the bound).
+//
+// Row early-out: survivors reach scoreRows, which stops scanning once
+// the unseen rows cannot lift the numerator to the threshold.
+//
+// Every skip is sound under a 1e-6 (score units) margin: it dwarfs the
+// float rounding the bound arithmetic can accumulate — the pyramid
+// tier's float dot product and the per-row deviation tracking — so a
+// skip always proves score < bound, and no real score sits within 1e-6
+// of a threshold in the seeded suites (the kernel's exact integer paths
+// keep accepted scores within 1e-9 of the oracle). Callers comparing
+// the result against bound therefore make decisions identical to the
+// exhaustive oracle.
+//
+// pyr must be the pyramid of g. A bound ≤ -1 disables the pyramid tier
+// and the row early-out (pyr is then unused and may be nil).
+func (m *TemplateMatcher) ScoreCascade(g *Gray, in *Integral, sq *IntegralSq, pyr *Pyramid, x, y int, bound, minVar float64) (float64, bool) {
 	w, h := m.W, m.H
 	n := uint64(w * h)
-	checkCut := bound > -1
-	gw1, gh1 := len(m.gx), len(m.gy)
-	var cin [25]uint32
-	var csq [25]uint64
-	var s, q uint64
-	if checkCut {
-		// Sample both tables once on the (gw+1)×(gh+1) block-corner
-		// grid; the window sums, the variance gate and the prescreen
-		// all read off it — exact integer arithmetic either way, so
-		// values are identical to direct RegionSumUnclipped lookups.
-		tstride := in.W + 1
-		for r := 0; r < gh1; r++ {
-			rowOff := (y + int(m.gy[r])) * tstride
-			for c := 0; c < gw1; c++ {
-				cin[r*gw1+c] = in.Sum[rowOff+x+int(m.gx[c])]
-				csq[r*gw1+c] = sq.Sum[rowOff+x+int(m.gx[c])]
-			}
-		}
-		tl, tr, bl, br := 0, gw1-1, (gh1-1)*gw1, gh1*gw1-1
-		s = uint64(cin[br] - cin[tr] - cin[bl] + cin[tl])
-		q = csq[br] - csq[tr] - csq[bl] + csq[tl]
-	} else {
-		win := Rect{X: x, Y: y, W: w, H: h}
-		s = in.RegionSumUnclipped(win)
-		q = sq.RegionSumUnclipped(win)
-	}
+	win := Rect{X: x, Y: y, W: w, H: h}
+	s := in.RegionSumUnclipped(win)
+	q := sq.RegionSumUnclipped(win)
 	if minVar >= 0 && float64(n*q-s*s)/float64(n*n) < minVar {
 		return 0, false
 	}
@@ -295,39 +241,29 @@ func (m *TemplateMatcher) scoreBounded(g *Gray, in *Integral, sq *IntegralSq, x,
 		return 0, true
 	}
 	den := math.Sqrt(da * db)
-	mw := float64(s) / float64(n)
-	// Early-out threshold in numerator units, with the safety margin.
-	// 1e-6 (score units) dwarfs the float rounding the bound arithmetic
-	// below can accumulate — including the per-row deviation tracking —
-	// so a skip always proves score < bound; no real score sits within
-	// 1e-6 of a threshold in the seeded suites (the kernel's exact
-	// integer paths keep accepted scores within 1e-9 of the oracle).
-	cut := (bound - 1e-6) * den
-	if checkCut {
-		// O(1) prescreen before any pixel is read: per template block,
-		// Σ_B tpl′·f ≤ m_B·Σ_B tpl′ + √(Σ_B tpl′²)·√(Σ_B (f−m_B)²) by
-		// Cauchy–Schwarz about the block's own mean, each block's
-		// deviation mass exact-integer corner-grid arithmetic. Clutter
-		// whose deviation concentrates in a few blocks (edges,
-		// boundaries) — most of what survives the detector's contrast
-		// gate — bounds far below a spread-out template and rejects
-		// with zero pixel reads; genuinely face-like windows fall
-		// through to the scan.
-		var bb float64
-		for r := 0; r < gh1-1; r++ {
-			for c := 0; c < gw1-1; c++ {
-				blk := &m.blocks[r*(gw1-1)+c]
-				a, b2 := r*gw1+c, (r+1)*gw1+c
-				sB := uint64(cin[b2+1] - cin[a+1] - cin[b2] + cin[a])
-				qB := csq[b2+1] - csq[a+1] - csq[b2] + csq[a]
-				devB := float64(blk.n*qB-sB*sB) * blk.invN
-				bb += float64(sB)*blk.invN*blk.sum + blk.sqrtE*math.Sqrt(devB)
+	// Early-out threshold in numerator units, with the safety margin;
+	// −∞ when the early-outs are off, which no bound can fall below.
+	cut := math.Inf(-1)
+	if bound > -1 {
+		cut = (bound - 1e-6) * den
+		for ti := range m.tiers {
+			if m.pyrBound(&m.tiers[ti], sq, pyr, x, y) < cut {
+				return 0, false
 			}
 		}
-		if bb < cut {
-			return 0, false
-		}
 	}
+	return m.scoreRows(g, in, sq, x, y, s, da, den, cut)
+}
+
+// scoreRows is the exact row-scan kernel: the fused integer dot product
+// Σ tpl·f accumulated row by row, template rows in decreasing-energy
+// order, with a Cauchy–Schwarz early-out on the rows not yet scanned.
+// s must be the window's pixel sum, da its deviation mass, den the NCC
+// denominator and cut the early-out threshold in numerator units.
+func (m *TemplateMatcher) scoreRows(g *Gray, in *Integral, sq *IntegralSq, x, y int, s uint64, da, den, cut float64) (float64, bool) {
+	w, h := m.W, m.H
+	n := uint64(w * h)
+	mw := float64(s) / float64(n)
 	stride := g.W
 	base := y*stride + x
 	tstride := in.W + 1
@@ -336,19 +272,19 @@ func (m *TemplateMatcher) scoreBounded(g *Gray, in *Integral, sq *IntegralSq, x,
 	wf := float64(w)
 	// daRem tracks the deviation mass Σ(f−mw)² of the rows not yet
 	// scanned: each scanned row's exact deviation (from the two tables)
-	// is peeled off the window total, so the Cauchy–Schwarz tail bound
-	// below tightens as fast as the window's own structure is consumed
-	// instead of assuming every unseen row could still carry the whole
-	// window's deviation. Near-miss windows — the refinement climb's
-	// staple — concentrate their deviation in the same high-energy rows
-	// the scan order visits first, so the bound collapses early.
+	// is peeled off the window total, so the tail bound below tightens as
+	// fast as the window's own structure is consumed instead of assuming
+	// every unseen row could still carry the whole window's deviation.
+	// Near-miss windows — the refinement climb's staple — concentrate
+	// their deviation in the same high-energy rows the scan order visits
+	// first, so the bound collapses early.
 	daRem := da
 	for k := 0; k < h; k++ {
 		j := int(m.order[k])
 		// Exact integer dot product of one template row against the
 		// frame row under it — SIMD on amd64, bit-identical everywhere.
 		ip += dotRow(&m.tpl[j*w], &g.Pix[base+j*stride], w)
-		if !checkCut || k == h-1 {
+		if k == h-1 {
 			continue
 		}
 		// Partial numerator over the scanned rows: Σ tpl′·f =
@@ -362,8 +298,9 @@ func (m *TemplateMatcher) scoreBounded(g *Gray, in *Integral, sq *IntegralSq, x,
 		// Σ_x (f−mw)² = Σf² − mw·(2Σf − w·mw).
 		daRem -= float64(rowQ) - mw*(2*float64(rowS)-wf*mw)
 		num := float64(ip) - m.mean*float64(sf)
-		// Cauchy–Schwarz over the unseen rows, whichever they are:
-		// Σ_rem (f−mw)² = daRem exactly, so reject when
+		// Cauchy–Schwarz over the unseen rows, whichever they are — valid
+		// for any row subset since window deviation terms are
+		// non-negative: Σ_rem (f−mw)² = daRem exactly, so reject when
 		// num + mw·ΣtailTpl′ + √(tailSq·daRem) < cut — compared in
 		// squared form to keep √ out of the row loop.
 		rem := cut - num - mw*m.tailSum[k+1]
@@ -379,122 +316,6 @@ func (m *TemplateMatcher) scoreBounded(g *Gray, in *Integral, sq *IntegralSq, x,
 	}
 	// Over the whole window Σf is the window sum itself, so the exact
 	// numerator needs no per-row bookkeeping.
-	num := float64(ip) - m.mean*float64(s)
-	return num / den, true
-}
-
-// ScoreCascade is ScoreVarBounded with the pyramid reject tier in
-// front of the corner-grid prescreen and the exact kernel: before any
-// full-resolution table probing, the NCC numerator is bounded from the
-// frame's block-sum pyramid (DESIGN.md §12). Per template group G
-// inside block B (nominal block mean c = S_B/k²),
-//
-//	Σ_G tpl′·f ≤ T_G·c + √ê_G·√(Σ_B (f−c)²)
-//
-// by Cauchy–Schwarz (centred through the group mean for full groups,
-// where Σ_G f = S_B exactly), so summing groups and applying
-// Cauchy–Schwarz once more over the per-block factors,
-//
-//	num ≤ dot(T, S)/k² + √(P · devsum)
-//
-// with dot(T, S) a short contiguous dot product over the block grid,
-// P the parity's residual template energy, and devsum =
-// ΣQ − ΣS²/k² ≥ Σ_B Σ_G (f−c)² the covered blocks' deviation mass
-// (ΣQ one squared-table probe, ΣS² accumulated inside the dot loop —
-// for frame-edge partial blocks the k² denominator overestimates the
-// true deviation, which only loosens the bound). When even this bound
-// cannot reach the threshold, the window is rejected with zero
-// full-resolution reads; skips are sound under a 1e-6 margin (the
-// tier's float accumulation is coarser than the kernel's 1e-9-margin
-// integer paths, and thresholds sit far from any score that close to
-// the cut). Survivors fall through to scoreBounded unchanged, so
-// accepted scores are bit-identical to Score.
-//
-// pyr must be the pyramid of g. A bound ≤ -1 disables every early-out
-// and delegates straight to the exact kernel.
-func (m *TemplateMatcher) ScoreCascade(g *Gray, in *Integral, sq *IntegralSq, pyr *Pyramid, x, y int, bound, minVar float64) (float64, bool) {
-	if bound <= -1 {
-		return m.scoreBounded(g, in, sq, x, y, bound, minVar)
-	}
-	w, h := m.W, m.H
-	n := uint64(w * h)
-	win := Rect{X: x, Y: y, W: w, H: h}
-	s := in.RegionSumUnclipped(win)
-	q := sq.RegionSumUnclipped(win)
-	if minVar >= 0 && float64(n*q-s*s)/float64(n*n) < minVar {
-		return 0, false
-	}
-	da := float64(n*q-s*s) / float64(n)
-	db := m.norm2
-	if da == 0 && db == 0 {
-		if float64(s)/float64(n) == m.mean {
-			return 1, true
-		}
-		return 0, true
-	}
-	if da == 0 || db == 0 {
-		return 0, true
-	}
-	den := math.Sqrt(da * db)
-	cut := (bound - 1e-6) * den
-	for ti := range m.tiers {
-		if m.pyrBound(&m.tiers[ti], sq, pyr, x, y) < cut {
-			return 0, false
-		}
-	}
-	// Survivors skip scoreBounded's corner-grid resampling and block
-	// prescreen: the window sums, variance gate and threshold are
-	// already in hand (exact integers and the same float expressions,
-	// so every value the row loop sees is identical), and behind the
-	// pyramid tier the block prescreen rejects almost nothing — it
-	// reads fifty scattered table words and takes sixteen square roots
-	// to re-derive a coarser version of the bound that just passed.
-	return m.scoreRows(g, in, sq, x, y, s, da, den, cut)
-}
-
-// scoreRows is the exact row-scan kernel entered from ScoreCascade:
-// the fused integer dot product with the energy-ordered early-out,
-// minus scoreBounded's front matter (window sums, variance gate, block
-// prescreen), which the cascade has already run. s must be the
-// window's pixel sum, da its deviation mass, den the NCC denominator
-// and cut the early-out threshold in numerator units. Every value the
-// loop reads is computed from the same exact-integer inputs by the
-// same expressions as scoreBounded, so accepted scores are
-// bit-identical to Score.
-func (m *TemplateMatcher) scoreRows(g *Gray, in *Integral, sq *IntegralSq, x, y int, s uint64, da, den, cut float64) (float64, bool) {
-	w, h := m.W, m.H
-	n := uint64(w * h)
-	mw := float64(s) / float64(n)
-	stride := g.W
-	base := y*stride + x
-	tstride := in.W + 1
-	var ip int64  // Σ tpl·f over the scanned rows — exact
-	var sf uint64 // Σ f over the scanned rows — exact, from the table
-	wf := float64(w)
-	daRem := da
-	for k := 0; k < h; k++ {
-		j := int(m.order[k])
-		ip += dotRow(&m.tpl[j*w], &g.Pix[base+j*stride], w)
-		if k == h-1 {
-			continue
-		}
-		ro := (y+j)*tstride + x
-		rowS := uint64(in.Sum[ro+tstride+w] - in.Sum[ro+w] - in.Sum[ro+tstride] + in.Sum[ro])
-		rowQ := sq.Sum[ro+tstride+w] - sq.Sum[ro+w] - sq.Sum[ro+tstride] + sq.Sum[ro]
-		sf += rowS
-		daRem -= float64(rowQ) - mw*(2*float64(rowS)-wf*mw)
-		num := float64(ip) - m.mean*float64(sf)
-		rem := cut - num - mw*m.tailSum[k+1]
-		if rem > 0 {
-			d := daRem
-			if d < 0 {
-				d = 0
-			}
-			if m.tailSq[k+1]*d < rem*rem {
-				return 0, false
-			}
-		}
-	}
 	num := float64(ip) - m.mean*float64(s)
 	return num / den, true
 }

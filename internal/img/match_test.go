@@ -107,71 +107,6 @@ func TestMatcherFlatWindows(t *testing.T) {
 	}
 }
 
-// TestScoreBoundedContract checks the early-out semantics: (true, s)
-// is bit-identical to Score, and (false, _) only ever happens when the
-// exact score is below the bound.
-func TestScoreBoundedContract(t *testing.T) {
-	g := scenicImage(160, 140, 11)
-	in, sq := BuildIntegrals(g, nil, nil)
-	tpl := scenicImage(28, 34, 12)
-	m := NewTemplateMatcher(tpl)
-	bounds := []float64{0.1, 0.33, 0.55, 0.9}
-	var outs, fulls int
-	for y := 0; y+m.H <= g.H; y += 5 {
-		for x := 0; x+m.W <= g.W; x += 5 {
-			exact := m.Score(g, in, sq, x, y)
-			for _, b := range bounds {
-				s, ok := m.ScoreBounded(g, in, sq, x, y, b)
-				if ok {
-					fulls++
-					if s != exact {
-						t.Fatalf("ScoreBounded(%d,%d,%v) = %v, Score = %v", x, y, b, s, exact)
-					}
-				} else {
-					outs++
-					if exact >= b {
-						t.Fatalf("early-out at (%d,%d) bound %v but exact score %v ≥ bound", x, y, b, exact)
-					}
-				}
-			}
-		}
-	}
-	if outs == 0 {
-		t.Error("early-out never fired — bound is not pruning")
-	}
-	if fulls == 0 {
-		t.Error("no full scores — bound fired on everything, suspicious")
-	}
-}
-
-// TestScoreVarBoundedGate checks the fused variance gate agrees with
-// RegionVariance exactly.
-func TestScoreVarBoundedGate(t *testing.T) {
-	g := scenicImage(120, 120, 21)
-	in, sq := BuildIntegrals(g, nil, nil)
-	tpl := scenicImage(20, 24, 22)
-	m := NewTemplateMatcher(tpl)
-	const minVar = 100
-	for y := 0; y+m.H <= g.H; y += 7 {
-		for x := 0; x+m.W <= g.W; x += 7 {
-			win := Rect{X: x, Y: y, W: m.W, H: m.H}
-			gated := RegionVariance(in, sq, win) < minVar
-			s, ok := m.ScoreVarBounded(g, in, sq, x, y, 0.33, minVar)
-			if gated && (ok || s != 0) {
-				t.Fatalf("window (%d,%d) var %v < %v must gate out, got (%v, %v)",
-					x, y, RegionVariance(in, sq, win), float64(minVar), s, ok)
-			}
-			if !gated {
-				want, wantOK := m.ScoreBounded(g, in, sq, x, y, 0.33)
-				if s != want || ok != wantOK {
-					t.Fatalf("window (%d,%d): gated call (%v,%v) != plain (%v,%v)",
-						x, y, s, ok, want, wantOK)
-				}
-			}
-		}
-	}
-}
-
 // --- benchmarks for the kernel pieces ---
 
 func benchImage(w, h int, seed int64) *Gray {

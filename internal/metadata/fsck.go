@@ -34,7 +34,7 @@ type FsckSegment struct {
 	// A sealed segment with Err set is quarantinable (WithQuarantine).
 	Err string
 	// Note reports non-fatal findings: a torn active tail that open
-	// would truncate, a legacy layout awaiting migration.
+	// would truncate, a first segment not yet bound by a manifest.
 	Note string
 }
 
@@ -98,19 +98,18 @@ func fsck(fsys vfs.FS, dir string) (*FsckReport, error) {
 		return rep, nil
 	}
 	if !haveManifest {
-		// No manifest: an empty or legacy directory is fine; segments
-		// beyond the first mean the manifest was lost (see
-		// ensureInitSafe) — that loss is the finding.
+		// No manifest: an empty directory or a lone first segment is
+		// fine; segments beyond the first mean the manifest was lost,
+		// and a metadata.log is a layout no open accepts (see
+		// ensureInitSafe) — either is the finding.
 		if err := ensureInitSafe(fsys, dir); err != nil {
 			rep.Segments = append(rep.Segments, FsckSegment{Name: manifestName, Err: err.Error()})
 			return rep, nil
 		}
-		for _, name := range []string{segFileName(1), legacyLogName} {
-			if _, err := fsys.Stat(filepath.Join(dir, name)); errors.Is(err, os.ErrNotExist) {
-				continue
-			}
+		name := segFileName(1)
+		if _, err := fsys.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
 			s := fsckLenient(fsys, dir, name)
-			s.Note = joinNote(s.Note, "pre-manifest layout (migrated on next writable open)")
+			s.Note = joinNote(s.Note, "pre-manifest layout (bound on next writable open)")
 			rep.Segments = append(rep.Segments, s)
 			rep.Records += s.Records
 		}

@@ -34,7 +34,7 @@ type Health struct {
 	Quarantined []SegmentHealth
 	// Recovery lists the recovery actions the most recent Open (or
 	// fault repair) performed, oldest first: torn-tail truncation,
-	// orphan sweeps, legacy-log migration, active-segment rewrites,
+	// orphan sweeps, active-segment rewrites,
 	// statistics-sidecar regeneration.
 	Recovery []string
 	// StatsMissing lists sealed segments with no usable statistics

@@ -157,9 +157,7 @@ func WithSyncPolicy(p SyncPolicy) Option {
 // exclusive lease still conflicts both ways), nothing on disk is
 // created, repaired or deleted — a torn active tail replays as its
 // valid prefix without being truncated — and Append/AppendBatch/
-// Compact return ErrReadOnly. Read-only mode also opens
-// pre-segmentation metadata.log directories in place, without
-// migrating them. Caveat: on platforms without flock (non-unix
+// Compact return ErrReadOnly. Caveat: on platforms without flock (non-unix
 // builds), read-only opens take no lease at all, so only
 // writer-vs-writer exclusion is enforced there and a read-only open
 // racing a writer's repairs may observe a transiently inconsistent
@@ -227,8 +225,8 @@ func WithLockWait(ctx context.Context, max time.Duration) Option {
 // Sealed segments are replayed in parallel and must be intact; a
 // corrupt tail on the active segment is truncated with only valid
 // prefix records retained — the standard recovery contract for an
-// append-only store. A pre-segmentation metadata.log is migrated in
-// place on first open.
+// append-only store. A directory still holding a pre-segmentation
+// metadata.log and no manifest is refused (errors.ErrUnsupported).
 func Open(dir string, opts ...Option) (*Repository, error) {
 	o := options{segSize: DefaultSegmentSize, sync: SyncOnSeal, fsys: vfs.OS}
 	for _, opt := range opts {
@@ -288,10 +286,8 @@ func (r *Repository) load() error {
 		if err := ensureInitSafe(r.fsys, r.dir); err != nil {
 			return err
 		}
-		segs, err = r.initLayout()
-		if err != nil {
-			return err
-		}
+		// A fresh repository: one empty active segment.
+		segs = []segMeta{{name: segFileName(1)}}
 	}
 	if !r.opts.readOnly {
 		removed, err := removeOrphans(r.fsys, r.dir, segs)
@@ -498,8 +494,8 @@ func (r *Repository) load() error {
 	if !haveManifest {
 		if _, err := writeManifest(r.fsys, r.dir, r.segs); err != nil {
 			// Open fails wholesale here; whether or not the rename
-			// landed, the on-disk state (fresh segment or migrated
-			// legacy log, manifest or none) reopens consistently.
+			// landed, the on-disk state (first segment, manifest or
+			// none) reopens consistently.
 			f.Close()
 			r.active = nil
 			return err
@@ -556,53 +552,29 @@ func (r *Repository) regenStatsLocked() (int, error) {
 }
 
 // loadNoManifestReadOnly opens a manifest-less directory for reading:
-// a pre-segmentation metadata.log, or a lone first segment from an
-// interrupted first open, replays in place (lenient, nothing written);
-// an empty directory reads as an empty repository. Segments beyond
-// 000001.seg without a manifest still refuse (see ensureInitSafe).
+// a lone first segment from an interrupted first open replays in place
+// (lenient, nothing written); an empty directory reads as an empty
+// repository. Anything else refuses (see ensureInitSafe).
 func (r *Repository) loadNoManifestReadOnly() error {
 	if err := ensureInitSafe(r.fsys, r.dir); err != nil {
 		return err
 	}
-	for _, name := range []string{segFileName(1), legacyLogName} {
-		path := filepath.Join(r.dir, name)
-		if _, err := r.fsys.Stat(path); errors.Is(err, os.ErrNotExist) {
-			continue
-		} else if err != nil {
-			return fmt.Errorf("metadata: probing %s: %w", name, err)
-		}
-		recs, valid, err := decodeSegment(r.fsys, path, false)
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			r.indexReplayed(rec)
-		}
-		r.segs = []segMeta{{name: name, bytes: valid, count: len(recs)}}
+	name := segFileName(1)
+	path := filepath.Join(r.dir, name)
+	if _, err := r.fsys.Stat(path); errors.Is(err, os.ErrNotExist) {
 		return nil
+	} else if err != nil {
+		return fmt.Errorf("metadata: probing %s: %w", name, err)
 	}
+	recs, valid, err := decodeSegment(r.fsys, path, false)
+	if err != nil {
+		return err
+	}
+	for _, rec := range recs {
+		r.indexReplayed(rec)
+	}
+	r.segs = []segMeta{{name: name, bytes: valid, count: len(recs)}}
 	return nil
-}
-
-// initLayout builds the segment list for a directory with no manifest:
-// either a fresh repository (one empty active segment) or a
-// pre-segmentation metadata.log, which becomes the first — still
-// active, so its tail remains truncatable — segment in place.
-func (r *Repository) initLayout() ([]segMeta, error) {
-	first := segFileName(1)
-	legacy := filepath.Join(r.dir, legacyLogName)
-	if _, err := r.fsys.Stat(legacy); err == nil {
-		if err := r.fsys.Rename(legacy, filepath.Join(r.dir, first)); err != nil {
-			return nil, fmt.Errorf("metadata: migrating legacy log: %w", err)
-		}
-		if err := syncDir(r.fsys, r.dir); err != nil {
-			return nil, err
-		}
-		r.recovered("migrated legacy %s to %s", legacyLogName, first)
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("metadata: probing legacy log: %w", err)
-	}
-	return []segMeta{{name: first}}, nil
 }
 
 // recovered records one open-time recovery action for Health.

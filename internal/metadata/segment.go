@@ -39,7 +39,7 @@ const (
 	manifestTmp   = "MANIFEST.tmp"
 	lockName      = "LOCK"
 	segSuffix     = ".seg"
-	legacyLogName = "metadata.log" // pre-segmentation single-file log
+	legacyLogName = "metadata.log" // pre-segmentation single-file log; refused, see ensureInitSafe
 )
 
 // segMeta describes one segment: its file, the contiguous run of
@@ -352,13 +352,19 @@ func removeOrphans(fsys vfs.FS, dir string, segs []segMeta) (removed int, err er
 // deletion) while the data survived; initialising fresh would let the
 // orphan sweep silently destroy every segment the lost manifest
 // referenced. (A lone 000001.seg is the legitimate crash window of a
-// first open or legacy migration and replays as the active segment.)
+// first open and replays as the active segment.) It likewise refuses a
+// pre-segmentation metadata.log: that layout is no longer read, and
+// opening the directory as empty would hide its records.
 func ensureInitSafe(fsys vfs.FS, dir string) error {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("metadata: listing repository dir: %w", err)
 	}
 	for _, e := range entries {
+		if e.Name() == legacyLogName {
+			return fmt.Errorf("metadata: %s holds a pre-segmentation %s and no MANIFEST, a layout this version does not open: %w",
+				dir, legacyLogName, errors.ErrUnsupported)
+		}
 		if id, ok := segFileID(e.Name()); ok && id != 1 {
 			return fmt.Errorf("metadata: segment %s present but MANIFEST missing (restore the manifest or move the segments aside): %w",
 				e.Name(), ErrCorrupt)

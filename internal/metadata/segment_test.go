@@ -69,46 +69,45 @@ func TestSegmentRollAndReopen(t *testing.T) {
 	}
 }
 
-func TestLegacyLogMigration(t *testing.T) {
+// TestLegacyLogRefused: a directory holding a pre-segmentation
+// metadata.log and no manifest is a layout no open accepts — writable,
+// read-only and Fsck all name it instead of presenting an empty
+// repository, and nothing on disk is touched.
+func TestLegacyLogRefused(t *testing.T) {
 	dir := t.TempDir()
-	// Fabricate a pre-segmentation repository: a bare metadata.log with
-	// three records and no MANIFEST.
 	var buf []byte
 	for i := 0; i < 3; i++ {
 		rec := obs(i, 0, "legacy", float64(i))
 		rec.ID = uint64(i + 1)
 		buf = appendRecord(buf, rec)
 	}
-	if err := os.WriteFile(filepath.Join(dir, legacyLogName), buf, 0o644); err != nil {
+	legacy := filepath.Join(dir, legacyLogName)
+	if err := os.WriteFile(legacy, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	r, err := Open(dir)
+	for name, opts := range map[string][]Option{"writable": nil, "read-only": {WithReadOnly()}} {
+		r, err := Open(dir, opts...)
+		if err == nil {
+			r.Close()
+			t.Fatalf("%s open accepted a metadata.log directory (%d records visible)", name, r.Len())
+		}
+		if !errors.Is(err, errors.ErrUnsupported) || !strings.Contains(err.Error(), legacyLogName) {
+			t.Errorf("%s open: error %q does not name the unsupported %s layout", name, err, legacyLogName)
+		}
+	}
+	rep, err := Fsck(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 3 {
-		t.Fatalf("migrated %d records, want 3", r.Len())
+	if rep.Clean() || !strings.Contains(rep.Segments[0].Err, legacyLogName) {
+		t.Errorf("fsck did not report the %s layout: %+v", legacyLogName, rep.Segments)
 	}
-	if _, err := os.Stat(filepath.Join(dir, legacyLogName)); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("legacy log still present after migration: %v", err)
+	if got, err := os.ReadFile(legacy); err != nil || !reflect.DeepEqual(got, buf) {
+		t.Errorf("refusal modified the legacy log (err %v)", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, segFileName(1))); err != nil {
-		t.Errorf("migrated segment missing: %v", err)
-	}
-	if _, err := r.Append(obs(10, 1, "fresh", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if r2.Len() != 4 {
-		t.Errorf("after migration + append + reopen: %d records, want 4", r2.Len())
+	if _, err := os.Stat(filepath.Join(dir, segFileName(1))); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("refused open left a segment behind: %v", err)
 	}
 }
 
