@@ -216,11 +216,9 @@ func (c *Client) url(endpoint string, vals url.Values) string {
 // NOT retried (the batch may have landed); callers needing exactly-once
 // must deduplicate at a higher layer.
 func (c *Client) Append(ctx context.Context, recs []Record) error {
-	wires := make([]service.WireRecord, len(recs))
-	for i, rec := range recs {
-		wires[i] = service.ToWire(rec)
-	}
-	body, err := json.Marshal(wires)
+	// Sized for the common tagless record, so the body is usually one
+	// allocation; do re-sends it on every retry, so it is not pooled.
+	body, err := service.EncodeBatch(make([]byte, 0, 2+128*len(recs)), recs)
 	if err != nil {
 		return fmt.Errorf("client: encoding batch: %w", err)
 	}
@@ -285,21 +283,16 @@ func (c *Client) Query(ctx context.Context, q string, opts QueryOpts) ([]Record,
 		return nil, fmt.Errorf("client: query: %s (HTTP %d)", readErrorKeepOpen(resp), resp.StatusCode)
 	}
 	var out []Record
+	var dec service.Decoder
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	sawEOF := false
 	for sc.Scan() {
-		var env service.Envelope
-		if err := json.Unmarshal(sc.Bytes(), &env); err != nil {
-			return nil, fmt.Errorf("client: decoding stream: %w", err)
-		}
+		rec, env, err := dec.Line(sc.Bytes())
 		switch {
-		case env.Record != nil:
-			rec, err := service.FromWire(*env.Record)
-			if err != nil {
-				return nil, err
-			}
-			rec.ID = env.Record.ID
+		case err != nil:
+			return nil, fmt.Errorf("client: decoding stream: %w", err)
+		case env == nil:
 			out = append(out, rec)
 		case env.Error != "":
 			return out, fmt.Errorf("client: query failed mid-stream: %s", env.Error)
@@ -353,6 +346,7 @@ func (c *Client) Health(ctx context.Context) (service.HealthReport, error) {
 type FollowStream struct {
 	resp *http.Response
 	sc   *bufio.Scanner
+	dec  service.Decoder
 	err  error
 }
 
@@ -382,22 +376,15 @@ func (f *FollowStream) Next() (Record, error) {
 		return Record{}, f.err
 	}
 	for f.sc.Scan() {
-		var env service.Envelope
-		if err := json.Unmarshal(f.sc.Bytes(), &env); err != nil {
+		rec, env, err := f.dec.Line(f.sc.Bytes())
+		switch {
+		case err != nil:
 			f.err = fmt.Errorf("client: decoding follow stream: %w", err)
 			return Record{}, f.err
-		}
-		switch {
-		case env.Record != nil:
-			rec, err := service.FromWire(*env.Record)
-			if err != nil {
-				f.err = err
-				return Record{}, f.err
-			}
-			rec.ID = env.Record.ID
+		case env == nil:
 			return rec, nil
 		case env.Error != "":
-			f.err = envelopeErr(env)
+			f.err = envelopeErr(*env)
 			return Record{}, f.err
 		}
 	}

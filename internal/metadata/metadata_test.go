@@ -3,6 +3,7 @@ package metadata
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -46,6 +47,9 @@ func TestRecordValidate(t *testing.T) {
 		{"negative frame", func(r *Record) { r.Frame = -1 }},
 		{"inverted interval", func(r *Record) { r.FrameEnd = 0; r.Frame = 5 }},
 		{"empty tag key", func(r *Record) { r.Tags = map[string]string{"": "x"} }},
+		{"NaN value", func(r *Record) { r.Value = math.NaN() }},
+		{"+Inf value", func(r *Record) { r.Value = math.Inf(1) }},
+		{"-Inf value", func(r *Record) { r.Value = math.Inf(-1) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -15,6 +15,7 @@ package metadata
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -105,6 +106,9 @@ func (r Record) Validate() error {
 	}
 	if r.FrameEnd >= 0 && r.FrameEnd < r.Frame {
 		return fmt.Errorf("metadata: interval [%d,%d) inverted: %w", r.Frame, r.FrameEnd, ErrBadRecord)
+	}
+	if math.IsNaN(r.Value) || math.IsInf(r.Value, 0) { // JSON cannot carry it: it would cut every stream it is on
+		return fmt.Errorf("metadata: non-finite value %v: %w", r.Value, ErrBadRecord)
 	}
 	for k, v := range r.Tags {
 		if k == "" || len(k) > 255 || len(v) > 1024 {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -90,24 +91,61 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
+// appendScratch is what one append request needs and no later one must
+// see: the body bytes, the decoded batch, the decoder's string table.
+// AppendBatch copies every record (retaining only its Label string and
+// Tags map, which the decoder never points into body), so all three
+// are reusable once it returns.
+type appendScratch struct {
+	body bytes.Buffer
+	recs []metadata.Record
+	dec  Decoder
+}
+
+// Scratch grown past these by one huge batch is dropped, not pooled.
+const (
+	maxPooledBody = 4 << 20
+	maxPooledRecs = 1 << 15
+)
+
 // handleAppend is batched ingest: a JSON array of records, appended
-// atomically-per-record under one lock hold (AppendBatch). Refusals:
-// 429 when the tenant's token bucket is dry (Retry-After says when to
-// come back), 507 when the tenant is degraded read-only (disk quota or
-// ENOSPC), 400 on malformed input.
+// atomically-per-record under one lock hold (AppendBatch). The body is
+// read whole (capped at maxAppendBody, 413 beyond) into pooled scratch
+// and decoded by the wire codec straight into records. Refusals, in
+// order: 400 on malformed input — bad JSON or an unknown kind, so a
+// batch that can never land costs its sender no quota — and on an
+// empty batch, 507 when the tenant is degraded read-only (disk quota
+// or ENOSPC), 429 when the tenant's token bucket is dry (Retry-After
+// says when to come back).
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	t, err := s.tenant(r.PathValue("tenant"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var wires []WireRecord
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAppendBody))
-	if err := dec.Decode(&wires); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("service: decoding records: %v", err))
+	sc := s.scratch.Get().(*appendScratch)
+	defer func() {
+		if sc.body.Cap() <= maxPooledBody && cap(sc.recs) <= maxPooledRecs {
+			s.scratch.Put(sc)
+		}
+	}()
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxAppendBody)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("service: append body exceeds %d bytes", tooLarge.Limit))
+			return
+		}
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("service: reading records: %v", err))
 		return
 	}
-	if len(wires) == 0 {
+	recs, err := sc.dec.batch(sc.body.Bytes(), sc.recs)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	sc.recs = recs
+	if len(recs) == 0 {
 		httpError(w, http.StatusBadRequest, "service: empty batch")
 		return
 	}
@@ -115,19 +153,10 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInsufficientStorage, "service: tenant degraded to read-only (disk quota/ENOSPC)")
 		return
 	}
-	if ok, wait := t.bucket.take(float64(len(wires)), s.cfg.now()); !ok {
+	if ok, wait := t.bucket.take(float64(len(recs)), s.cfg.now()); !ok {
 		retryAfter(w, wait)
 		httpError(w, http.StatusTooManyRequests, "service: append quota exhausted")
 		return
-	}
-	recs := make([]metadata.Record, len(wires))
-	for i, wr := range wires {
-		rec, err := FromWire(wr)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("service: record %d: %v", i, err))
-			return
-		}
-		recs[i] = rec
 	}
 	repo, err := t.acquire(r.Context(), s)
 	if err != nil {
@@ -220,13 +249,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer it.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
+	var line []byte
 	for {
 		rec, ok := it.Next()
 		if !ok {
 			break
 		}
-		wr := ToWire(rec)
-		if err := enc.Encode(Envelope{Record: &wr}); err != nil {
+		if line, err = appendRecordLine(line[:0], &rec); err != nil {
+			enc.Encode(s.unencodable(t, rec.ID, err))
+			return
+		}
+		if _, err := w.Write(line); err != nil {
 			return // client gone
 		}
 	}
@@ -235,6 +268,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	enc.Encode(Envelope{EOF: true})
+}
+
+// unencodable is the terminal envelope of a stream that met a record
+// the wire cannot carry (a non-finite Value; Validate refuses them, but
+// a store written before it did may hold one). Naming the record beats
+// cutting the stream short, which reads as a truncation.
+func (s *Server) unencodable(t *tenant, id uint64, err error) Envelope {
+	s.cfg.Logf("tenant %s: record %d cannot be encoded: %v", t.name, id, err)
+	return Envelope{Error: fmt.Sprintf("service: record %d cannot be encoded: %v", id, err), Code: CodeInternal}
 }
 
 // handleFollow upgrades to a live NDJSON stream over Repository.Tail:
@@ -316,6 +358,7 @@ func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 	enc := json.NewEncoder(w)
+	var line []byte
 	for {
 		rec, err := cur.Next(ctx)
 		if err != nil {
@@ -323,8 +366,12 @@ func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 			return
 		}
-		wr := ToWire(rec)
-		if err := enc.Encode(Envelope{Record: &wr}); err != nil {
+		if line, err = appendRecordLine(line[:0], &rec); err != nil {
+			enc.Encode(s.unencodable(t, rec.ID, err))
+			flusher.Flush()
+			return
+		}
+		if _, err := w.Write(line); err != nil {
 			return // client gone
 		}
 		flusher.Flush()

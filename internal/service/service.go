@@ -83,6 +83,7 @@ type Server struct {
 	mux *http.ServeMux
 
 	inflight chan struct{}
+	scratch  sync.Pool // *appendScratch
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
@@ -124,6 +125,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		inflight: make(chan struct{}, cfg.MaxInflight),
+		scratch:  sync.Pool{New: func() any { return new(appendScratch) }},
 		tenants:  make(map[string]*tenant),
 		drainCh:  make(chan struct{}),
 		stop:     make(chan struct{}),

@@ -4,12 +4,19 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -194,6 +201,19 @@ func TestAppendQuota429(t *testing.T) {
 	// Raw request first: assert status and header shape.
 	body, _ := json.Marshal([]service.WireRecord{{Kind: "observation", Label: "x", Frame: ptr(1)}})
 	u := ts.http.URL + "/v1/tenants/rig-1/records"
+	// A batch that can never land is refused before the bucket is
+	// charged: a buggy client does not burn its quota on it.
+	badKind := `[{"kind":"nope","label":"x","frame":1},{"kind":"observation","label":"x","frame":1}]`
+	for i := 0; i < 10; i++ {
+		resp, err := http.Post(u, "application/json", strings.NewReader(badKind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad-kind append %d: HTTP %d, want 400", i, resp.StatusCode)
+		}
+	}
 	for i := 0; i < 5; i++ {
 		resp, err := http.Post(u, "application/json", strings.NewReader(string(body)))
 		if err != nil {
@@ -214,6 +234,17 @@ func TestAppendQuota429(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
+	}
+	// Malformed input is still a 400 with the bucket dry (400 before 429).
+	for _, bad := range []string{badKind, `[{"kind":"observation"`, `[]`} {
+		resp, err := http.Post(u, "application/json", strings.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("append of %s on a dry bucket: HTTP %d, want 400", bad, resp.StatusCode)
+		}
 	}
 
 	// A no-retry client surfaces the overload sentinel immediately (a
@@ -594,6 +625,14 @@ func TestBadInputs(t *testing.T) {
 		{"malformed JSON", post("/v1/tenants/rig-1/records", "{"), http.StatusBadRequest},
 		{"bad kind", post("/v1/tenants/rig-1/records", `[{"kind":"nope","label":"x"}]`), http.StatusBadRequest},
 		{"missing label", post("/v1/tenants/rig-1/records", `[{"kind":"context"}]`), http.StatusBadRequest},
+		{"bad kind behind a good record", post("/v1/tenants/rig-1/records", `[{"kind":"context","label":"x"},{"kind":"Context","label":"x"}]`), http.StatusBadRequest},
+		{"missing kind", post("/v1/tenants/rig-1/records", `[{"label":"x"}]`), http.StatusBadRequest},
+		{"frame out of range", post("/v1/tenants/rig-1/records", `[{"kind":"event","label":"x","frame":9223372036854775808}]`), http.StatusBadRequest},
+		{"fractional frame", post("/v1/tenants/rig-1/records", `[{"kind":"event","label":"x","frame":1.5}]`), http.StatusBadRequest},
+		{"value out of range", post("/v1/tenants/rig-1/records", `[{"kind":"event","label":"x","frame":1,"value":1e999}]`), http.StatusBadRequest},
+		{"non-finite value", post("/v1/tenants/rig-1/records", `[{"kind":"event","label":"x","frame":1,"value":NaN}]`), http.StatusBadRequest},
+		{"trailing comma", post("/v1/tenants/rig-1/records", `[{"kind":"event","label":"x","frame":1},]`), http.StatusBadRequest},
+		{"inverted interval", post("/v1/tenants/rig-1/records", `[{"kind":"event","label":"x","frame":5,"frame_end":2}]`), http.StatusBadRequest},
 		{"bad query", get("/v1/tenants/rig-1/query?q=" + "%3D%3D"), http.StatusBadRequest},
 		{"bad order", get("/v1/tenants/rig-1/query?q=label%20%3D%20%27x%27&order=sideways"), http.StatusBadRequest},
 		{"bad limit", get("/v1/tenants/rig-1/query?q=label%20%3D%20%27x%27&limit=-2"), http.StatusBadRequest},
@@ -607,5 +646,130 @@ func TestBadInputs(t *testing.T) {
 	}
 	if got := fmt.Sprint(post("/v1/tenants/rig-1/records", `[{"kind":"observation","frame":1,"label":"x"}]`)); got != "200" {
 		t.Errorf("valid append after bad inputs: HTTP %s", got)
+	}
+	// Spellings the codec's fast path declines are still accepted, as
+	// encoding/json accepts them: escapes, unknown and case-folded
+	// members, nulls, data after the array.
+	lenient := ` [ {"Kind":"observation","frame":2,"label":"caf\u00e9","extra":[1,2],"tags":null,"other":null} ] trailing`
+	if got := post("/v1/tenants/rig-1/records", lenient); got != http.StatusOK {
+		t.Errorf("lenient spelling: HTTP %d, want 200", got)
+	}
+	c := ts.client(t, "rig-1", client.Config{})
+	recs, err := c.Query(context.Background(), "frame = 2", client.QueryOpts{})
+	if err != nil || len(recs) != 1 || recs[0].Label != "caf\u00e9" || recs[0].FrameEnd != 3 || recs[0].Tags != nil {
+		t.Errorf("lenient spelling stored as %v (err %v)", recs, err)
+	}
+}
+
+// TestAppendBodyTooLarge413: a body past the 32 MiB cap is answered 413
+// (not a 400 that hides "request body too large" in a decode message),
+// whatever it holds, and the tenant keeps accepting appends.
+func TestAppendBodyTooLarge413(t *testing.T) {
+	ts := newTestServer(t, service.Config{})
+	u := ts.http.URL + "/v1/tenants/rig-1/records"
+	// Valid JSON all the way: an array opened, then whitespace past the cap.
+	huge := append([]byte{'['}, bytes.Repeat([]byte{' '}, 32<<20+512)...)
+	resp, err := http.Post(u, "application/json", bytes.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized append: HTTP %d (%s), want 413", resp.StatusCode, msg)
+	}
+	c := ts.client(t, "rig-1", client.Config{MaxRetries: -1})
+	if err := c.Append(context.Background(), batch(0, 10, "after")); err != nil {
+		t.Fatalf("append after a 413: %v", err)
+	}
+}
+
+// legacyStoreWithNaN writes a three-record tenant store whose middle
+// record holds a NaN Value, as a store written before Validate refused
+// them may: the record is appended finite, then its float64 is patched
+// on disk (and the entry's CRC with it).
+func legacyStoreWithNaN(t *testing.T, dir string) {
+	t.Helper()
+	const sentinel = 1234.5678
+	repo, err := metadata.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []float64{1, sentinel, 3} {
+		rec := ingestRecord(i, "legacy")
+		rec.Value = v
+		if _, err := repo.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := repo.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var want [8]byte
+	binary.LittleEndian.PutUint64(want[:], math.Float64bits(sentinel))
+	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+	for _, seg := range segs {
+		raw, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := bytes.Index(raw, want[:])
+		if at < 0 {
+			continue
+		}
+		// Entry: length u32, payload (value at offset 41), CRC-32 u32.
+		const valueOff = 8 + 1 + 8 + 8 + 8 + 4 + 4
+		start := at - valueOff - 4
+		payload := raw[start+4 : start+4+int(binary.LittleEndian.Uint32(raw[start:]))]
+		binary.LittleEndian.PutUint64(raw[at:], math.Float64bits(math.NaN()))
+		binary.LittleEndian.PutUint32(raw[start+4+len(payload):], crc32.ChecksumIEEE(payload))
+		if err := os.WriteFile(seg, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatal("sentinel value not found in any segment")
+}
+
+// TestUnencodableRecordEndsStreamLoudly: a stored record JSON cannot
+// carry (non-finite Value) used to cut query and follow streams short —
+// HTTP 200, no terminal envelope, nothing logged — which a client can
+// only read as a truncation. Now the stream ends with an "internal"
+// envelope naming the record, after everything before it.
+func TestUnencodableRecordEndsStreamLoudly(t *testing.T) {
+	root := t.TempDir()
+	legacyStoreWithNaN(t, filepath.Join(root, "rig-1"))
+	var logged atomic.Int32
+	ts := newTestServer(t, service.Config{Root: root, Logf: func(string, ...any) { logged.Add(1) }})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	c := ts.client(t, "rig-1", client.Config{MaxRetries: -1})
+
+	recs, err := c.Query(ctx, "label = 'legacy'", client.QueryOpts{Order: "id"})
+	if err == nil || !strings.Contains(err.Error(), "record 2 cannot be encoded") {
+		t.Fatalf("query over a NaN record: %d records, err %v; want a mid-stream error naming record 2", len(recs), err)
+	}
+	if len(recs) != 1 || recs[0].ID != 1 {
+		t.Fatalf("query delivered %v before the error, want record 1", recs)
+	}
+	// Records on either side of it stay reachable.
+	if recs, err := c.Query(ctx, "value = 3", client.QueryOpts{}); err != nil || len(recs) != 1 || recs[0].ID != 3 {
+		t.Fatalf("query past the NaN record: %v, err %v", recs, err)
+	}
+
+	fs, err := c.Follow(ctx, "label = 'legacy'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if rec, err := fs.Next(); err != nil || rec.ID != 1 {
+		t.Fatalf("follow first record: %v, err %v", rec, err)
+	}
+	_, err = fs.Next()
+	if err == nil || !strings.Contains(err.Error(), "record 2 cannot be encoded") || !strings.Contains(err.Error(), service.CodeInternal) {
+		t.Fatalf("follow over a NaN record ended with %v; want an internal envelope naming record 2", err)
+	}
+	if logged.Load() < 2 {
+		t.Fatalf("server logged %d lines about the unencodable record, want one per stream", logged.Load())
 	}
 }

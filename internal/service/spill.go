@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
@@ -73,6 +72,7 @@ type diskSpill struct {
 	rOff    int64  // file read offset
 	rbuf    []byte // decoded-from-file frames awaiting TryNext
 	rpos    int    // consumption offset into rbuf
+	dec     Decoder
 	ready   chan struct{}
 	charged int64 // bytes currently charged to the tenant
 	charge  func(delta int64) error
@@ -97,29 +97,33 @@ func newDiskSpill(dir string, charge func(delta int64) error) (*diskSpill, error
 }
 
 // Divert implements metadata.TailOverflow. It runs under the
-// repository's write lock: the common case appends to an in-memory
-// buffer; every spillChunk bytes it issues one buffered file write.
+// repository's write lock: the common case encodes the record straight
+// into an in-memory buffer (the wire codec: no reflection, no
+// intermediate); every spillChunk bytes it issues one buffered file
+// write.
 func (d *diskSpill) Divert(rec metadata.Record) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return fmt.Errorf("service: spill closed: %w", metadata.ErrLagging)
 	}
-	payload, err := json.Marshal(ToWire(rec))
+	// Frame = 4-byte length, then the wire object, built in place at the
+	// end of pending and cut off again if it is refused.
+	off := len(d.pending)
+	buf, err := appendRecord(append(d.pending, 0, 0, 0, 0), &rec)
+	d.pending = buf[:off]
 	if err != nil {
 		return fmt.Errorf("service: encoding spill frame: %w", err)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	need := int64(len(hdr) + len(payload))
+	need := int64(len(buf) - off)
 	// Reserve quota before buffering so the tenant's bound covers
 	// pending bytes too, not just what reached the file.
 	if err := d.charge(need); err != nil {
 		return err
 	}
 	d.charged += need
-	d.pending = append(d.pending, hdr[:]...)
-	d.pending = append(d.pending, payload...)
+	binary.BigEndian.PutUint32(buf[off:], uint32(need-4))
+	d.pending = buf
 	if len(d.pending) >= spillChunk {
 		if err := d.flushLocked(); err != nil {
 			return err
@@ -178,16 +182,12 @@ func (d *diskSpill) TryNext() (metadata.Record, bool, error) {
 	if start+n > len(d.rbuf) {
 		return metadata.Record{}, false, fmt.Errorf("service: truncated spill frame (%d of %d bytes)", len(d.rbuf)-start, n)
 	}
-	var w WireRecord
-	if err := json.Unmarshal(d.rbuf[start:start+n], &w); err != nil {
+	// The frame carries the repository-assigned ID; record keeps it.
+	rec, err := d.dec.record(d.rbuf[start : start+n])
+	if err != nil {
 		return metadata.Record{}, false, fmt.Errorf("service: decoding spill frame: %w", err)
 	}
 	d.rpos = start + n
-	rec, err := FromWire(w)
-	if err != nil {
-		return metadata.Record{}, false, err
-	}
-	rec.ID = w.ID // preserve the repository-assigned ID across the spill
 	// Return the quota as frames are consumed, and reclaim the file
 	// once the reader has fully caught up.
 	d.charge(-int64(4 + n))

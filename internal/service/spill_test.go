@@ -3,6 +3,8 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -75,6 +77,87 @@ func TestDiskSpillOrderAndReclaim(t *testing.T) {
 	}
 	if d.wOff != 0 {
 		t.Fatalf("file not reclaimed after catch-up: wOff=%d", d.wOff)
+	}
+}
+
+// TestDiskSpillMatchesWire: a record that detours through the spool
+// reaches the follower exactly as one that went straight onto the HTTP
+// stream — tags, non-ASCII and escaped strings, absent axes, the
+// repository-assigned ID — whether its frame takes the decoder's fast
+// path or declines to encoding/json.
+func TestDiskSpillMatchesWire(t *testing.T) {
+	d, err := newDiskSpill(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	recs := []metadata.Record{
+		spillRecord(1),
+		{Kind: metadata.KindEvent, Frame: 100, FrameEnd: 160, Time: 4 * time.Second, Person: 1, Other: 3,
+			Label: "caf\u00e9 \u65e5\u672c\u8a9e", Value: 1e-7, Tags: map[string]string{"camera": "C2", "\u00fc": "\u00e9"}},
+		{Kind: metadata.KindContext, Frame: -1, FrameEnd: -1, Person: -1, Other: -1,
+			Label: "say \"hi\" <b>&\n\u2028", Tags: map[string]string{"menu": "prix fixe & wine", "tab": "\t"}},
+		{Kind: metadata.KindAnnotation, Frame: 0, FrameEnd: 0, Time: -1500 * time.Microsecond, Person: 0, Other: 0, Label: "zero", Value: -2.5},
+	}
+	var dec Decoder
+	for i := range recs {
+		recs[i].ID = uint64(1000 + i)
+		if err := d.Divert(recs[i]); err != nil {
+			t.Fatalf("Divert(%d): %v", i, err)
+		}
+	}
+	for i := range recs {
+		got, ok, err := d.TryNext()
+		if err != nil || !ok {
+			t.Fatalf("TryNext(%d): ok=%v err=%v", i, ok, err)
+		}
+		line, err := appendRecordLine(nil, &recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, env, err := dec.Line(line)
+		if err != nil || env != nil {
+			t.Fatalf("wire round trip of record %d: env %v, err %v", i, env, err)
+		}
+		if !reflect.DeepEqual(got, want) || got.ID != recs[i].ID {
+			t.Fatalf("record %d via spill:\n got %#v\nwant %#v (the HTTP wire round trip)", i, got, want)
+		}
+		if !reflect.DeepEqual(got, recs[i]) {
+			t.Fatalf("record %d changed across the spill:\n got %#v\nwant %#v", i, got, recs[i])
+		}
+	}
+}
+
+// TestDiskSpillRefusesUnencodable: a record the wire cannot carry is
+// refused by Divert (ending that subscription) without leaving half a
+// frame in the spool or a charge on the tenant.
+func TestDiskSpillRefusesUnencodable(t *testing.T) {
+	var used int64
+	d, err := newDiskSpill(t.TempDir(), func(delta int64) error { used += delta; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.Divert(spillRecord(0)); err != nil {
+		t.Fatal(err)
+	}
+	charged := used
+	bad := spillRecord(1)
+	bad.Value = math.Inf(1)
+	if err := d.Divert(bad); err == nil {
+		t.Fatal("Divert accepted a non-finite Value")
+	}
+	if used != charged {
+		t.Fatalf("refused frame left %d bytes charged", used-charged)
+	}
+	if err := d.Divert(spillRecord(2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []int{0, 2} {
+		rec, ok, err := d.TryNext()
+		if err != nil || !ok || rec.Frame != want {
+			t.Fatalf("after a refused frame: frame %d ok=%v err=%v, want frame %d", rec.Frame, ok, err, want)
+		}
 	}
 }
 

@@ -16,6 +16,13 @@ import (
 // WireRecord is the JSON shape of a metadata.Record on the HTTP API.
 // Frame-axis and participant fields are pointers so "absent" (→ the
 // repository's -1 convention) is distinguishable from an explicit 0.
+//
+// The type is the format's schema and its reference implementation:
+// records in flight are written and read by the codec (codec.go), which
+// is held byte for byte to what encoding/json makes of a WireRecord and
+// hands it every input it declines. It must therefore never grow
+// MarshalJSON/UnmarshalJSON methods — the oracle would become the code
+// under test.
 type WireRecord struct {
 	ID       uint64            `json:"id,omitempty"`
 	Kind     string            `json:"kind"`

@@ -21,9 +21,11 @@
 # ≥200-client / 1M-record shape in -full — all raced), an end-to-end
 # server smoke (build the real dieventd binary, drive concurrent
 # ingest+query+FOLLOW, SIGTERM it, require drain within its deadline
-# and a clean offline fsck), a short fuzz smoke of the query parser so
-# the checked-in corpus executes on every check, the img/face suites on
-# the generic (purego) build, and the benchmark module's own tests.
+# and a clean offline fsck), a short fuzz smoke of the query parser and
+# of the service wire codec (record encoder, batch and envelope
+# decoders against encoding/json) so the checked-in corpora execute on
+# every check, the img/face suites on the generic (purego) build, and
+# the benchmark module's own tests.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -119,6 +121,11 @@ else
 	go test -run 'TestDieventdEndToEnd' ./internal/service
 fi
 go test -run '^$' -fuzz FuzzParseQuery -fuzztime 5s ./internal/metadata
+# Wire codec (DESIGN.md §11): encoder byte-identical to encoding/json,
+# decoder equal to it or declining, on fuzzed records, bodies and lines.
+for FUZZ in FuzzRecordJSON FuzzDecodeBatch FuzzDecodeEnvelope; do
+	go test -run '^$' -fuzz "^$FUZZ\$" -fuzztime 5s ./internal/service
+done
 # Generic-build coverage: the detector-vs-oracle and skip-contract
 # suites on the portable dot kernel (the purego tag selects it on
 # amd64), and a cross-vet so the non-amd64 build keeps compiling.
