@@ -70,7 +70,7 @@ func (r *FsckReport) Quarantinable() []string {
 
 // Fsck verifies the repository in dir offline. It takes the shared
 // (read) lease so it never races a live writer; where flock is
-// unsupported it instead probes the writer's LOCK lease file and
+// unsupported it instead probes the writers' lease file (LOCK.<gen>) and
 // refuses to run while a live owner holds it. A writer-held directory
 // fails with ErrLocked. Damage is reported, not returned: the error
 // return covers only environmental failures (lock, I/O on the
@@ -85,7 +85,7 @@ func fsck(fsys vfs.FS, dir string) (*FsckReport, error) {
 		return nil, fmt.Errorf("metadata: fsck %s: writer active: %w", dir, ErrLocked)
 	} else if !errors.Is(err, errors.ErrUnsupported) {
 		return nil, fmt.Errorf("metadata: fsck %s: %w", dir, err)
-	} else if pid, ok := leasePid(fsys, filepath.Join(dir, lockName)); ok && pidAlive(pid) {
+	} else if pid, ok := leaseOwner(fsys, dir); ok && pidAlive(pid) {
 		// No flock available: the best we can do is probe the
 		// lease-file protocol writers fall back to on the same builds.
 		return nil, fmt.Errorf("metadata: fsck %s: writer active (pid %d): %w", dir, pid, ErrLocked)

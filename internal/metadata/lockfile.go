@@ -8,6 +8,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/vfs"
@@ -17,14 +20,10 @@ import (
 // (vfs.FS.Flock on the directory itself): exclusive for writers,
 // shared for read-only opens, crash-released by the kernel. Where
 // flock is unsupported (non-unix builds, or a FaultFS configured
-// without it) writers fall back to an O_EXCL lease file carrying the
-// owner's pid; read-only opens take no lease at all there (they must
+// without it) writers fall back to O_EXCL lease files carrying the
+// owner's pid (lockLease); read-only opens take no lease at all there (they must
 // not create files, and an O_EXCL file cannot be shared), so only
 // writer-vs-writer exclusion is enforced — see WithReadOnly's caveat.
-
-// staleLockName is the claim-rename target during stale-lease
-// takeover; it is also swept as an orphan at Open.
-const staleLockName = lockName + ".stale"
 
 // lockDir acquires the directory lease for Open, honouring the
 // WithLockWait backoff: a held lease retries with exponential backoff
@@ -76,7 +75,7 @@ func tryLockDir(fsys vfs.FS, dir string, readOnly bool) (io.Closer, error) {
 }
 
 // unlockDir releases the lease. Closing a flock handle drops the
-// kernel lock; closing a lease removes the LOCK file.
+// kernel lock; closing a lease removes its own lease file.
 func unlockDir(c io.Closer) error {
 	if c == nil {
 		return nil
@@ -90,42 +89,120 @@ func unlockDir(c io.Closer) error {
 // reliable probe exists. Stubbed by tests.
 var pidAlive = pidAliveImpl
 
-// lockLease takes the O_EXCL lease file, writing "pid N\n" so later
-// contenders can probe the owner's liveness. A stale lease (owner pid
-// dead, or the file never got its pid — a crash inside the create
-// window) is taken over: the contender claims it by renaming LOCK to
-// LOCK.stale — rename is atomic, so exactly one contender wins even
-// when several race — removes the claim and retries the O_EXCL create.
-func lockLease(fsys vfs.FS, dir string) (io.Closer, error) {
-	path := filepath.Join(dir, lockName)
-	for attempt := 0; attempt < 4; attempt++ {
-		f, err := fsys.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err == nil {
-			_, werr := fmt.Fprintf(f, "pid %d\n", os.Getpid())
-			if werr == nil {
-				werr = f.Sync()
-			}
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fsys.Remove(path)
-				return nil, fmt.Errorf("metadata: writing lock file: %w", werr)
-			}
-			return leaseCloser{fsys: fsys, path: path}, nil
+// Lease files are named by generation: LOCK.<gen>, created O_EXCL and
+// carrying "pid N\n" so contenders can probe the owner's liveness. The
+// owner is whoever holds the highest generation. (A bare LOCK, the
+// pre-generation name, reads as generation 0.)
+
+// leaseFile is one lease file found in the repository directory.
+type leaseFile struct {
+	name string
+	gen  uint64
+}
+
+// leaseGen parses a lease file name.
+func leaseGen(name string) (uint64, bool) {
+	if name == lockName {
+		return 0, true
+	}
+	digits, ok := strings.CutPrefix(name, lockName+".")
+	if !ok {
+		return 0, false
+	}
+	gen, err := strconv.ParseUint(digits, 10, 64)
+	return gen, err == nil && gen > 0 && digits[0] != '0'
+}
+
+// listLeases returns the directory's lease files, ascending by
+// generation.
+func listLeases(fsys vfs.FS, dir string) ([]leaseFile, error) {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("metadata: listing lease files: %w", err)
+	}
+	var leases []leaseFile
+	for _, e := range entries {
+		if gen, ok := leaseGen(e.Name()); ok {
+			leases = append(leases, leaseFile{e.Name(), gen})
 		}
-		if !errors.Is(err, fs.ErrExist) {
+	}
+	sort.Slice(leases, func(i, j int) bool { return leases[i].gen < leases[j].gen })
+	return leases, nil
+}
+
+// lockLease takes the fallback lease. A contender reads the highest
+// generation g; if its owner is live the directory is locked. If it is
+// stale (owner pid dead, or the file never got its pid — a crash inside
+// the create window), or there is none, the contender claims by creating
+// generation g+1 O_EXCL: the claim is atomic with the observation it
+// rests on — of all contenders that saw g, exactly one creates g+1 — and
+// nothing another contender may have created since is renamed or
+// removed. Releases delete lease files, so a generation number can come
+// round again after the directory emptied; the claimant therefore
+// confirms before it owns: every other lease file present must be of a
+// lower generation and stale. Otherwise its observation was overtaken —
+// it withdraws its own file and starts over. The stale files it read
+// stay behind for removeOrphans.
+func lockLease(fsys vfs.FS, dir string) (io.Closer, error) {
+	for attempt := 0; attempt < 8; attempt++ {
+		leases, err := listLeases(fsys, dir)
+		if err != nil {
+			return nil, err
+		}
+		var gen uint64
+		if n := len(leases); n > 0 {
+			if !leaseStale(fsys, filepath.Join(dir, leases[n-1].name)) {
+				return nil, fmt.Errorf("metadata: %s: %w", dir, ErrLocked)
+			}
+			gen = leases[n-1].gen
+		}
+		mine := leaseFile{fmt.Sprintf("%s.%d", lockName, gen+1), gen + 1}
+		path := filepath.Join(dir, mine.name)
+		f, err := fsys.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		if errors.Is(err, fs.ErrExist) {
+			continue // another contender claimed on the same observation
+		}
+		if err != nil {
 			return nil, fmt.Errorf("metadata: creating lock file: %w", err)
 		}
-		if !leaseStale(fsys, path) {
-			return nil, fmt.Errorf("metadata: %s: %w", dir, ErrLocked)
+		_, werr := fmt.Fprintf(f, "pid %d\n", os.Getpid())
+		if werr == nil {
+			werr = f.Sync()
 		}
-		if rerr := fsys.Rename(path, filepath.Join(dir, staleLockName)); rerr != nil {
-			continue // lost the claim race (or the holder released); retry
+		if cerr := f.Close(); werr == nil {
+			werr = cerr
 		}
-		fsys.Remove(filepath.Join(dir, staleLockName))
+		if werr != nil {
+			fsys.Remove(path)
+			return nil, fmt.Errorf("metadata: writing lock file: %w", werr)
+		}
+		if leases, err = listLeases(fsys, dir); err != nil {
+			fsys.Remove(path)
+			return nil, err
+		}
+		confirmed := true
+		for _, l := range leases {
+			if l != mine && (l.gen > mine.gen || !leaseStale(fsys, filepath.Join(dir, l.name))) {
+				confirmed = false
+				break
+			}
+		}
+		if confirmed {
+			return leaseCloser{fsys: fsys, path: path}, nil
+		}
+		fsys.Remove(path)
 	}
 	return nil, fmt.Errorf("metadata: lease takeover did not converge: %w", ErrLocked)
+}
+
+// leaseOwner reports the pid recorded in the highest-generation lease
+// file, if there is one and it is readable.
+func leaseOwner(fsys vfs.FS, dir string) (int, bool) {
+	leases, err := listLeases(fsys, dir)
+	if err != nil || len(leases) == 0 {
+		return 0, false
+	}
+	return leasePid(fsys, filepath.Join(dir, leases[len(leases)-1].name))
 }
 
 // leaseStale reports whether the lease file belongs to a dead owner.
@@ -157,11 +234,11 @@ func leasePid(fsys vfs.FS, path string) (int, bool) {
 	return pid, true
 }
 
-// leaseCloser releases a fallback lease by deleting its LOCK file —
-// but only while the file still records this process's pid. If the
-// lease was taken over (rightly after a liveness misjudgement, or
-// wrongly by a buggy contender), the file now belongs to the new
-// owner and deleting it would open the door to a third writer.
+// leaseCloser releases a fallback lease by deleting its own lease file —
+// and only while the file still records this process's pid. If the
+// generation was superseded and swept (after a liveness misjudgement)
+// the file is gone, and whatever now sits at that name belongs to
+// someone else: deleting it would open the door to a second writer.
 type leaseCloser struct {
 	fsys vfs.FS
 	path string

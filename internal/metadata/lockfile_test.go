@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,14 +20,20 @@ func noFlockFS() *vfs.FaultFS {
 	return f
 }
 
-// writeLockFile plants a LOCK file with arbitrary content, as a
-// crashed previous owner would have left it.
+// writeLockFile plants a generation-0 lease file (the bare LOCK name)
+// with arbitrary content, as a crashed previous owner would have left it.
 func writeLockFile(t *testing.T, fsys vfs.FS, dir, content string) {
+	t.Helper()
+	writeLeaseFile(t, fsys, dir, lockName, content)
+}
+
+// writeLeaseFile plants a lease file under an explicit name.
+func writeLeaseFile(t *testing.T, fsys vfs.FS, dir, name, content string) {
 	t.Helper()
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	f, err := fsys.OpenFile(filepath.Join(dir, lockName), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := fsys.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +63,7 @@ func TestLeaseFallbackExcludesSecondWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The lease file records our pid.
-	if pid, ok := leasePid(fsys, filepath.Join(dir, lockName)); !ok || pid != os.Getpid() {
+	if pid, ok := leaseOwner(fsys, dir); !ok || pid != os.Getpid() {
 		t.Fatalf("lease pid = %d ok=%v, want own pid %d", pid, ok, os.Getpid())
 	}
 	if _, err := Open(dir, WithFS(fsys)); !errors.Is(err, ErrLocked) {
@@ -90,9 +97,13 @@ func TestLeaseStaleTakeover(t *testing.T) {
 	if _, err := r.Append(obs(1, 0, "happy", 1)); err != nil {
 		t.Fatal(err)
 	}
-	// The takeover re-owned the lease under our pid.
-	if pid, ok := leasePid(fsys, filepath.Join(dir, lockName)); !ok || pid != os.Getpid() {
+	// The takeover owns the next generation under our pid, and the open
+	// swept the dead owner's file.
+	if pid, ok := leasePid(fsys, filepath.Join(dir, lockName+".1")); !ok || pid != os.Getpid() {
 		t.Fatalf("lease pid after takeover = %d ok=%v", pid, ok)
+	}
+	if _, err := fsys.Stat(filepath.Join(dir, lockName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("superseded lease still present (stat err = %v)", err)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -138,12 +149,14 @@ func TestLeaseCloseAfterTakeoverLeavesNewOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a takeover: the LOCK file now records another owner.
-	path := filepath.Join(dir, lockName)
+	// Simulate a takeover whose winner swept our generation and a later
+	// owner that came round to the same name: the file now records
+	// another owner.
+	path := filepath.Join(dir, lockName+".1")
 	if err := fsys.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	writeLockFile(t, fsys, dir, "pid 424242\n")
+	writeLeaseFile(t, fsys, dir, lockName+".1", "pid 424242\n")
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close after takeover: %v", err)
 	}
@@ -153,11 +166,12 @@ func TestLeaseCloseAfterTakeoverLeavesNewOwner(t *testing.T) {
 
 	// A vanished lease file (taken over and already re-released) is a
 	// clean close too.
+	stubPidAlive(t, false) // 424242 is gone: its lease is stale
 	c2, err := lockLease(fsys, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fsys.Remove(path); err != nil {
+	if err := fsys.Remove(filepath.Join(dir, lockName+".2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c2.Close(); err != nil {
@@ -205,7 +219,7 @@ func TestWithLockWaitTimeoutAndCancel(t *testing.T) {
 }
 
 // TestLeaseTakeoverSingleWinner races contenders over one stale lease:
-// the rename-claim protocol must admit exactly one.
+// the O_EXCL claim of the next generation must admit exactly one.
 func TestLeaseTakeoverSingleWinner(t *testing.T) {
 	fsys := noFlockFS()
 	dir := t.TempDir()
@@ -236,5 +250,94 @@ func TestLeaseTakeoverSingleWinner(t *testing.T) {
 	}
 	if won != 1 {
 		t.Fatalf("%d contenders won the stale lease, want exactly 1", won)
+	}
+}
+
+// readHookFS runs a hook once, right after the first read of a lease
+// file returns: the point between a contender's staleness observation
+// and whatever it does to claim the lease.
+type readHookFS struct {
+	*vfs.FaultFS
+	hook func()
+}
+
+func (h *readHookFS) ReadFile(name string) ([]byte, error) {
+	data, err := h.FaultFS.ReadFile(name)
+	if hook := h.hook; hook != nil && strings.HasPrefix(filepath.Base(name), lockName) {
+		h.hook = nil
+		hook()
+	}
+	return data, err
+}
+
+// TestLeaseTakeoverInterleaved replays, deterministically, the
+// interleavings that let two contenders both win a stale lease: the
+// first contender has read the dead owner's lease file and judged it
+// stale when other contenders run to completion inside that window. The
+// claim must be atomic with the observation — the late contender loses.
+func TestLeaseTakeoverInterleaved(t *testing.T) {
+	cases := []struct {
+		name  string
+		stale string // the dead owner's lease file
+		// between runs inside the first contender's window and returns
+		// the repository that must end up the only writer.
+		between func(t *testing.T, fsys vfs.FS, dir string) *Repository
+	}{
+		{"rival-takes-over", lockName, func(t *testing.T, fsys vfs.FS, dir string) *Repository {
+			r, err := Open(dir, WithFS(fsys))
+			if err != nil {
+				t.Fatalf("rival contender: %v", err)
+			}
+			return r
+		}},
+		// The rival takes over and releases, emptying the directory; a
+		// third writer then starts over at generation 1, so the number the
+		// late contender is about to claim is free again.
+		{"rival-releases-third-reopens", lockName + ".5", func(t *testing.T, fsys vfs.FS, dir string) *Repository {
+			rival, err := Open(dir, WithFS(fsys))
+			if err != nil {
+				t.Fatalf("rival contender: %v", err)
+			}
+			if err := rival.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(dir, WithFS(fsys))
+			if err != nil {
+				t.Fatalf("third writer: %v", err)
+			}
+			return r
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := noFlockFS()
+			dir := t.TempDir()
+			writeLeaseFile(t, base, dir, tc.stale, "pid 999999\n")
+			orig := pidAlive
+			pidAlive = func(pid int) bool { return pid != 999999 }
+			t.Cleanup(func() { pidAlive = orig })
+
+			var holder *Repository
+			fsys := &readHookFS{FaultFS: base}
+			fsys.hook = func() { holder = tc.between(t, base, dir) }
+			late, err := Open(dir, WithFS(fsys))
+			if holder == nil {
+				t.Fatal("the hook never fired: no lease file was read")
+			}
+			defer holder.Close()
+			if err == nil {
+				late.Close()
+				t.Fatal("two writers: the late contender claimed a lease created after its staleness read")
+			}
+			if !errors.Is(err, ErrLocked) {
+				t.Fatalf("late contender err = %v, want ErrLocked", err)
+			}
+			if _, err := holder.Append(obs(1, 0, "happy", 1)); err != nil {
+				t.Fatalf("holder append: %v", err)
+			}
+			if pid, ok := leaseOwner(base, dir); !ok || pid != os.Getpid() {
+				t.Fatalf("lease owner after the race = %d ok=%v, want the holder", pid, ok)
+			}
+		})
 	}
 }

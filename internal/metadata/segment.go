@@ -28,7 +28,8 @@ import (
 //	MANIFEST     segment list + CRC, replaced atomically
 //
 // The directory itself is flock'd while open — exclusively by writers,
-// shared by read-only opens (LOCK is the non-unix fallback lease file).
+// shared by read-only opens (LOCK.<gen> files are the non-unix fallback
+// lease, see lockfile.go).
 //
 // Every manifest replacement and segment creation is followed by a
 // parent-directory fsync, so a crash can neither resurrect a
@@ -325,9 +326,18 @@ func removeOrphans(fsys vfs.FS, dir string, segs []segMeta) (removed int, err er
 	if err != nil {
 		return 0, fmt.Errorf("metadata: listing repository dir: %w", err)
 	}
+	var topLease uint64
+	for _, e := range entries {
+		if gen, ok := leaseGen(e.Name()); ok && gen > topLease {
+			topLease = gen
+		}
+	}
 	for _, e := range entries {
 		name := e.Name()
-		stray := strings.HasSuffix(name, ".tmp") || name == staleLockName
+		stray := strings.HasSuffix(name, ".tmp")
+		if gen, isLease := leaseGen(name); isLease && gen < topLease {
+			stray = true
+		}
 		if _, isSeg := segFileID(name); isSeg && !known[name] {
 			stray = true
 		}

@@ -120,6 +120,11 @@ else
 	# fsck of every tenant store.
 	go test -run 'TestDieventdEndToEnd' ./internal/service
 fi
+# Lease takeover (DESIGN.md §8): eight contenders over one stale lease,
+# exactly one winner, 2000 times under the race detector (≈ 20 s), plus
+# the deterministic interleavings of the two-writers bug it replaced.
+go test -race -run 'TestLeaseTakeoverSingleWinner' -count=2000 ./internal/metadata
+go test -race -run 'TestLeaseTakeoverInterleaved' ./internal/metadata
 go test -run '^$' -fuzz FuzzParseQuery -fuzztime 5s ./internal/metadata
 # Wire codec (DESIGN.md §11): encoder byte-identical to encoding/json,
 # decoder equal to it or declining, on fuzzed records, bodies and lines.
