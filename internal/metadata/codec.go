@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"sort"
 	"time"
@@ -81,73 +80,69 @@ func appendRecord(buf []byte, r Record) []byte {
 	return append(buf, c4[:]...)
 }
 
-// maxEntry bounds a single entry so recovery never allocates absurd
-// buffers from a corrupt length prefix.
+// maxEntry bounds a single entry's payload so recovery never allocates
+// absurd buffers from a corrupt length prefix. Validate refuses records
+// that would encode past it (or past the uint16 tag count), so nothing
+// acknowledged is ever unreadable.
 const maxEntry = 1 << 20
 
-// readRecord decodes the next record from r. It returns io.EOF cleanly
-// at end of stream and ErrCorrupt (wrapped) for any malformed entry.
-func readRecord(r io.Reader) (Record, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("metadata: entry header: %w", ErrCorrupt)
+// Entry geometry: the fixed payload fields up to and including labelLen,
+// the smallest payload (empty label, no tags) and the smallest entry.
+const (
+	fixedPayload = 8 + 1 + 8 + 8 + 8 + 4 + 4 + 8 + 1
+	minPayload   = fixedPayload + 2
+	minEntry     = 4 + minPayload + 4
+	maxTags      = math.MaxUint16
+)
+
+// labelTable interns the label strings of one decoder: a segment's few
+// dozen distinct labels are allocated once and every other record shares
+// them. Each decoder owns its table, so parallel replay needs no lock. A
+// nil table interns nothing (the test oracle).
+type labelTable map[string]string
+
+func (t labelTable) intern(b []byte) string {
+	if s, ok := t[string(b)]; ok { // the conversion in a map index does not allocate
+		return s
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n == 0 || n > maxEntry {
-		return Record{}, fmt.Errorf("metadata: entry length %d: %w", n, ErrCorrupt)
+	s := string(b)
+	if t != nil {
+		t[s] = s
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Record{}, fmt.Errorf("metadata: entry payload: %w", ErrCorrupt)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return Record{}, fmt.Errorf("metadata: entry crc: %w", ErrCorrupt)
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcBuf[:]) {
-		return Record{}, fmt.Errorf("metadata: entry checksum: %w", ErrCorrupt)
-	}
-	return decodePayload(payload)
+	return s
 }
 
-func decodePayload(p []byte) (Record, error) {
+// decodePayload parses one CRC-verified payload. Nothing in the returned
+// record aliases p.
+func decodePayload(p []byte, labels labelTable) (Record, error) {
 	var rec Record
-	off := 0
-	need := func(n int) bool { return off+n <= len(p) }
-	u64 := func() uint64 {
-		v := binary.LittleEndian.Uint64(p[off:])
-		off += 8
-		return v
-	}
-	u32 := func() uint32 {
-		v := binary.LittleEndian.Uint32(p[off:])
-		off += 4
-		return v
-	}
-	if !need(8 + 1 + 8 + 8 + 8 + 4 + 4 + 8 + 1) {
+	if len(p) < fixedPayload {
 		return rec, fmt.Errorf("metadata: short payload: %w", ErrCorrupt)
 	}
-	rec.ID = u64()
-	rec.Kind = Kind(p[off])
-	off++
-	rec.Frame = int(int64(u64()))
-	rec.FrameEnd = int(int64(u64()))
-	rec.Time = time.Duration(int64(u64()))
-	rec.Person = int(int32(u32()))
-	rec.Other = int(int32(u32()))
-	rec.Value = math.Float64frombits(u64())
-	lblLen := int(p[off])
-	off++
+	le := binary.LittleEndian
+	rec.ID = le.Uint64(p)
+	if rec.Kind = Kind(p[8]); rec.Kind >= numKinds { // byKind is indexed by it
+		return rec, fmt.Errorf("metadata: kind %d: %w", p[8], ErrCorrupt)
+	}
+	rec.Frame = int(int64(le.Uint64(p[9:])))
+	rec.FrameEnd = int(int64(le.Uint64(p[17:])))
+	rec.Time = time.Duration(int64(le.Uint64(p[25:])))
+	rec.Person = int(int32(le.Uint32(p[33:])))
+	rec.Other = int(int32(le.Uint32(p[37:])))
+	rec.Value = math.Float64frombits(le.Uint64(p[41:]))
+	off := fixedPayload
+	need := func(n int) bool { return off+n <= len(p) }
+	lblLen := int(p[off-1])
 	if !need(lblLen + 2) {
 		return rec, fmt.Errorf("metadata: truncated label: %w", ErrCorrupt)
 	}
-	rec.Label = string(p[off : off+lblLen])
+	rec.Label = labels.intern(p[off : off+lblLen])
 	off += lblLen
-	tagCount := int(binary.LittleEndian.Uint16(p[off:]))
+	tagCount := int(le.Uint16(p[off:]))
 	off += 2
+	if tagCount*3 > len(p)-off { // a tag is at least 3 bytes: no map sized by a lying count
+		return rec, fmt.Errorf("metadata: truncated tag: %w", ErrCorrupt)
+	}
 	if tagCount > 0 {
 		rec.Tags = make(map[string]string, tagCount)
 	}
@@ -162,7 +157,7 @@ func decodePayload(p []byte) (Record, error) {
 		}
 		k := string(p[off : off+kl])
 		off += kl
-		vl := int(binary.LittleEndian.Uint16(p[off:]))
+		vl := int(le.Uint16(p[off:]))
 		off += 2
 		if !need(vl) {
 			return rec, fmt.Errorf("metadata: truncated tag value: %w", ErrCorrupt)

@@ -145,7 +145,7 @@ func fsckSealed(fsys vfs.FS, dir string, sm segMeta) (FsckSegment, []Record) {
 		s.Err = err.Error()
 		return s, nil
 	}
-	recs, valid, err := decodeSegment(fsys, path, true)
+	recs, valid, err := decodeSegment(fsys, path, true, sm.count)
 	if err != nil {
 		s.Err = err.Error()
 		return s, nil
@@ -222,7 +222,7 @@ func fsckLenient(fsys vfs.FS, dir, name string) FsckSegment {
 		s.Err = err.Error()
 		return s
 	}
-	recs, valid, err := decodeSegment(fsys, path, false)
+	recs, valid, err := decodeSegment(fsys, path, false, 0)
 	if err != nil {
 		s.Err = err.Error()
 		return s

@@ -21,9 +21,10 @@ import (
 // shared for read-only opens, crash-released by the kernel. Where
 // flock is unsupported (non-unix builds, or a FaultFS configured
 // without it) writers fall back to O_EXCL lease files carrying the
-// owner's pid (lockLease); read-only opens take no lease at all there (they must
-// not create files, and an O_EXCL file cannot be shared), so only
-// writer-vs-writer exclusion is enforced — see WithReadOnly's caveat.
+// owner's pid (lockLease); read-only opens take no lease at all there
+// (they must not create files, and an O_EXCL file cannot be shared), so
+// only writer-vs-writer exclusion is enforced — see WithReadOnly's
+// caveat.
 
 // lockDir acquires the directory lease for Open, honouring the
 // WithLockWait backoff: a held lease retries with exponential backoff

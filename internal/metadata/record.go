@@ -110,10 +110,22 @@ func (r Record) Validate() error {
 	if math.IsNaN(r.Value) || math.IsInf(r.Value, 0) { // JSON cannot carry it: it would cut every stream it is on
 		return fmt.Errorf("metadata: non-finite value %v: %w", r.Value, ErrBadRecord)
 	}
+	// Replay refuses an entry whose payload exceeds maxEntry and the tag
+	// count is a uint16 on disk: a record past either bound would be
+	// acknowledged and then unreadable — taking every record after it in
+	// its segment with it. Tagless records cannot get near either.
+	if len(r.Tags) > maxTags {
+		return fmt.Errorf("metadata: %d tags exceed %d: %w", len(r.Tags), maxTags, ErrBadRecord)
+	}
+	size := minPayload + len(r.Label)
 	for k, v := range r.Tags {
 		if k == "" || len(k) > 255 || len(v) > 1024 {
 			return fmt.Errorf("metadata: bad tag %q: %w", k, ErrBadRecord)
 		}
+		size += 1 + len(k) + 2 + len(v)
+	}
+	if size > maxEntry {
+		return fmt.Errorf("metadata: record encodes to %d bytes, over the %d-byte entry bound: %w", size, maxEntry, ErrBadRecord)
 	}
 	return nil
 }

@@ -332,12 +332,12 @@ func (r *Repository) load() error {
 	}
 
 	// Replay sealed segments in parallel: decoding (CRC checks, payload
-	// parsing, allocation) is the expensive part and is embarrassingly
-	// parallel per segment; indexing stays sequential in manifest order
-	// so positions equal append order. Decode and indexing pipeline —
-	// segment i is indexed (and its decode buffer released) as soon as
-	// it completes, so peak memory is the store plus the few segments
-	// in flight, not a second decoded copy of the whole dataset.
+	// parsing) is embarrassingly parallel per segment; this goroutine
+	// copies each decoded segment into the store in manifest order, so
+	// positions equal append order, and releases its decode buffer — peak
+	// memory is the store plus the few segments in flight, not a second
+	// decoded copy of the whole dataset. The indexes are built afterwards
+	// in one pass over the finished store (buildIndexes).
 	sealed := segs[:len(segs)-1]
 	if len(sealed) > 0 {
 		loads := make([]struct {
@@ -389,7 +389,7 @@ func (r *Repository) load() error {
 						close(done[i])
 						continue
 					}
-					recs, n, err := decodeSegment(r.fsys, filepath.Join(r.dir, sealed[i].name), true)
+					recs, n, err := decodeSegment(r.fsys, filepath.Join(r.dir, sealed[i].name), true, sealed[i].count)
 					if err == nil && (n != sealed[i].bytes || len(recs) != sealed[i].count) {
 						err = fmt.Errorf("metadata: sealed segment %s: %d bytes/%d records, manifest says %d/%d: %w",
 							sealed[i].name, n, len(recs), sealed[i].bytes, sealed[i].count, ErrCorrupt)
@@ -421,9 +421,7 @@ func (r *Repository) load() error {
 					Bytes:   r.segs[i].bytes,
 				})
 			}
-			for _, rec := range loads[i].recs {
-				r.indexReplayed(rec)
-			}
+			r.store.appendBulk(loads[i].recs)
 			loads[i].recs = nil
 			tickets <- struct{}{}
 		}
@@ -434,16 +432,15 @@ func (r *Repository) load() error {
 	// any) and make the truncation durable before appending over it.
 	act := &r.segs[len(r.segs)-1]
 	path := filepath.Join(r.dir, act.name)
-	recs, validBytes, err := decodeSegment(r.fsys, path, false)
+	recs, validBytes, err := decodeSegment(r.fsys, path, false, act.count)
 	if err != nil {
 		return err
 	}
 	act.first = r.store.n
-	for _, rec := range recs {
-		r.indexReplayed(rec)
-	}
+	r.store.appendBulk(recs)
 	act.count = len(recs)
 	act.bytes = validBytes
+	r.buildIndexes()
 	r.fillGaps()
 
 	if r.opts.readOnly {
@@ -566,13 +563,12 @@ func (r *Repository) loadNoManifestReadOnly() error {
 	} else if err != nil {
 		return fmt.Errorf("metadata: probing %s: %w", name, err)
 	}
-	recs, valid, err := decodeSegment(r.fsys, path, false)
+	recs, valid, err := decodeSegment(r.fsys, path, false, 0)
 	if err != nil {
 		return err
 	}
-	for _, rec := range recs {
-		r.indexReplayed(rec)
-	}
+	r.store.appendBulk(recs)
+	r.buildIndexes()
 	r.segs = []segMeta{{name: name, bytes: valid, count: len(recs)}}
 	return nil
 }
@@ -606,24 +602,101 @@ func (r *Repository) fillGaps() {
 	}
 }
 
-// indexReplayed indexes one replayed record and advances the ID counter.
-func (r *Repository) indexReplayed(rec Record) {
-	r.index(rec)
-	if rec.ID >= r.nextID {
-		r.nextID = rec.ID + 1
+// buildIndexes builds every secondary index and nextID over the replayed
+// store: tally how many positions each index will hold, allocate each
+// once at exactly that size, fill. The result equals feeding the store
+// through index record by record (rangeIdx.insert still decides sorted
+// run vs tail), without the per-append slice growth. The two halves run
+// on two goroutines; each fills through local slice headers and stores
+// them into the Repository once at the end — appending through
+// neighbouring Repository fields from two goroutines would bounce their
+// shared cache lines on every append. Writable opens get no headroom:
+// the first append to each index grows it once, as any append past
+// capacity does.
+func (r *Repository) buildIndexes() {
+	if r.store.n == 0 {
+		return
 	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r.buildPersonTimeIndexes()
+	}()
+	r.buildLabelKindFrameIndexes()
+	wg.Wait()
 }
 
-// countingReader tracks consumed bytes for tail truncation.
-type countingReader struct {
-	r io.Reader
-	n int64
+func (r *Repository) buildLabelKindFrameIndexes() {
+	var kinds [numKinds]int
+	labels := make(map[string]int)
+	for _, chunk := range r.store.chunks {
+		for i := range chunk {
+			kinds[chunk[i].Kind]++
+			labels[chunk[i].Label]++
+		}
+	}
+	var byKind [numKinds][]int
+	for k, n := range kinds {
+		if n > 0 {
+			byKind[k] = make([]int, 0, n)
+		}
+	}
+	byLabel := make(map[string][]int, len(labels))
+	for l, n := range labels {
+		byLabel[l] = make([]int, 0, n)
+	}
+	byFrame := rangeIdx{sorted: make([]int, 0, r.store.n)}
+	pos := 0
+	for _, chunk := range r.store.chunks {
+		for i := range chunk {
+			rec := &chunk[i]
+			byKind[rec.Kind] = append(byKind[rec.Kind], pos)
+			byLabel[rec.Label] = append(byLabel[rec.Label], pos)
+			byFrame.insert(pos, r.frameKeyFn)
+			pos++
+		}
+	}
+	r.byKind, r.byLabel, r.byFrame = byKind, byLabel, byFrame
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+func (r *Repository) buildPersonTimeIndexes() {
+	persons := make(map[int]int)
+	var maxID uint64
+	for _, chunk := range r.store.chunks {
+		for i := range chunk {
+			rec := &chunk[i]
+			if rec.Person >= 0 {
+				persons[rec.Person]++
+			}
+			if rec.Other >= 0 && rec.Other != rec.Person {
+				persons[rec.Other]++
+			}
+			if rec.ID > maxID {
+				maxID = rec.ID
+			}
+		}
+	}
+	byPerson := make(map[int][]int, len(persons))
+	for p, n := range persons {
+		byPerson[p] = make([]int, 0, n)
+	}
+	byTime := rangeIdx{sorted: make([]int, 0, r.store.n)}
+	pos := 0
+	for _, chunk := range r.store.chunks {
+		for i := range chunk {
+			rec := &chunk[i]
+			if rec.Person >= 0 {
+				byPerson[rec.Person] = append(byPerson[rec.Person], pos)
+			}
+			if rec.Other >= 0 && rec.Other != rec.Person {
+				byPerson[rec.Other] = append(byPerson[rec.Other], pos)
+			}
+			byTime.insert(pos, r.timeKeyFn)
+			pos++
+		}
+	}
+	r.byPerson, r.byTime, r.nextID = byPerson, byTime, maxID+1
 }
 
 // index inserts a record into memory structures. Caller holds the lock

@@ -2,6 +2,7 @@ package metadata
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -275,8 +276,10 @@ func readManifest(fsys vfs.FS, dir string) (segs []segMeta, ok bool, err error) 
 // manifest records it as empty (0 bytes, 0 records); the byte/count
 // cross-check alone would wave that case through. Leniently (the active
 // segment, which a first open may not have created yet) a missing file
-// decodes as empty.
-func decodeSegment(fsys vfs.FS, path string, strict bool) (recs []Record, validBytes int64, err error) {
+// decodes as empty. count is the manifest's record count (0 when
+// unknown): the result is sized from it once, never beyond what the
+// file's own length could hold.
+func decodeSegment(fsys vfs.FS, path string, strict bool, count int) (recs []Record, validBytes int64, err error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if errors.Is(err, os.ErrNotExist) {
 		if strict {
@@ -288,22 +291,81 @@ func decodeSegment(fsys vfs.FS, path string, strict bool) (recs []Record, validB
 		return nil, 0, fmt.Errorf("metadata: opening segment for replay: %w", err)
 	}
 	defer f.Close()
-	cr := &countingReader{r: bufio.NewReaderSize(f, 1<<16)}
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("metadata: segment stat: %w", err)
+	}
+	recs, validBytes, err = decodeEntries(f, st.Size(), count)
+	if err != nil && strict {
+		return nil, 0, fmt.Errorf("metadata: sealed segment %s: %w", filepath.Base(path), err)
+	}
+	return recs, validBytes, nil // lenient: a torn tail keeps the valid prefix
+}
+
+// segReadBuf is the decoder's read window; only an entry longer than it
+// is copied out (into the one allocation it needs).
+const segReadBuf = 1 << 16
+
+// decodeEntries is the one segment decoder: it streams entries out of r
+// until a clean end of stream (err == nil) or the first malformed entry
+// (ErrCorrupt, wrapped), returning the records of the valid prefix and
+// its length either way. Each entry is checked in place in the read
+// window — length bounds, CRC — and parsed by decodePayload, with labels
+// interned in a table this call owns; untagged records allocate nothing.
+// size is the stream's length and count the expected number of records:
+// the result is allocated once at count, or at the most size could hold
+// when count is unknown or claims more.
+func decodeEntries(r io.Reader, size int64, count int) (recs []Record, validBytes int64, err error) {
+	if most := int(size / minEntry); count <= 0 || count > most {
+		count = most
+	}
+	recs = make([]Record, 0, count)
+	br := bufio.NewReaderSize(r, segReadBuf)
+	labels := make(labelTable)
+	var long []byte
 	for {
-		rec, rerr := readRecord(cr)
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			if strict {
-				return nil, 0, fmt.Errorf("metadata: sealed segment %s: %w", filepath.Base(path), rerr)
+		hdr, perr := br.Peek(4)
+		if len(hdr) < 4 {
+			if len(hdr) == 0 && perr == io.EOF {
+				return recs, validBytes, nil
 			}
-			break // torn active tail: keep the valid prefix
+			return recs, validBytes, fmt.Errorf("metadata: entry header: %w", ErrCorrupt)
+		}
+		n := int(binary.LittleEndian.Uint32(hdr))
+		if n == 0 || n > maxEntry {
+			return recs, validBytes, fmt.Errorf("metadata: entry length %d: %w", n, ErrCorrupt)
+		}
+		total := 4 + n + 4
+		var entry []byte
+		if total <= segReadBuf {
+			entry, _ = br.Peek(total)
+		} else {
+			if cap(long) < total {
+				long = make([]byte, total)
+			}
+			got, _ := io.ReadFull(br, long[:total])
+			entry = long[:got]
+		}
+		switch {
+		case len(entry) < 4+n:
+			return recs, validBytes, fmt.Errorf("metadata: entry payload: %w", ErrCorrupt)
+		case len(entry) < total:
+			return recs, validBytes, fmt.Errorf("metadata: entry crc: %w", ErrCorrupt)
+		}
+		payload := entry[4 : 4+n]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(entry[4+n:]) {
+			return recs, validBytes, fmt.Errorf("metadata: entry checksum: %w", ErrCorrupt)
+		}
+		rec, derr := decodePayload(payload, labels)
+		if derr != nil {
+			return recs, validBytes, derr
+		}
+		if total <= segReadBuf {
+			br.Discard(total)
 		}
 		recs = append(recs, rec)
-		validBytes = cr.n
+		validBytes += int64(total)
 	}
-	return recs, validBytes, nil
 }
 
 // removeOrphans deletes files a crash may have stranded: segment files

@@ -30,6 +30,22 @@ func (s *recStore) append(rec Record) {
 	s.n++
 }
 
+// appendBulk adds recs at positions s.n… by copying them into the chunk
+// list — replay's form of append: one copy per chunk touched, not one
+// call per record.
+func (s *recStore) appendBulk(recs []Record) {
+	for len(recs) > 0 {
+		if s.n>>storeChunkShift == len(s.chunks) {
+			s.chunks = append(s.chunks, make([]Record, 0, storeChunkSize))
+		}
+		c := len(s.chunks) - 1
+		k := min(len(recs), storeChunkSize-len(s.chunks[c]))
+		s.chunks[c] = append(s.chunks[c], recs[:k]...)
+		s.n += k
+		recs = recs[k:]
+	}
+}
+
 // at returns the record at pos. Caller holds at least a read lock and
 // guarantees pos < s.n.
 func (s *recStore) at(pos int) *Record {

@@ -773,3 +773,59 @@ func TestUnencodableRecordEndsStreamLoudly(t *testing.T) {
 		t.Fatalf("server logged %d lines about the unencodable record, want one per stream", logged.Load())
 	}
 }
+
+// TestAppendOversizeRecord400: a record the store could acknowledge but
+// never read back — a payload past the 1 MiB entry bound, or more tags
+// than the on-disk uint16 count holds — is refused with 400 and nothing
+// of its batch is stored; the tenant keeps ingesting and reopens whole.
+func TestAppendOversizeRecord400(t *testing.T) {
+	big := make(map[string]string)
+	for i := 0; i < 1100; i++ {
+		big[fmt.Sprintf("k%04d", i)] = strings.Repeat("v", 1024)
+	}
+	many := make(map[string]string)
+	for i := 0; i < 65537; i++ {
+		many[fmt.Sprintf("k%d", i)] = ""
+	}
+	for name, tags := range map[string]map[string]string{"payload-over-entry-bound": big, "tag-count-over-uint16": many} {
+		t.Run(name, func(t *testing.T) {
+			ts := newTestServer(t, service.Config{})
+			c := ts.client(t, "rig-1", client.Config{MaxRetries: -1})
+			ctx := context.Background()
+			if err := c.Append(ctx, batch(0, 3, "before")); err != nil {
+				t.Fatal(err)
+			}
+			bad := ingestRecord(3, "oversize")
+			bad.Tags = tags
+			body, err := json.Marshal([]service.WireRecord{service.ToWire(ingestRecord(4, "rider")), service.ToWire(bad)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.http.URL+"/v1/tenants/rig-1/records", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("oversize record: HTTP %d (%.200s), want 400", resp.StatusCode, msg)
+			}
+			if err := c.Append(ctx, batch(5, 8, "after")); err != nil {
+				t.Fatalf("append after the refusal: %v", err)
+			}
+			dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+			defer cancel()
+			if err := ts.svc.Drain(dctx); err != nil {
+				t.Fatal(err)
+			}
+			repo, err := metadata.Open(filepath.Join(ts.root, "rig-1"), metadata.WithReadOnly())
+			if err != nil {
+				t.Fatalf("reopening the drained tenant: %v", err)
+			}
+			defer repo.Close()
+			if repo.Len() != 6 {
+				t.Fatalf("tenant reopened with %d records, want the 6 acknowledged ones", repo.Len())
+			}
+		})
+	}
+}

@@ -21,11 +21,14 @@
 # ≥200-client / 1M-record shape in -full — all raced), an end-to-end
 # server smoke (build the real dieventd binary, drive concurrent
 # ingest+query+FOLLOW, SIGTERM it, require drain within its deadline
-# and a clean offline fsck), a short fuzz smoke of the query parser and
-# of the service wire codec (record encoder, batch and envelope
-# decoders against encoding/json) so the checked-in corpora execute on
-# every check, the img/face suites on the generic (purego) build, and
-# the benchmark module's own tests.
+# and a clean offline fsck), the lease-takeover race 2000 times over,
+# the replay-equivalence property raced, a short fuzz smoke of the
+# query parser, of the three on-disk formats (segment decoder against
+# its oracle, MANIFEST, statistics sidecar) and of the service wire
+# codec (record encoder, batch and envelope decoders against
+# encoding/json) so the checked-in corpora execute on every check, the
+# img/face suites on the generic (purego) build, and the benchmark
+# module's own tests.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -125,7 +128,17 @@ fi
 # the deterministic interleavings of the two-writers bug it replaced.
 go test -race -run 'TestLeaseTakeoverSingleWinner' -count=2000 ./internal/metadata
 go test -race -run 'TestLeaseTakeoverInterleaved' ./internal/metadata
-go test -run '^$' -fuzz FuzzParseQuery -fuzztime 5s ./internal/metadata
+# Replay equivalence (DESIGN.md §5), raced: every kind of open — bulk
+# copy plus the two-goroutine tally-then-fill index build — equals the
+# record-at-a-time reference; a full open allocates per segment, not per
+# record.
+go test -race -run 'TestReplayEquivalenceProperty|TestReplayAllocationFree' ./internal/metadata
+# Query grammar and the three on-disk formats (segment entries against
+# the readRecord oracle, MANIFEST, statistics sidecar): each fuzzer runs
+# its checked-in corpus and 5 s of new inputs.
+for FUZZ in FuzzParseQuery FuzzSegmentDecode FuzzParseManifest FuzzDecodeStats; do
+	go test -run '^$' -fuzz "^$FUZZ\$" -fuzztime 5s ./internal/metadata
+done
 # Wire codec (DESIGN.md §11): encoder byte-identical to encoding/json,
 # decoder equal to it or declining, on fuzzed records, bodies and lines.
 for FUZZ in FuzzRecordJSON FuzzDecodeBatch FuzzDecodeEnvelope; do
