@@ -283,9 +283,11 @@ func (c *Client) Query(ctx context.Context, q string, opts QueryOpts) ([]Record,
 		return nil, fmt.Errorf("client: query: %s (HTTP %d)", readErrorKeepOpen(resp), resp.StatusCode)
 	}
 	var out []Record
+	if opts.Limit > 0 {
+		out = make([]Record, 0, min(opts.Limit, 1024))
+	}
 	var dec service.Decoder
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	sc := newLineScanner(resp.Body)
 	sawEOF := false
 	for sc.Scan() {
 		rec, env, err := dec.Line(sc.Bytes())
@@ -362,9 +364,16 @@ func (c *Client) Follow(ctx context.Context, q string) (*FollowStream, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("client: follow: %s (HTTP %d)", readErrorKeepOpen(resp), resp.StatusCode)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	return &FollowStream{resp: resp, sc: sc}, nil
+	return &FollowStream{resp: resp, sc: newLineScanner(resp.Body)}, nil
+}
+
+// newLineScanner scans a response's NDJSON lines. The buffer starts at
+// bufio's 4 KiB — a record line is ≈ 140 bytes — and grows on demand to
+// the 16 MiB ceiling a line may reach.
+func newLineScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 16<<20)
+	return sc
 }
 
 // Next returns the next record. Terminal errors: ErrLagging (server

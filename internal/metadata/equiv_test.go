@@ -1,12 +1,17 @@
 package metadata
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/vfs"
 )
 
 // Planner/interpreter equivalence: a seeded, deterministic generator of
@@ -205,6 +210,7 @@ func runEquivalence(t *testing.T, r *Repository, seed int64, queries int) {
 		}
 		// Every (order, limit, projection) combination over the cursor.
 		order := orders[qi%len(orders)]
+		checkEarlyStop(t, r, q, expr, order, naive, 1+rng.Intn(5))
 		for _, limit := range limits {
 			for _, proj := range projections {
 				want := append([]Record(nil), naive...)
@@ -239,6 +245,218 @@ func runEquivalence(t *testing.T, r *Repository, seed int64, queries int) {
 				}
 			}
 		}
+	}
+}
+
+// checkEarlyStop abandons a cursor after k records, once through Close
+// and once through a cancelled context: what was yielded must be the
+// reference prefix, and the cursor must end cleanly (Err nil after
+// Close, the context's error after a cancel).
+func checkEarlyStop(t *testing.T, r *Repository, q string, expr Expr, order Order, naive []Record, k int) {
+	t.Helper()
+	want := append([]Record(nil), naive...)
+	refSort(want, order)
+	if k > len(want) {
+		k = len(want)
+	}
+	for _, cancelled := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		it, err := r.QueryExprIter(expr, QueryOpts{Order: order, Ctx: ctx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			rec, ok := it.Next()
+			if !ok || !reflect.DeepEqual(rec, want[i]) {
+				t.Fatalf("%q (order=%v): record %d before the early stop is (%v, %v), want %v", q, order, i, rec, ok, want[i])
+			}
+		}
+		wantErr := error(nil)
+		if cancelled {
+			cancel()
+			wantErr = context.Canceled
+		} else if err := it.Close(); err != nil {
+			t.Fatalf("%q: Close after %d records: %v", q, k, err)
+		}
+		if rec, ok := it.Next(); ok {
+			t.Fatalf("%q: Next after the early stop (cancelled=%v) yielded %v", q, cancelled, rec)
+		}
+		if err := it.Err(); !errors.Is(err, wantErr) {
+			t.Fatalf("%q: Err after the early stop (cancelled=%v) = %v, want %v", q, cancelled, err, wantErr)
+		}
+		it.Close()
+		cancel()
+	}
+}
+
+// zonedRecord is genRecord on a drifting frame axis: record i sits near
+// frame i/5, jittered so that neighbours arrive out of order and equal
+// frames straddle segment boundaries, with the odd time-invariant
+// (frame −1) record in between. Segment zone maps over such a stream
+// overlap at their edges and a few start at −1.
+func zonedRecord(rng *rand.Rand, i int) Record {
+	rec := genRecord(rng)
+	if rec.Frame < 0 {
+		return rec
+	}
+	span := rec.FrameEnd - rec.Frame
+	rec.Frame = max(0, i/5+rng.Intn(17)-8)
+	rec.Time = time.Duration(rec.Frame) * 40 * time.Millisecond
+	if rec.FrameEnd >= 0 {
+		rec.FrameEnd = rec.Frame + span
+	}
+	return rec
+}
+
+func fillZoned(t *testing.T, r *Repository, rng *rand.Rand, from, n int) {
+	t.Helper()
+	batch := make([]Record, 0, 64)
+	for i := from; i < from+n; i++ {
+		batch = append(batch, zonedRecord(rng, i))
+		if len(batch) == cap(batch) || i == from+n-1 {
+			if err := r.AppendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+}
+
+// TestExecutorEquivalence holds the run-wise executor to the naive
+// interpreter on every kind of run list a store can produce: sealed
+// segments with sidecars plus a filled active segment (writable), a
+// segment whose sidecar is gone (read-only: no statistics, unknown
+// bound), a quarantined segment, segments an open filter skipped, and an
+// in-memory repository's single run — each under every order, limits 1,
+// k, beyond the matches and none, projections, an early Close and a
+// context cancelled mid-stream (runEquivalence).
+func TestExecutorEquivalence(t *testing.T) {
+	seeds, queries, pooled := 4, 24, 6
+	if testing.Short() {
+		seeds, queries, pooled = 2, 8, 3
+	}
+	const dir = "/repo"
+	var unknown, statless, quarantined, skipped int
+	for seed := 0; seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(4100 + seed)))
+		n := 2000 + rng.Intn(2000)
+		segSize := int64(n * 72 / (6 + rng.Intn(15)))
+		base := vfs.NewFaultFS()
+		w, err := Open(dir, WithFS(base), WithSegmentSize(segSize), WithSyncPolicy(SyncNone))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillZoned(t, w, rng, 0, n)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, _, err := readManifest(base, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed := segs[:len(segs)-1]
+		everything, err := Parse("id > 0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sealed) < 4 {
+			t.Fatalf("seed %d: only %d sealed segments", seed, len(sealed))
+		}
+		check := func(kind string, r *Repository) {
+			t.Helper()
+			t.Run(fmt.Sprintf("seed%d/%s", seed, kind), func(t *testing.T) {
+				runEquivalence(t, r, int64(seed*7+len(kind)), queries)
+			})
+			r.mu.RLock()
+			for _, run := range r.planLocked(everything, OrderFrame).runs {
+				if run.bound == unbounded {
+					unknown++
+				}
+			}
+			r.mu.RUnlock()
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		fsys := base.Clone()
+		if w, err = Open(dir, WithFS(fsys), WithSegmentSize(segSize), WithSyncPolicy(SyncNone)); err != nil {
+			t.Fatal(err)
+		}
+		fillZoned(t, w, rng, n, 150)
+		check("writable", w)
+
+		fsys = base.Clone()
+		gone := sealed[rng.Intn(len(sealed))]
+		if err := fsys.Remove(filepath.Join(dir, statsFileName(gone.name))); err != nil {
+			t.Fatal(err)
+		}
+		ro, err := Open(dir, WithFS(fsys), WithReadOnly())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range ro.segs {
+			if s.name == gone.name && s.stats == nil {
+				statless++
+			}
+		}
+		check("statless", ro)
+
+		fsys = base.Clone()
+		bad := sealed[rng.Intn(len(sealed))]
+		rewriteFile(t, fsys, filepath.Join(dir, bad.name), func(data []byte) []byte {
+			data[rng.Intn(len(data))] ^= 0x40
+			return data
+		})
+		q, err := Open(dir, WithFS(fsys), WithReadOnly(), WithQuarantine())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := openedHealth(t, q); len(h.Quarantined) == 1 {
+			quarantined++
+		}
+		check("quarantined", q)
+
+		filter, err := Parse(fmt.Sprintf("frame >= %d AND frame < %d", n/20, n/8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Open(dir, WithFS(base), WithReadOnly(), WithOpenFilter(filter))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range cold.segs {
+			if s.skipped {
+				skipped++
+			}
+		}
+		check("filtered", cold)
+
+		mem := NewMem()
+		fillZoned(t, mem, rand.New(rand.NewSource(int64(4200+seed))), 0, n)
+		check("memory", mem)
+	}
+
+	// Past querySegmentSize loaded records a cursor hands its runs to the
+	// worker pool, and a run holding more candidates than that is split:
+	// the same equivalence on stores large enough for both.
+	rng := rand.New(rand.NewSource(4300))
+	big, err := Open(dir, WithFS(vfs.NewFaultFS()), WithSegmentSize(5*querySegmentSize*72/6), WithSyncPolicy(SyncNone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillZoned(t, big, rng, 0, 5*querySegmentSize)
+	t.Run("pooled/writable", func(t *testing.T) { runEquivalence(t, big, 1, pooled) })
+	if err := big.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMem()
+	defer mem.Close()
+	fillZoned(t, mem, rng, 0, 3*querySegmentSize)
+	t.Run("pooled/memory", func(t *testing.T) { runEquivalence(t, mem, 2, pooled) })
+	if statless != seeds || quarantined != seeds || skipped == 0 || unknown < 2*seeds {
+		t.Fatalf("generator went vacuous: %d stat-less and %d quarantined opens of %d, %d skipped segments, %d runs of unknown bound",
+			statless, quarantined, seeds, skipped, unknown)
 	}
 }
 

@@ -1,21 +1,23 @@
 package metadata
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
-// Parallel execution (DESIGN.md §4): the candidate set of a queryPlan is
-// partitioned into fixed-size segments scanned by a worker pool; each
-// worker emits its segment's matches pre-sorted for the requested order,
-// and the Iter k-way-merges segment outputs on demand, so results stream
-// to the caller without materialising the merged set and a Limit stops
-// the merge early.
+// Lazy execution (DESIGN.md §4): a queryPlan is a list of runs — position
+// ranges, one per surviving store segment, each with a conservative bound
+// on the merge keys inside it. The Iter evaluates runs on demand, in
+// bound order, and yields its merge head only once every unevaluated
+// run's bound lies strictly beyond the head's key. A consumer that stops
+// calling Next — limit reached, Close, context cancelled — leaves the
+// remaining runs untouched; a consumer that drains gets every run, the
+// worker pool evaluating ahead of the merge.
 
 // Order selects the result ordering of a planned query.
 type Order uint8
@@ -56,9 +58,9 @@ type QueryOpts struct {
 	// nil keeps full records. Unprojected fields are zeroed to their
 	// absent sentinels (−1 for frame/person fields).
 	Project []string
-	// Ctx, when non-nil, cancels the query: segment scans stop at their
-	// next cancellation check and Next reports false with Err returning
-	// the context's error. nil means not cancellable.
+	// Ctx, when non-nil, cancels the query: runs being evaluated stop at
+	// their next cancellation check and Next reports false with Err
+	// returning the context's error. nil means not cancellable.
 	Ctx context.Context
 }
 
@@ -149,49 +151,50 @@ func projectRecord(rec Record, m projMask) Record {
 	return out
 }
 
-// orderLess compares candidate *positions*. Positions ascend in ID
-// order, so the position itself is the ID tiebreak (and the whole key
-// for OrderID).
-func orderLess(o Order, recs snap) func(a, b int) bool {
+// match is one matched position under its merge key. Every order merges
+// ascending by (key, tie): (frame, position) for OrderFrame, (position,
+// position) for OrderID, (−frame, −position) for OrderFrameDesc. A run's
+// bound is a lower bound on the keys of the matches inside it.
+type match struct{ key, tie int64 }
+
+func matchOf(o Order, frame, pos int) match {
 	switch o {
 	case OrderID:
-		return func(a, b int) bool { return a < b }
+		return match{int64(pos), int64(pos)}
 	case OrderFrameDesc:
-		return func(a, b int) bool {
-			fa, fb := recs.at(a).Frame, recs.at(b).Frame
-			if fa != fb {
-				return fa > fb
-			}
-			return a > b
-		}
-	default:
-		return func(a, b int) bool {
-			fa, fb := recs.at(a).Frame, recs.at(b).Frame
-			if fa != fb {
-				return fa < fb
-			}
-			return a < b
-		}
+		return match{-int64(frame), -int64(pos)}
 	}
+	return match{int64(frame), int64(pos)}
 }
 
-// --- segment layout ---
+func (a match) compare(b match) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.tie, b.tie)
+}
 
-// querySegmentSize is the number of candidate positions per scan
-// segment; single-segment queries run inline with no goroutines.
+// querySegmentSize is the number of candidate positions one evaluation
+// covers: a run holding more is split into parts of this size.
 const querySegmentSize = 8192
 
-// segmentLayout sizes the worker pool for n candidates.
-func segmentLayout(n int) (nseg, workers int) {
-	nseg = (n + querySegmentSize - 1) / querySegmentSize
-	if nseg == 0 {
-		nseg = 1
-	}
-	workers = runtime.GOMAXPROCS(0)
-	if workers > nseg {
-		workers = nseg
-	}
-	return nseg, workers
+// scanAfter is the number of loaded records past which a cursor counts
+// as a scan and its parts go to the worker pool, which also evaluates
+// one part per worker ahead of the merge. Below it a part is evaluated
+// inline — no goroutine, nothing speculative — so a point query never
+// pays for a run it did not need, and the look-ahead a scan wastes when
+// its consumer stops early is small beside what the scan already spent.
+const scanAfter = 4 * querySegmentSize
+
+// part is a run — or a querySegmentSize-candidate piece of one — handed
+// to evaluation: a position range, optionally narrowed by posting lists.
+type part struct {
+	run
+	drive []int   // queryPlan.drive(lo, hi)
+	out   []match // matches in merge order; out[at:] is still to be yielded
+	at    int
+	err   error
+	done  chan struct{} // closed once out and err are final; nil if evaluated inline
 }
 
 // --- iterator ---
@@ -199,182 +202,207 @@ func segmentLayout(n int) (nseg, workers int) {
 // Iter streams the results of a planned query. It is a single-consumer
 // cursor: Next/Err/Close must be called from one goroutine, but many
 // Iters may run concurrently with appends and compaction (each executes
-// over an immutable snapshot taken at creation). Close releases the
-// worker pool early; abandoning an Iter without Close leaks no resources
-// once its workers finish their segments.
+// over an immutable snapshot taken at creation). Work is done as Next
+// asks for it, so an Eval error in a run the consumer never reached is
+// never reported. Close releases the worker pool early; abandoning an
+// Iter without Close leaks no resources once the few parts its workers
+// were evaluating ahead finish.
 type Iter struct {
-	p     *queryPlan
-	limit int
-	mask  projMask
-	less  func(a, b int) bool
-	sortS bool // segments need an in-segment sort (order ≠ OrderID)
+	p       *queryPlan
+	limit   int
+	mask    projMask
+	order   Order
+	ctx     context.Context // nil when the query is not cancellable
+	workers int
 
-	// Segments hold matched *positions*, not records: 8-byte pointers
-	// into the snapshot instead of 112-byte copies, so a scan's working
-	// set stays small and each record is copied exactly once, on yield.
-	segs   [][]int
-	errs   []error
-	nseg   int
-	wg     sync.WaitGroup
-	cancel atomic.Bool
+	// runs are the plan's runs not yet handed to evaluation, in evaluation
+	// order: ascending bound, so the unbounded ones first. parts are the
+	// ones handed over, in the same order: parts[:merged] are on the heap
+	// or spent, parts[merged:started] are with the pool.
+	runs    []run
+	parts   []*part
+	merged  int
+	started int
+	cancel  atomic.Bool
+	// evaluated and loaded count the parts evaluated and the records
+	// they loaded; loaded also tells a scan from a point query (scanAfter).
+	evaluated, loaded atomic.Int64
 
-	waited  bool
+	heap    []*part // min-heap by each part's next match
+	begun   bool
 	err     error
-	heads   []int // per-segment read cursor
-	heap    []int // segment indexes, min-heap by current head position
 	yielded int
 	closed  bool
-	ctx     context.Context // nil when the query is not cancellable
 }
 
 func newIter(p *queryPlan, opts QueryOpts, mask projMask) *Iter {
-	it := &Iter{
-		p:     p,
-		limit: opts.Limit,
-		mask:  mask,
-		less:  orderLess(opts.Order, p.recs),
-		sortS: opts.Order != OrderID,
-		ctx:   opts.Ctx,
+	return &Iter{
+		p: p, limit: opts.Limit, mask: mask, order: opts.Order, ctx: opts.Ctx,
+		workers: runtime.GOMAXPROCS(0),
 	}
-	it.start()
-	return it
 }
 
-// start partitions the candidate set and launches the worker pool.
-// Single-segment plans evaluate inline: no goroutine, no latency.
-func (it *Iter) start() {
-	n := it.p.scanCount()
-	nseg, workers := segmentLayout(n)
-	it.nseg = nseg
-	it.segs = make([][]int, nseg)
-	it.errs = make([]error, nseg)
-	if nseg == 1 {
-		it.evalSegment(0)
-		it.waited = true
-		it.finishWait()
+// begin orders the runs for evaluation. Deferred to the first Next so
+// that creating a cursor — Tail does it under the write lock — costs
+// nothing beyond the plan.
+func (it *Iter) begin() {
+	it.begun = true
+	it.p.settle()
+	it.runs = it.p.runs
+	slices.SortStableFunc(it.runs, func(a, b run) int { return cmp.Compare(a.bound, b.bound) })
+}
+
+// expand hands the next run to evaluation, split into parts of at most
+// querySegmentSize candidates. A run none of whose positions is in the
+// plan's shortest posting list adds no part. In OrderID a part's own
+// first position bounds it, so even one huge run is consumed lazily.
+func (it *Iter) expand() {
+	r := it.runs[0]
+	it.runs = it.runs[1:]
+	add := func(lo, hi int, drive []int) {
+		pt := &part{run: r, drive: drive}
+		pt.lo, pt.hi = lo, hi
+		if it.order == OrderID {
+			pt.bound = int64(lo)
+		}
+		it.parts = append(it.parts, pt)
+	}
+	if len(it.p.probes) == 0 {
+		for lo := r.lo; lo < r.hi; lo += querySegmentSize {
+			add(lo, min(lo+querySegmentSize, r.hi), nil)
+		}
 		return
 	}
-	var next atomic.Int64
-	it.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer it.wg.Done()
-			for {
-				si := int(next.Add(1) - 1)
-				if si >= nseg || it.cancel.Load() {
-					return
-				}
-				it.evalSegment(si)
-			}
-		}()
+	for d := it.p.drive(r.lo, r.hi); len(d) > 0; {
+		k := min(len(d), querySegmentSize)
+		add(d[0], d[k-1]+1, d[:k])
+		d = d[k:]
 	}
 }
 
-// evalSegment scans candidate positions [si*seg, (si+1)*seg), applying
-// the plan's bound filters and residual predicate, and leaves the
-// segment's matches sorted for the merge. Flat candidate index i maps
-// to a snapshot position three ways: identity (full scan), the cand
-// list (index probes), or run arithmetic (segment-pruned full scan —
-// binary-search the run containing lo, then walk the runs in step).
-func (it *Iter) evalSegment(si int) {
-	lo := si * querySegmentSize
-	hi := lo + querySegmentSize
-	if n := it.p.scanCount(); hi > n {
-		hi = n
-	}
-	cj := &it.p.cj
-	var out []int
-	runIdx, runPos := 0, 0
-	if it.p.runs != nil && lo < hi {
-		runIdx = sort.SearchInts(it.p.prefix, lo+1)
-		base := 0
-		if runIdx > 0 {
-			base = it.p.prefix[runIdx-1]
-		}
-		runPos = it.p.runs[runIdx][0] + (lo - base)
-	}
-	for i := lo; i < hi; i++ {
-		if i&1023 == 0 {
+// eval scans pt's candidates, applying the plan's bound filters and
+// residual predicate, and leaves its matches sorted for the merge.
+func (it *Iter) eval(pt *part) {
+	p, n := it.p, 0
+	p.candidates(pt.lo, pt.hi, pt.drive, func(pos int) bool {
+		if n&1023 == 0 {
 			if it.cancel.Load() {
-				return
+				return false
 			}
 			if it.ctx != nil {
-				if err := it.ctx.Err(); err != nil {
-					it.errs[si] = err
-					return
+				if pt.err = it.ctx.Err(); pt.err != nil {
+					return false
 				}
 			}
 		}
-		var pos int
-		switch {
-		case it.p.runs != nil:
-			pos = runPos
-			runPos++
-			if runPos >= it.p.runs[runIdx][1] && runIdx+1 < len(it.p.runs) {
-				runIdx++
-				runPos = it.p.runs[runIdx][0]
-			}
-		case it.p.full:
-			pos = i
-		default:
-			pos = it.p.cand[i]
+		n++
+		rec := p.recs.at(pos)
+		if !p.cj.boundsOK(rec) {
+			return true
 		}
-		rec := it.p.recs.at(pos)
-		if !cj.boundsOK(*rec) {
-			continue
-		}
-		if it.p.residual != nil {
-			ok, err := it.p.residual.Eval(*rec)
+		if p.residual != nil {
+			ok, err := p.residual.Eval(*rec)
 			if err != nil {
-				it.errs[si] = err
-				return
+				pt.err = err
+				return false
 			}
 			if !ok {
-				continue
+				return true
 			}
 		}
-		out = append(out, pos)
+		if pt.out == nil {
+			pt.out = make([]match, 0, 16) // a point query's few matches: one allocation
+		}
+		pt.out = append(pt.out, matchOf(it.order, rec.Frame, pos))
+		return true
+	})
+	it.evaluated.Add(1)
+	it.loaded.Add(int64(n))
+	// Candidate positions ascend, so OrderID parts are born sorted.
+	if it.order != OrderID {
+		slices.SortFunc(pt.out, match.compare)
 	}
-	// Candidate positions ascend, so OrderID segments are born sorted.
-	if it.sortS && len(out) > 1 {
-		sort.Slice(out, func(i, j int) bool { return it.less(out[i], out[j]) })
-	}
-	it.segs[si] = out
 }
 
-// wait blocks until every segment is evaluated, then seeds the merge
-// heap. Errors surface in segment order (deterministic).
-func (it *Iter) wait() {
-	if it.waited {
-		return
+// frontier returns the unevaluated run that comes first in evaluation
+// order (nil when none is left): the one whose bound decides whether
+// the merge head may be yielded.
+func (it *Iter) frontier() *run {
+	switch {
+	case it.merged < len(it.parts):
+		return &it.parts[it.merged].run
+	case len(it.runs) > 0:
+		return &it.runs[0]
 	}
-	it.wg.Wait()
-	it.waited = true
-	it.finishWait()
+	return nil
 }
 
-func (it *Iter) finishWait() {
-	for _, e := range it.errs {
-		if e != nil {
-			it.err = e
+// mergeNext evaluates the frontier (or waits for the pool to) and puts
+// its matches on the heap. A run that is a single part, with no scan
+// behind it (scanAfter), is evaluated inline. Otherwise the pool gets
+// the frontier and one part per worker ahead of it.
+func (it *Iter) mergeNext() {
+	if it.merged == len(it.parts) {
+		if it.expand(); it.merged == len(it.parts) {
 			return
 		}
 	}
-	it.heads = make([]int, it.nseg)
-	for si := 0; si < it.nseg; si++ {
-		if len(it.segs[si]) > 0 {
-			it.heap = append(it.heap, si)
+	pt := it.parts[it.merged]
+	if it.started == it.merged && len(it.parts) == it.merged+1 && it.loaded.Load() < scanAfter {
+		it.eval(pt)
+		it.started++
+	} else {
+		for len(it.parts) <= it.merged+it.workers && len(it.runs) > 0 {
+			it.expand()
 		}
+		for ; it.started < min(len(it.parts), it.merged+1+it.workers); it.started++ {
+			ahead := it.parts[it.started]
+			ahead.done = make(chan struct{})
+			go func() {
+				defer close(ahead.done)
+				it.eval(ahead)
+			}()
+		}
+		<-pt.done
 	}
-	for i := len(it.heap)/2 - 1; i >= 0; i-- {
-		it.siftDown(i)
+	it.parts[it.merged] = nil
+	it.merged++
+	if pt.err != nil {
+		it.fail(pt.err)
+		return
+	}
+	if len(pt.out) == 0 {
+		return
+	}
+	it.heap = append(it.heap, pt)
+	for i := len(it.heap) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !it.heapLess(i, up) {
+			break
+		}
+		it.heap[i], it.heap[up] = it.heap[up], it.heap[i]
+		i = up
 	}
 }
 
-func (it *Iter) head(si int) int { return it.segs[si][it.heads[si]] }
+// fail ends the query with err once the pool has drained.
+func (it *Iter) fail(err error) {
+	it.stopPool()
+	it.err = err
+}
+
+// stopPool cancels the parts being evaluated ahead and waits for them.
+func (it *Iter) stopPool() {
+	it.cancel.Store(true)
+	for _, pt := range it.parts[it.merged:it.started] {
+		<-pt.done
+	}
+	it.merged = it.started
+}
 
 func (it *Iter) heapLess(i, j int) bool {
-	return it.less(it.head(it.heap[i]), it.head(it.heap[j]))
+	a, b := it.heap[i], it.heap[j]
+	return a.out[a.at].compare(b.out[b.at]) < 0
 }
 
 func (it *Iter) siftDown(i int) {
@@ -401,70 +429,68 @@ func (it *Iter) siftDown(i int) {
 // the Limit is reached, an evaluation error occurred (see Err), or the
 // iterator was closed.
 func (it *Iter) Next() (Record, bool) {
-	if it.closed || it.err != nil {
+	if it.closed || it.err != nil || (it.limit > 0 && it.yielded >= it.limit) {
 		return Record{}, false
 	}
 	if it.ctx != nil {
 		if err := it.ctx.Err(); err != nil {
-			it.cancel.Store(true)
-			it.wait()
-			it.err = err
+			it.fail(err)
 			return Record{}, false
 		}
 	}
-	it.wait()
-	if it.err != nil || len(it.heap) == 0 {
+	if !it.begun {
+		it.begin()
+	}
+	// The head is final once every unevaluated run is bounded strictly
+	// beyond it: a run bounded at the head's own key may hold that key at
+	// a smaller position, and an unbounded run may hold anything.
+	for f := it.frontier(); f != nil && (len(it.heap) == 0 || f.bound <= it.heap[0].out[it.heap[0].at].key); f = it.frontier() {
+		if it.mergeNext(); it.err != nil {
+			return Record{}, false
+		}
+	}
+	if len(it.heap) == 0 {
 		return Record{}, false
 	}
-	if it.limit > 0 && it.yielded >= it.limit {
-		return Record{}, false
+	pt := it.heap[0]
+	pos := pt.out[pt.at].tie
+	if it.order == OrderFrameDesc {
+		pos = -pos
 	}
-	si := it.heap[0]
-	pos := it.head(si)
-	it.heads[si]++
-	if it.heads[si] >= len(it.segs[si]) {
+	if pt.at++; pt.at == len(pt.out) {
 		last := len(it.heap) - 1
 		it.heap[0] = it.heap[last]
 		it.heap = it.heap[:last]
 	}
-	if len(it.heap) > 0 {
-		it.siftDown(0)
-	}
+	it.siftDown(0)
 	it.yielded++
-	return projectRecord(*it.p.recs.at(pos), it.mask), true
+	return projectRecord(*it.p.recs.at(int(pos)), it.mask), true
 }
 
 // Err returns the first evaluation error, if any. It is meaningful after
 // Next has returned false (or after Close).
 func (it *Iter) Err() error { return it.err }
 
-// Close cancels outstanding segment scans and waits for the worker pool
-// to drain. Idempotent; returns Err().
+// Close cancels the parts being evaluated ahead and waits for the worker
+// pool to drain. Idempotent; returns Err().
 func (it *Iter) Close() error {
-	if it.closed {
-		return it.err
+	if !it.closed {
+		it.closed = true
+		it.stopPool()
 	}
-	it.cancel.Store(true)
-	if !it.waited {
-		it.wg.Wait()
-		it.waited = true
-		// Cancelled segments are incomplete; keep any error for Err but
-		// do not seed the merge heap.
-		for _, e := range it.errs {
-			if e != nil {
-				it.err = e
-				break
-			}
-		}
-	}
-	it.closed = true
 	return it.err
 }
 
-// Collect drains the iterator into an exactly-sized slice.
+// Collect drains the iterator into a slice: exactly sized for an
+// unlimited cursor, which needs every run anyway; grown from a small
+// one for a limited cursor, which stays lazy.
 func (it *Iter) Collect() ([]Record, error) {
+	n := min(it.limit, 256)
+	if it.limit == 0 {
+		n = it.remaining()
+	}
 	var out []Record
-	if n := it.remaining(); n > 0 {
+	if n > 0 {
 		out = make([]Record, 0, n)
 	}
 	for {
@@ -483,24 +509,23 @@ func (it *Iter) Collect() ([]Record, error) {
 	return out, nil
 }
 
-// remaining counts the records Next will still yield (0 on error/close).
+// remaining evaluates every run still unevaluated and counts the
+// records an unlimited Next will still yield (0 on error/close).
 func (it *Iter) remaining() int {
 	if it.closed || it.err != nil {
 		return 0
 	}
-	it.wait()
-	if it.err != nil {
-		return 0
+	if !it.begun {
+		it.begin()
+	}
+	for it.frontier() != nil {
+		if it.mergeNext(); it.err != nil {
+			return 0
+		}
 	}
 	n := 0
-	for si := range it.segs {
-		n += len(it.segs[si]) - it.heads[si]
-	}
-	if it.limit > 0 && n > it.limit-it.yielded {
-		n = it.limit - it.yielded
-	}
-	if n < 0 {
-		n = 0
+	for _, pt := range it.heap {
+		n += len(pt.out) - pt.at
 	}
 	return n
 }

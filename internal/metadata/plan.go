@@ -3,6 +3,8 @@ package metadata
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -145,7 +147,7 @@ func absorbRange(lo, hi *bound, op string, v float64) bool {
 
 // boundsOK applies the combined frame/time range checks to one record,
 // using the exact same float comparisons as cmpExpr.Eval.
-func (c *conjuncts) boundsOK(rec Record) bool {
+func (c *conjuncts) boundsOK(rec *Record) bool {
 	if c.frameLo.set || c.frameHi.set {
 		f := float64(rec.Frame)
 		if !c.frameLo.okLo(f) || !c.frameHi.okHi(f) {
@@ -204,102 +206,77 @@ func rangeString(name string, lo, hi bound) string {
 // --- plan construction ---
 
 // queryPlan is an executable plan over an immutable snapshot of the
-// store. Everything it references — the snapshot's chunk list and the
-// candidate positions — stays valid and unchanged after the repository
-// lock is released, because record chunks are append-only and candidate
-// lists are copied (or taken from append-only index slices) at plan
-// time.
+// store: the posting lists every match must appear in and the runs to
+// look for them in. Nothing is materialised under the repository lock.
+// The snapshot's chunks and the posting lists are append-only, so the
+// slice headers captured here keep reading the same values after the
+// lock is released; the one slice that is rewritten in place, a range
+// index's tail, is copied (it holds only true out-of-order arrivals).
 type queryPlan struct {
-	recs snap  // snapshot; positions index into this
-	cand []int // ascending positions to scan; nil when full or runs
-	full bool  // scan every record (no index narrowed the search)
-	// runs is the segment-pruned variant of a full scan: the ascending,
-	// disjoint position ranges that survive statistics pruning (the
-	// complement of the excluded segments' ranges). prefix holds the
-	// cumulative run lengths, so the executor can map a flat candidate
-	// index to its run by binary search.
-	runs     [][2]int
-	prefix   []int
+	recs     snap // snapshot; positions index into this
 	cj       conjuncts
 	residual Expr
-	steps    []string // explain lines, in plan order
+	// probes are the equality posting lists, shortest first (stable).
+	probes []probe
+	// A plan with no equality but a frame or time bound reads the
+	// narrower sorted-index window instead: win is that window (ordered by
+	// key, not position), tail the index's unsorted tail. settle turns the
+	// two into the plan's one position-ordered probe, outside the lock.
+	ranged, byTime bool
+	win, tail      []int
+	// runs are the position ranges to evaluate, ascending: one per store
+	// segment that holds records and that the statistics do not exclude
+	// (DESIGN.md §9), a single one for an in-memory repository.
+	runs []run
+	// What statistics pruning did, for Explain.
+	pruned, considered, excluded int
 }
 
-// scanCount is the number of candidate positions the executor will visit.
-func (p *queryPlan) scanCount() int {
-	if p.runs != nil {
-		if len(p.prefix) == 0 {
-			return 0
-		}
-		return p.prefix[len(p.prefix)-1]
-	}
-	if p.full {
-		return p.recs.n
-	}
-	return len(p.cand)
+// probe is one posting list of a plan. src numbers the equality it
+// came from, counting through the plan's labels, kinds, then persons.
+type probe struct {
+	src  int
+	list []int
 }
 
-// planLocked builds a plan for expr. Caller holds at least a read lock.
-func (r *Repository) planLocked(expr Expr) *queryPlan {
+// run is the executor's unit of work: the store positions [lo, hi) and a
+// bound no merge key inside them falls below (see matchOf) — what lets a
+// cursor leave a run unevaluated. unbounded when nothing is known.
+type run struct {
+	lo, hi int
+	bound  int64
+}
+
+const unbounded = math.MinInt64
+
+// planLocked builds a plan for expr, its runs bounded for order. Caller
+// holds at least a read lock.
+func (r *Repository) planLocked(expr Expr, order Order) *queryPlan {
 	cj := analyze(expr)
 	p := &queryPlan{recs: r.store.snapshot(), cj: cj, residual: conjoin(cj.residual)}
+	r.planRunsLocked(p, expr, order)
 
-	// Segment pruning (DESIGN.md §9): sealed segments whose statistics
-	// block excludes every top-level OR branch of the query drop their
-	// whole position range from the scan. Exclusion is conservative
-	// (widened zone bounds, no-false-negative blooms, exact kind counts)
-	// and the executor still re-checks bounds and residual on every
-	// surviving candidate, so results stay byte-identical to the naive
-	// oracle — the same superset-then-recheck discipline as keyRange.
-	excl, nPruned, nConsidered := r.statsPruneLocked(expr, &cj)
-	exclN := 0
-	for _, e := range excl {
-		exclN += e[1] - e[0]
+	if n := len(cj.labels) + len(cj.kinds) + len(cj.persons); n > 0 {
+		p.probes = make([]probe, 0, n)
 	}
-	pruneStep := func() {
-		if nPruned > 0 {
-			p.steps = append(p.steps, fmt.Sprintf("stats: pruned %d of %d sealed segment(s), %d positions excluded",
-				nPruned, nConsidered, exclN))
-		}
-	}
-
-	type idxList struct {
-		desc string
-		list []int
-	}
-	var lists []idxList
 	for _, l := range cj.labels {
-		lists = append(lists, idxList{fmt.Sprintf("index label=%q", l), r.byLabel[l]})
+		p.probes = append(p.probes, probe{len(p.probes), r.byLabel[l]})
 	}
 	for _, k := range cj.kinds {
-		lists = append(lists, idxList{fmt.Sprintf("index kind=%v", k), r.byKind[k]})
+		p.probes = append(p.probes, probe{len(p.probes), r.byKind[k]})
 	}
 	for _, pid := range cj.persons {
-		lists = append(lists, idxList{fmt.Sprintf("index person P%d (superset: includes partners)", pid+1), r.byPerson[pid]})
+		p.probes = append(p.probes, probe{len(p.probes), r.byPerson[pid]})
 	}
-
 	switch {
-	case len(lists) > 0:
-		// Equality probes: intersect all lists, smallest first. Range
-		// bounds ride along as per-record filters in the executor.
-		sort.SliceStable(lists, func(i, j int) bool { return len(lists[i].list) < len(lists[j].list) })
-		for _, l := range lists {
-			p.steps = append(p.steps, fmt.Sprintf("%s: %d positions", l.desc, len(l.list)))
-		}
-		cand := append([]int(nil), lists[0].list...)
-		for _, l := range lists[1:] {
-			cand = intersect(cand, l.list)
-		}
-		if len(lists) > 1 {
-			p.steps = append(p.steps, fmt.Sprintf("intersect: %d candidates", len(cand)))
-		}
-		p.cand = pruneCand(cand, excl)
-		pruneStep()
-		p.boundSteps()
+	case len(p.probes) > 0:
+		// Equality probes: the executor intersects them run by run,
+		// shortest first. Range bounds ride along as per-record filters.
+		slices.SortStableFunc(p.probes, func(a, b probe) int { return len(a.list) - len(b.list) })
 	case cj.frameLo.set || cj.frameHi.set || cj.timeLo.set || cj.timeHi.set:
 		// No equality probe: carve the narrower sorted-index window. The
-		// index's unsorted tail (recent out-of-order inserts, bounded)
-		// rides along wholesale — the executor re-checks bounds anyway.
+		// index's unsorted tail (out-of-order inserts, bounded) rides
+		// along wholesale — the executor re-checks bounds anyway.
 		// Float query bounds convert to widened integer key bounds (see
 		// keyRange), so the window is a superset of the float-exact
 		// matches; the executor's bound re-check restores exactness.
@@ -309,56 +286,109 @@ func (r *Repository) planLocked(expr Expr) *queryPlan {
 		tLoK, tHiK := keyRange(cj.timeLo, cj.timeHi, 1e9)
 		tLo, tHi := window(r.byTime.sorted, r.timeKeyFn, tLoK, tHiK)
 		tN := tHi - tLo + len(r.byTime.tail)
-		useTime := (cj.timeLo.set || cj.timeHi.set) &&
+		p.ranged = true
+		p.byTime = (cj.timeLo.set || cj.timeHi.set) &&
 			(!(cj.frameLo.set || cj.frameHi.set) || tN < fN)
-		var win, tail []int
-		if useTime {
-			win, tail = r.byTime.sorted[tLo:tHi], r.byTime.tail
-			p.steps = append(p.steps, fmt.Sprintf("range %s via time index: %d positions (+%d unsorted tail)",
-				rangeString("time", cj.timeLo, cj.timeHi), len(win), len(tail)))
+		if p.byTime {
+			p.win, p.tail = r.byTime.sorted[tLo:tHi], slices.Clone(r.byTime.tail)
 		} else {
-			win, tail = r.byFrame.sorted[fLo:fHi], r.byFrame.tail
-			p.steps = append(p.steps, fmt.Sprintf("range %s via frame index: %d positions (+%d unsorted tail)",
-				rangeString("frame", cj.frameLo, cj.frameHi), len(win), len(tail)))
+			p.win, p.tail = r.byFrame.sorted[fLo:fHi], slices.Clone(r.byFrame.tail)
 		}
-		// Copy under the lock: compaction rewrites these slices. Restore
-		// position (== ID) order for the segment scan.
-		cand := make([]int, 0, len(win)+len(tail))
-		cand = append(append(cand, win...), tail...)
-		sort.Ints(cand)
-		p.cand = pruneCand(cand, excl)
-		pruneStep()
-		p.boundSteps()
-	default:
-		if len(excl) > 0 {
-			// No index narrowed the search, but segment statistics did
-			// (an OR of indexable branches, say): scan the complement of
-			// the excluded ranges instead of every record.
-			p.runs, p.prefix = complementRuns(r.store.n, excl)
-			pruneStep()
-			p.steps = append(p.steps, fmt.Sprintf("scan %d of %d records in %d run(s)",
-				p.scanCount(), r.store.n, len(p.runs)))
-		} else {
-			p.full = true
-			p.steps = append(p.steps, fmt.Sprintf("full scan: %d records", r.store.n))
-		}
-	}
-	if p.residual != nil {
-		p.steps = append(p.steps, "residual: "+p.residual.String())
 	}
 	return p
 }
 
-// boundSteps records the bound-filter explain lines (bounds are always
-// re-checked by the executor, whatever narrowed the candidates).
-func (p *queryPlan) boundSteps() {
-	cj := &p.cj
-	if cj.frameLo.set || cj.frameHi.set {
-		p.steps = append(p.steps, "filter "+rangeString("frame", cj.frameLo, cj.frameHi))
+// settle gives a range plan its probe: the index window and tail in
+// position (== ID) order. It runs outside the repository lock, before
+// the plan's candidates are first enumerated.
+func (p *queryPlan) settle() {
+	if !p.ranged || p.probes != nil {
+		return
 	}
-	if cj.timeLo.set || cj.timeHi.set {
-		p.steps = append(p.steps, "filter "+rangeString("time", cj.timeLo, cj.timeHi))
+	cand := make([]int, 0, len(p.win)+len(p.tail))
+	cand = append(append(cand, p.win...), p.tail...)
+	sort.Ints(cand)
+	p.probes = []probe{{list: cand}}
+}
+
+// drive narrows the plan's shortest posting list to [lo, hi): the
+// positions a run's candidates are drawn from. nil when the plan has no
+// posting list and every position is a candidate.
+func (p *queryPlan) drive(lo, hi int) []int {
+	if len(p.probes) == 0 {
+		return nil
 	}
+	d := p.probes[0].list
+	d = d[sort.SearchInts(d, lo):]
+	return d[:sort.SearchInts(d, hi)]
+}
+
+// candidates calls fn, in ascending order, with every position of
+// [lo, hi) that appears in all of the plan's posting lists — every
+// position when it has none — until fn returns false. d is drive(lo, hi).
+// The longer lists are only ever sought forward from d's first entry, so
+// postings outside the run are never walked.
+func (p *queryPlan) candidates(lo, hi int, d []int, fn func(pos int) bool) {
+	if len(p.probes) == 0 {
+		for pos := lo; pos < hi && fn(pos); pos++ {
+		}
+		return
+	}
+	if len(d) == 0 {
+		return
+	}
+	type cursor struct {
+		rest   []int
+		gallop bool
+	}
+	var buf [4]cursor
+	others := buf[:0]
+	for _, pr := range p.probes[1:] {
+		others = append(others, cursor{
+			rest:   pr.list[sort.SearchInts(pr.list, d[0]):],
+			gallop: len(pr.list) >= 8*len(p.probes[0].list),
+		})
+	}
+next:
+	for _, pos := range d {
+		for i := range others {
+			c := &others[i]
+			c.rest = c.rest[seek(c.rest, pos, c.gallop):]
+			if len(c.rest) == 0 {
+				return // this list is spent: nothing further intersects
+			}
+			if c.rest[0] != pos {
+				continue next
+			}
+		}
+		if !fn(pos) {
+			return
+		}
+	}
+}
+
+// seek returns the index of the first entry of ascending list that is
+// ≥ pos: a linear walk between lists of similar length, a gallop
+// (doubling steps, then a binary search of the last step) when list is
+// much the longer one, so an intersection costs about its shorter side.
+func seek(list []int, pos int, gallop bool) int {
+	if !gallop {
+		i := 0
+		for i < len(list) && list[i] < pos {
+			i++
+		}
+		return i
+	}
+	if len(list) == 0 || list[0] >= pos {
+		return 0
+	}
+	lo, step := 0, 1 // list[lo] < pos
+	for lo+step < len(list) && list[lo+step] < pos {
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step, len(list))
+	return lo + 1 + sort.SearchInts(list[lo+1:hi], pos)
 }
 
 // pruneBranches decomposes e into the conjunct sets of its top-level OR
@@ -392,104 +422,72 @@ func excludedByAll(s *segStats, branches []conjuncts) bool {
 	return true
 }
 
-// statsPruneLocked computes the ascending, coalesced position ranges of
-// sealed segments whose statistics exclude every OR branch of expr (cj
-// is the pre-computed analysis of expr, reused for the common non-OR
-// case). Quarantined and open-filter-skipped segments cover zero-width
-// ranges and are never considered; the active segment has no persisted
-// statistics and is never pruned. Caller holds at least a read lock.
-func (r *Repository) statsPruneLocked(expr Expr, cj *conjuncts) (excl [][2]int, pruned, considered int) {
-	if len(r.segs) < 2 {
-		return nil, 0, 0
+// planRunsLocked lists p's runs. A sealed segment whose statistics
+// block excludes every top-level OR branch of expr contributes none:
+// exclusion is conservative (widened zone bounds, no-false-negative
+// blooms, exact kind counts) and the executor still re-checks bounds and
+// residual on every candidate of the surviving runs, so results stay
+// byte-identical to the naive oracle — the same superset-then-recheck
+// discipline as keyRange. The zone map that could not exclude a segment
+// then bounds its run's merge keys. Quarantined and open-filter-skipped
+// segments cover zero-width ranges and yield no run; the active segment
+// has no final statistics, so it is never pruned and it is bounded only
+// where the position alone bounds it (OrderID). Caller holds at
+// least a read lock.
+func (r *Repository) planRunsLocked(p *queryPlan, expr Expr, order Order) {
+	n := r.store.n
+	if len(r.segs) == 0 {
+		if n > 0 {
+			p.runs = []run{newRun(0, n, nil, order)}
+		}
+		return
 	}
 	var branches []conjuncts
 	if _, ok := expr.(orExpr); ok {
 		branches = pruneBranches(expr)
 	} else {
-		branches = []conjuncts{*cj}
+		branches = []conjuncts{p.cj}
 	}
 	for i := range branches {
 		if !prunable(&branches[i]) {
-			return nil, 0, 0 // this branch can never be excluded
+			branches = nil // this branch can never be excluded
+			break
 		}
 	}
-	for i := 0; i < len(r.segs)-1; i++ {
+	p.runs = make([]run, 0, len(r.segs))
+	for i := range r.segs {
 		sm := &r.segs[i]
-		lo, hi := sm.first, r.segs[i+1].first
-		if hi <= lo || sm.stats == nil {
+		lo, hi, stats := sm.first, n, (*segStats)(nil)
+		if i+1 < len(r.segs) {
+			hi, stats = r.segs[i+1].first, sm.stats
+		}
+		if hi <= lo {
 			continue
 		}
-		considered++
-		if !excludedByAll(sm.stats, branches) {
-			continue
+		if stats != nil && branches != nil {
+			p.considered++
+			if excludedByAll(stats, branches) {
+				p.pruned++
+				p.excluded += hi - lo
+				continue
+			}
 		}
-		pruned++
-		if n := len(excl); n > 0 && excl[n-1][1] == lo {
-			excl[n-1][1] = hi // coalesce adjacent excluded segments
-		} else {
-			excl = append(excl, [2]int{lo, hi})
-		}
+		p.runs = append(p.runs, newRun(lo, hi, stats, order))
 	}
-	return excl, pruned, considered
 }
 
-// pruneCand drops candidate positions falling inside the excluded
-// ranges (both ascending; single merge walk, filtered in place).
-func pruneCand(cand []int, excl [][2]int) []int {
-	if len(excl) == 0 || len(cand) == 0 {
-		return cand
+// newRun bounds the merge keys (see matchOf) of positions [lo, hi),
+// whose statistics are stats (nil when there are none).
+func newRun(lo, hi int, stats *segStats, order Order) run {
+	switch {
+	case order == OrderID:
+		return run{lo, hi, int64(lo)}
+	case stats == nil:
+		return run{lo, hi, unbounded}
+	case order == OrderFrameDesc:
+		return run{lo, hi, -stats.maxFrame}
 	}
-	out := cand[:0]
-	j := 0
-	for _, pos := range cand {
-		for j < len(excl) && pos >= excl[j][1] {
-			j++
-		}
-		if j < len(excl) && pos >= excl[j][0] {
-			continue
-		}
-		out = append(out, pos)
-	}
-	return out
-}
-
-// complementRuns converts excluded ranges into the surviving scan runs
-// over [0, n) plus their cumulative-length prefix sums.
-func complementRuns(n int, excl [][2]int) (runs [][2]int, prefix []int) {
-	runs = [][2]int{}
-	at, total := 0, 0
-	emit := func(lo, hi int) {
-		if hi > lo {
-			runs = append(runs, [2]int{lo, hi})
-			total += hi - lo
-			prefix = append(prefix, total)
-		}
-	}
-	for _, e := range excl {
-		emit(at, e[0])
-		at = e[1]
-	}
-	emit(at, n)
-	return runs, prefix
-}
-
-// intersect merges two ascending position lists.
-func intersect(a, b []int) []int {
-	out := a[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
+	return run{lo, hi, stats.minFrame}
 }
 
 // keyRange converts float query bounds to inclusive int64 key bounds,
@@ -565,7 +563,8 @@ func window(idx []int, key func(int) int64, loK, hiK int64) (int, int) {
 
 // Explain parses q, plans it, and renders the plan without executing it
 // — the REPL's EXPLAIN mode. opts contributes the order/limit/projection
-// and execution-layout lines.
+// and execution-layout lines. The text, and the candidate counts in it,
+// are worked out here, from the plan's fields: a query pays for neither.
 func (r *Repository) Explain(q string, opts QueryOpts) (string, error) {
 	expr, err := Parse(q)
 	if err != nil {
@@ -582,21 +581,75 @@ func (r *Repository) Explain(q string, opts QueryOpts) (string, error) {
 		r.mu.RUnlock()
 		return "", ErrClosed
 	}
-	p := r.planLocked(expr)
+	p := r.planLocked(expr, opts.Order)
 	r.mu.RUnlock()
 
+	count := func(lo, hi int) (n int) {
+		p.candidates(lo, hi, p.drive(lo, hi), func(int) bool { n++; return true })
+		return n
+	}
+	cj := &p.cj
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\nplan:\n", expr)
-	for _, s := range p.steps {
-		fmt.Fprintf(&b, "  %s\n", s)
+	for _, pr := range p.probes {
+		switch i := pr.src; {
+		case i < len(cj.labels):
+			fmt.Fprintf(&b, "  index label=%q", cj.labels[i])
+		case i < len(cj.labels)+len(cj.kinds):
+			fmt.Fprintf(&b, "  index kind=%v", cj.kinds[i-len(cj.labels)])
+		default:
+			fmt.Fprintf(&b, "  index person P%d (superset: includes partners)", cj.persons[i-len(cj.labels)-len(cj.kinds)]+1)
+		}
+		fmt.Fprintf(&b, ": %d positions\n", len(pr.list))
 	}
-	if p.residual == nil {
+	if len(p.probes) > 1 {
+		fmt.Fprintf(&b, "  intersect: %d candidates\n", count(0, p.recs.n))
+	}
+	if p.ranged {
+		name, lo, hi := "frame", cj.frameLo, cj.frameHi
+		if p.byTime {
+			name, lo, hi = "time", cj.timeLo, cj.timeHi
+		}
+		fmt.Fprintf(&b, "  range %s via %s index: %d positions (+%d unsorted tail)\n",
+			rangeString(name, lo, hi), name, len(p.win), len(p.tail))
+		p.settle()
+	}
+	n, known, stretches := 0, 0, 0
+	for i, run := range p.runs {
+		n += count(run.lo, run.hi)
+		if run.bound != unbounded {
+			known++
+		}
+		if i == 0 || p.runs[i-1].hi != run.lo {
+			stretches++
+		}
+	}
+	if p.pruned > 0 {
+		fmt.Fprintf(&b, "  stats: pruned %d of %d sealed segment(s), %d positions excluded\n",
+			p.pruned, p.considered, p.excluded)
+	}
+	switch {
+	case len(p.probes) > 0:
+		// Bounds are always re-checked by the executor, whatever narrowed
+		// the candidates.
+		if cj.frameLo.set || cj.frameHi.set {
+			fmt.Fprintf(&b, "  filter %s\n", rangeString("frame", cj.frameLo, cj.frameHi))
+		}
+		if cj.timeLo.set || cj.timeHi.set {
+			fmt.Fprintf(&b, "  filter %s\n", rangeString("time", cj.timeLo, cj.timeHi))
+		}
+	case p.pruned > 0:
+		fmt.Fprintf(&b, "  scan %d of %d records in %d run(s)\n", n, p.recs.n, stretches)
+	default:
+		fmt.Fprintf(&b, "  full scan: %d records\n", p.recs.n)
+	}
+	if p.residual != nil {
+		fmt.Fprintf(&b, "  residual: %s\n", p.residual)
+	} else {
 		b.WriteString("  residual: none\n")
 	}
-	n := p.scanCount()
-	nseg, workers := segmentLayout(n)
-	fmt.Fprintf(&b, "  exec: %d of %d records, %d segment(s) × %d, %d worker(s)\n",
-		n, p.recs.n, nseg, querySegmentSize, workers)
+	fmt.Fprintf(&b, "  exec: %d of %d records, %d run(s), %d with a known bound, up to %d worker(s)\n",
+		n, p.recs.n, len(p.runs), known, runtime.GOMAXPROCS(0))
 	fmt.Fprintf(&b, "  order: %v", opts.Order)
 	if opts.Limit > 0 {
 		fmt.Fprintf(&b, ", limit: %d", opts.Limit)

@@ -26,6 +26,19 @@ func planFixture(t *testing.T) *Repository {
 	return r
 }
 
+// planCandidates lists the positions the executor would load for p.
+func planCandidates(p *queryPlan) []int {
+	p.settle()
+	var out []int
+	for _, r := range p.runs {
+		p.candidates(r.lo, r.hi, p.drive(r.lo, r.hi), func(pos int) bool {
+			out = append(out, pos)
+			return true
+		})
+	}
+	return out
+}
+
 func TestPlanUsesIndexIntersection(t *testing.T) {
 	r := planFixture(t)
 	defer r.Close()
@@ -34,13 +47,14 @@ func TestPlanUsesIndexIntersection(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.mu.RLock()
-	p := r.planLocked(expr)
+	p := r.planLocked(expr, OrderFrame)
 	r.mu.RUnlock()
-	if p.full {
+	if len(p.probes) == 0 {
 		t.Fatal("sargable query planned as full scan")
 	}
-	if len(p.cand) >= 400 {
-		t.Fatalf("no narrowing: %d candidates", len(p.cand))
+	cand := planCandidates(p)
+	if len(cand) >= 400 {
+		t.Fatalf("no narrowing: %d candidates", len(cand))
 	}
 	// Candidates must cover all true matches (superset property).
 	naive, err := r.NaiveQueryExpr(expr)
@@ -48,7 +62,7 @@ func TestPlanUsesIndexIntersection(t *testing.T) {
 		t.Fatal(err)
 	}
 	inCand := map[int]bool{}
-	for _, pos := range p.cand {
+	for _, pos := range cand {
 		inCand[pos] = true
 	}
 	for _, rec := range naive {
@@ -82,14 +96,14 @@ func TestPlanFrameWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.mu.RLock()
-		p := r.planLocked(expr)
+		p := r.planLocked(expr, OrderFrame)
 		r.mu.RUnlock()
-		if p.full {
+		if !p.ranged {
 			t.Errorf("range query %q planned as full scan", q)
 			continue
 		}
-		if len(p.cand) > 20 {
-			t.Errorf("range query %q: window too wide (%d)", q, len(p.cand))
+		if cand := planCandidates(p); len(cand) > 20 {
+			t.Errorf("range query %q: window too wide (%d)", q, len(cand))
 		}
 		naive, _ := r.NaiveQueryExpr(expr)
 		planned, err := r.QueryExpr(expr)

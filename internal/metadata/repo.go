@@ -724,16 +724,17 @@ type rangeIdx struct {
 	tail   []int
 }
 
-// insert adds pos. In-order keys extend the sorted run directly (the
-// common case: video ingest arrives frame-ordered); anything else lands
-// in the tail, which merges once it outgrows max(1024, len/8) — O(1)
-// amortized, never a per-record O(n) shift.
+// insert adds pos. A key at or past the sorted run's last extends the run
+// directly, whatever the tail holds: pos exceeds every stored position,
+// so the run stays ordered by (key, position), and one straggler from a
+// second stream never sends the in-order records behind it to the tail.
+// Only a key below the run's last lands in the tail, which merges once
+// it outgrows max(1024, len/8) — O(1) amortized, never a per-record O(n)
+// shift.
 func (ri *rangeIdx) insert(pos int, key func(int) int64) {
-	if len(ri.tail) == 0 {
-		if n := len(ri.sorted); n == 0 || key(ri.sorted[n-1]) <= key(pos) {
-			ri.sorted = append(ri.sorted, pos)
-			return
-		}
+	if n := len(ri.sorted); n == 0 || key(ri.sorted[n-1]) <= key(pos) {
+		ri.sorted = append(ri.sorted, pos)
+		return
 	}
 	ri.tail = append(ri.tail, pos)
 	limit := len(ri.sorted) / 8
@@ -1249,7 +1250,7 @@ func (r *Repository) QueryExprIter(expr Expr, opts QueryOpts) (*Iter, error) {
 		r.mu.RUnlock()
 		return nil, ErrClosed
 	}
-	p := r.planLocked(expr)
+	p := r.planLocked(expr, opts.Order)
 	r.mu.RUnlock()
 	return newIter(p, opts, mask), nil
 }

@@ -209,7 +209,7 @@ func (r *Repository) Tail(expr Expr, opts TailOpts) (*TailCursor, error) {
 	}
 	// Plan and subscribe under one write-lock hold: the plan's snapshot
 	// ends exactly where the live feed begins.
-	p := r.planLocked(expr)
+	p := r.planLocked(expr, OrderID)
 	c := &TailCursor{
 		repo: r,
 		expr: expr,

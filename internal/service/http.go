@@ -95,11 +95,13 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 // see: the body bytes, the decoded batch, the decoder's string table.
 // AppendBatch copies every record (retaining only its Label string and
 // Tags map, which the decoder never points into body), so all three
-// are reusable once it returns.
+// are reusable once it returns. A query borrows it for out alone, the
+// response lines it has encoded and not yet written.
 type appendScratch struct {
 	body bytes.Buffer
 	recs []metadata.Record
 	dec  Decoder
+	out  []byte
 }
 
 // Scratch grown past these by one huge batch is dropped, not pooled.
@@ -248,27 +250,47 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer it.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	var line []byte
+	// Lines gather in pooled scratch and leave queryFlushBytes at a time:
+	// a point answer, its closing envelope included, is one Write — not
+	// one per record into net/http's 4 KiB buffer — and a large result
+	// still streams.
+	sc := s.scratch.Get().(*appendScratch)
+	out := sc.out[:0]
+	defer func() {
+		if cap(out) <= maxPooledBody {
+			sc.out = out
+			s.scratch.Put(sc)
+		}
+	}()
+	end := Envelope{EOF: true}
 	for {
 		rec, ok := it.Next()
 		if !ok {
 			break
 		}
-		if line, err = appendRecordLine(line[:0], &rec); err != nil {
-			enc.Encode(s.unencodable(t, rec.ID, err))
-			return
+		n := len(out)
+		if out, err = appendRecordLine(out, &rec); err != nil {
+			out, end = out[:n], s.unencodable(t, rec.ID, err)
+			break
 		}
-		if _, err := w.Write(line); err != nil {
-			return // client gone
+		if len(out) >= queryFlushBytes {
+			if _, err := w.Write(out); err != nil {
+				return // client gone
+			}
+			out = out[:0]
 		}
 	}
 	if err := it.Err(); err != nil {
-		enc.Encode(Envelope{Error: err.Error(), Code: CodeInternal})
-		return
+		end = Envelope{Error: err.Error(), Code: CodeInternal}
 	}
-	enc.Encode(Envelope{EOF: true})
+	last, _ := json.Marshal(end) // strings and a bool: cannot fail
+	out = append(append(out, last...), '\n')
+	w.Write(out)
 }
+
+// queryFlushBytes is how much of a query's answer handleQuery gathers
+// before writing it out.
+const queryFlushBytes = 16 << 10
 
 // unencodable is the terminal envelope of a stream that met a record
 // the wire cannot carry (a non-finite Value; Validate refuses them, but

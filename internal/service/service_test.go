@@ -829,3 +829,51 @@ func TestAppendOversizeRecord400(t *testing.T) {
 		})
 	}
 }
+
+// countingWriter is a ResponseWriter that records each Write's size.
+type countingWriter struct {
+	header http.Header
+	writes []int
+}
+
+func (w *countingWriter) Header() http.Header { return w.header }
+func (w *countingWriter) WriteHeader(int)     {}
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return len(p), nil
+}
+
+// TestQueryWritesAnswerInBlocks: handleQuery hands a point answer to the
+// connection in one Write, closing envelope included, and a large one in
+// blocks of at least 16 KiB — streamed, not gathered whole.
+func TestQueryWritesAnswerInBlocks(t *testing.T) {
+	ts := newTestServer(t, service.Config{AppendRate: 1 << 30, AppendBurst: 1 << 31})
+	c := ts.client(t, "blocks", client.Config{})
+	const n = 100_000
+	for lo := 0; lo < n; lo += 10_000 {
+		if err := c.Append(context.Background(), batch(lo, lo+10_000, "happy")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serve := func(limit int) []int {
+		t.Helper()
+		w := &countingWriter{header: make(http.Header)}
+		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/tenants/blocks/query?q=frame+%%3E%%3D+0&limit=%d", limit), nil)
+		ts.svc.ServeHTTP(w, req)
+		return w.writes
+	}
+	if writes := serve(100); len(writes) != 1 {
+		t.Fatalf("a 100-record answer left in %d writes (%v), want 1", len(writes), writes)
+	}
+	writes := serve(0)
+	total := 0
+	for i, sz := range writes {
+		total += sz
+		if sz < 16<<10 && i != len(writes)-1 {
+			t.Fatalf("write %d of %d carries %d bytes, want ≥ %d", i, len(writes), sz, 16<<10)
+		}
+	}
+	if len(writes) < total/(17<<10) {
+		t.Fatalf("a %d-byte answer left in %d writes: gathered, not streamed", total, len(writes))
+	}
+}

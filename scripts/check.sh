@@ -22,7 +22,8 @@
 # server smoke (build the real dieventd binary, drive concurrent
 # ingest+query+FOLLOW, SIGTERM it, require drain within its deadline
 # and a clean offline fsck), the lease-takeover race 2000 times over,
-# the replay-equivalence property raced, a short fuzz smoke of the
+# the replay-equivalence property raced, the range-index property and
+# the executor equivalence suite raced, a short fuzz smoke of the
 # query parser, of the three on-disk formats (segment decoder against
 # its oracle, MANIFEST, statistics sidecar) and of the service wire
 # codec (record encoder, batch and envelope decoders against
@@ -53,6 +54,13 @@ else
 	# The heavy durability tests skip under -short; run them once,
 	# explicitly, so every quick check still exercises them.
 	go test -short ./...
+	# The whole metadata suite raced. That includes the range-index
+	# contract after every insert of generated interleavings
+	# (TestRangeIndexProperty, TestRangeIndexStragglerStaysAlone), the
+	# run-wise executor against the naive interpreter over every kind of
+	# run list, early Close and cancellation included
+	# (TestExecutorEquivalence), and the fast-path assertions on the
+	# benchmark-shaped store (TestShapedQueriesStayLazy).
 	go test -race -short ./internal/metadata
 	# Crash-recovery matrix: every torn-final-write offset must reopen
 	# to exactly the valid prefix.
