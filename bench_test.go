@@ -250,8 +250,9 @@ func BenchmarkLBPDescriptor(b *testing.B) {
 }
 
 // BenchmarkNNForward measures one forward pass of the emotion network
-// shape (944-48-7) on the pipeline's inference entry point (Classify,
-// which reuses pooled activation scratch and allocates nothing warm).
+// shape (944-48-7) on the single-sample entry point (Classify, which
+// runs the batched forward pass as a batch of one on pooled scratch
+// and allocates nothing warm).
 func BenchmarkNNForward(b *testing.B) {
 	net, err := nn.New(nn.Config{Sizes: []int{944, 48, 7}, Seed: 1})
 	if err != nil {
@@ -270,10 +271,10 @@ func BenchmarkNNForward(b *testing.B) {
 	}
 }
 
-// BenchmarkNNForwardBatch measures the batched forward pass on the
-// emotion network shape at a realistic per-frame batch (8 faces),
-// float and int8 — per-sample cost should beat BenchmarkNNForward
-// because one weight-row walk serves the whole batch.
+// BenchmarkNNForwardBatch measures the same forward pass at a
+// realistic per-frame batch (8 faces) — per-sample cost should beat
+// BenchmarkNNForward because one weight-row walk serves the whole
+// batch.
 func BenchmarkNNForwardBatch(b *testing.B) {
 	net, err := nn.New(nn.Config{Sizes: []int{944, 48, 7}, Seed: 1})
 	if err != nil {
@@ -288,33 +289,16 @@ func BenchmarkNNForwardBatch(b *testing.B) {
 		}
 		xs[s] = x
 	}
-	b.Run("float", func(b *testing.B) {
-		var cls []int
-		var conf []float64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if cls, conf, err = net.ClassifyBatch(xs, cls, conf); err != nil {
-				b.Fatal(err)
-			}
+	var cls []int
+	var conf []float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if cls, conf, err = net.ClassifyBatch(xs, cls, conf); err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
-	})
-	q := net.Quantize()
-	b.Run("int8", func(b *testing.B) {
-		var cls []int
-		var conf []float64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if cls, conf, err = q.ClassifyBatch(xs, cls, conf); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
-	})
+	}
+	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }
 
 // BenchmarkFaceInferenceBatch measures the per-face inference path the

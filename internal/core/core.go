@@ -100,12 +100,6 @@ type Config struct {
 	// Classifier recognises emotions in PixelVision; nil trains a small
 	// classifier on synthetic faces at startup.
 	Classifier *emotion.Classifier
-	// QuantizedInference switches the emotion classifier to int8
-	// inference — but only after the float-oracle equivalence gate
-	// passes on a held-out synthetic set (the pipeline fails fast
-	// otherwise rather than run a quantization that disagrees with the
-	// float network). Off by default: the float path is the oracle.
-	QuantizedInference bool
 	// EmotionNoise is the probability a GeometricVision emotion
 	// observation is misread (default 0.05), modelling classifier error.
 	EmotionNoise float64

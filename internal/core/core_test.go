@@ -285,39 +285,42 @@ func TestPixelPipelineShortRun(t *testing.T) {
 	}
 }
 
-// TestQuantizedInferencePipeline runs the pixel path with int8
-// inference enabled: the oracle-equivalence gate must pass at build
-// (EnableQuantized fails fast on disagreement) and the run must still
-// produce emotion observations. Exact record equality with the float
-// run is not asserted — the gate guarantees top-1 labels per face, but
-// per-track fusion picks by confidence, which legitimately drifts
-// within tolerance.
-func TestQuantizedInferencePipeline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pixel vision is expensive")
-	}
+// TestUntrainedClassifierFailsRun: a zero-value classifier cannot
+// classify any face, and the pixel run must say so instead of
+// succeeding with no emotion observations.
+func TestUntrainedClassifierFailsRun(t *testing.T) {
 	p, err := New(Config{
-		Scenario:           scene.PrototypeScenario(),
-		Mode:               PixelVision,
-		Gaze:               gaze.EstimatorOptions{Seed: 4},
-		MaxFrames:          24,
-		DetectEvery:        4,
-		QuantizedInference: true,
+		Scenario:    scene.PrototypeScenario(),
+		Mode:        PixelVision,
+		Gaze:        gaze.EstimatorOptions{Seed: 4},
+		MaxFrames:   6,
+		DetectEvery: 4,
+		Classifier:  &emotion.Classifier{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := p.Run()
+	if err == nil {
+		res.Repo.Close()
+		t.Fatal("run with an untrained classifier succeeded")
+	}
+	if !errors.Is(err, emotion.ErrNotTrained) {
+		t.Fatalf("err = %v, want emotion.ErrNotTrained", err)
+	}
+}
+
+// TestDefaultClassifierFingerprintGolden pins the pipeline's default
+// classifier: training is deterministic, so its fingerprint covers
+// every trained weight. Pixel-mode manifests record it, and a change
+// here marks the classify stage stale on every existing repository.
+func TestDefaultClassifierFingerprintGolden(t *testing.T) {
+	clf, err := trainDefaultClassifier()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Repo.Close()
-	recs, err := res.Repo.Query("kind = observation")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 {
-		t.Error("quantized pixel run produced no emotion observations")
+	if got, want := clf.Fingerprint(), uint64(0xe2f68ba7aada8ddf); got != want {
+		t.Fatalf("fingerprint %016x, want %016x", got, want)
 	}
 }
 

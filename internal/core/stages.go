@@ -175,14 +175,6 @@ func classifyStage(b *stageBuild) (*Stage, error) {
 			return nil, err
 		}
 	}
-	if b.cfg.QuantizedInference {
-		// Int8 inference is opt-in and gated: it only installs if every
-		// face of a held-out synthetic set classifies to the float
-		// network's top-1 label with confidence inside the tolerance.
-		if err := clf.EnableQuantized(emotion.GenerateDataset(6, 7), 0); err != nil {
-			return nil, fmt.Errorf("enabling quantized inference: %w", err)
-		}
-	}
 	rec := face.NewRecognizer()
 	nameToID := make(map[string]int)
 	for _, p := range b.sim.Persons() {
@@ -232,25 +224,13 @@ func classifyStage(b *stageBuild) (*Stage, error) {
 				sc.known = append(sc.known, sc.crops[i])
 				sc.pids = append(sc.pids, pid)
 			}
+			// Every crop is non-empty and resized to the descriptor size,
+			// so the only failure left is an untrained classifier, which
+			// fails every face alike: surface it instead of running on
+			// with no emotions.
 			var err error
-			sc.labels, sc.confs, err = clf.ClassifyBatch(sc.known, sc.labels, sc.confs)
-			if err != nil {
-				// A batch fails wholesale if any one face does; the
-				// sequential path skipped just the offender. Degrade to
-				// per-face so one degenerate crop keeps the same
-				// drop-that-face semantics instead of erroring the stage.
-				sc.labels, sc.confs = sc.labels[:0], sc.confs[:0]
-				keep := sc.pids[:0]
-				for i, f := range sc.known {
-					label, conf, cerr := clf.Classify(f)
-					if cerr != nil {
-						continue
-					}
-					keep = append(keep, sc.pids[i])
-					sc.labels = append(sc.labels, label)
-					sc.confs = append(sc.confs, conf)
-				}
-				sc.pids = keep
+			if sc.labels, sc.confs, err = clf.ClassifyBatch(sc.known, sc.labels, sc.confs); err != nil {
+				return err
 			}
 			for i, pid := range sc.pids {
 				label, conf := sc.labels[i], sc.confs[i]

@@ -13,36 +13,33 @@ import (
 )
 
 // Classifier is the paper's emotion recogniser: uniform LBP grid
-// histograms fed to a feed-forward neural network (§II-C). Classify is
-// safe for concurrent callers: per-call scratch (resized crop, LBP code
-// image, descriptor) is borrowed from an internal pool, so the hot path
-// stops allocating once warm.
+// histograms fed to a feed-forward neural network (§II-C). Classify and
+// ClassifyBatch are safe for concurrent callers and share one scratch
+// pool: Classify runs its face as a batch of one, and every call
+// borrows its working set (resized crop, LBP code image, descriptors,
+// network outputs) from the pool, so the hot path stops allocating
+// once warm.
 type Classifier struct {
 	net *nn.Network
-	// quant, when non-nil, is the int8 inference view Classify and
-	// ClassifyBatch route through instead of the float network. It is
-	// only installed by EnableQuantized after passing the float-oracle
-	// equivalence gate. Installing it must not race with inference.
-	quant *nn.Quantized
 	// gridX, gridY are the LBP descriptor grid, fixed at construction.
 	gridX, gridY int
 
-	scratch sync.Pool // of *clfScratch
-	batch   sync.Pool // of *batchScratch
+	scratch sync.Pool // of *batchScratch
 }
 
-// batchScratch is the reusable working set of ClassifyBatch: one flat
-// sample-major feature matrix plus the per-face extraction scratch and
-// the network's output buffers.
+// batchScratch is the reusable working set of one classification call:
+// a flat sample-major feature matrix plus the per-face extraction
+// scratch and the network's output buffers.
 type batchScratch struct {
-	feats []float64   // batch × featLen, sample-major
-	rows  [][]float64 // row views into feats
-	sc    clfScratch  // shared crop/code scratch, reused face by face
+	feats []float64    // batch × featLen, sample-major
+	rows  [][]float64  // row views into feats
+	sc    clfScratch   // shared crop/code scratch, reused face by face
+	one   [1]*img.Gray // one-face batch header for Classify
 	cls   []int
 	conf  []float64
 }
 
-// clfScratch is the reusable per-call working set of Classify.
+// clfScratch is the per-face extraction working set.
 type clfScratch struct {
 	resized *img.Gray // face crop resampled to FaceSize²
 	codes   *img.Gray // LBP code image
@@ -102,32 +99,19 @@ func (c *Classifier) featuresInto(face *img.Gray, sc *clfScratch) ([]float64, er
 }
 
 // Classify returns the predicted emotion and its confidence for a face
-// crop. Safe for concurrent callers.
+// crop, as a batch of one through ClassifyBatch's pooled path. Safe for
+// concurrent callers.
 func (c *Classifier) Classify(face *img.Gray) (Label, float64, error) {
 	if c.net == nil {
 		return Neutral, 0, ErrNotTrained
 	}
-	sc, _ := c.scratch.Get().(*clfScratch)
-	if sc == nil {
-		sc = &clfScratch{codes: &img.Gray{}}
-	}
-	feat, err := c.featuresInto(face, sc)
-	if err != nil {
-		c.scratch.Put(sc)
+	bs := c.acquire()
+	defer c.release(bs)
+	bs.one[0] = face
+	if err := c.classify(bs, bs.one[:]); err != nil {
 		return Neutral, 0, err
 	}
-	var cls int
-	var p float64
-	if c.quant != nil {
-		cls, p, err = c.quant.Classify(feat)
-	} else {
-		cls, p, err = c.net.Classify(feat)
-	}
-	c.scratch.Put(sc)
-	if err != nil {
-		return Neutral, 0, fmt.Errorf("emotion: classifying: %w", err)
-	}
-	return Label(cls), p, nil
+	return Label(bs.cls[0]), bs.conf[0], nil
 }
 
 // ClassifyBatch classifies a whole set of face crops in one batched
@@ -136,8 +120,7 @@ func (c *Classifier) Classify(face *img.Gray) (Label, float64, error) {
 // capacity). Per-face results are identical to Classify — feature
 // extraction is per face either way and the batched forward pass is
 // bit-identical per sample — but one weight-row walk serves the whole
-// batch, and the per-face scratch churn disappears. Safe for
-// concurrent callers.
+// batch. Safe for concurrent callers.
 func (c *Classifier) ClassifyBatch(faces []*img.Gray, labels []Label, confs []float64) ([]Label, []float64, error) {
 	labels, confs = labels[:0], confs[:0]
 	if c.net == nil {
@@ -146,11 +129,38 @@ func (c *Classifier) ClassifyBatch(faces []*img.Gray, labels []Label, confs []fl
 	if len(faces) == 0 {
 		return labels, confs, nil
 	}
-	bs, _ := c.batch.Get().(*batchScratch)
+	bs := c.acquire()
+	defer c.release(bs)
+	if err := c.classify(bs, faces); err != nil {
+		return nil, nil, err
+	}
+	for i, cls := range bs.cls {
+		labels = append(labels, Label(cls))
+		confs = append(confs, bs.conf[i])
+	}
+	return labels, confs, nil
+}
+
+// acquire borrows a working set from the scratch pool.
+func (c *Classifier) acquire() *batchScratch {
+	bs, _ := c.scratch.Get().(*batchScratch)
 	if bs == nil {
 		bs = &batchScratch{sc: clfScratch{codes: &img.Gray{}}}
 	}
-	defer c.batch.Put(bs)
+	return bs
+}
+
+// release returns a working set to the pool, dropping the one-face
+// header's reference so pooled scratch never pins a caller's crop.
+func (c *Classifier) release(bs *batchScratch) {
+	bs.one[0] = nil
+	c.scratch.Put(bs)
+}
+
+// classify extracts every face's descriptor into bs and runs them
+// through the network in one batch, leaving the classes and
+// confidences in bs.cls and bs.conf.
+func (c *Classifier) classify(bs *batchScratch, faces []*img.Gray) error {
 	featLen := c.gridX * c.gridY * lbp.NumUniformBins
 	if need := len(faces) * featLen; cap(bs.feats) < need {
 		bs.feats = make([]float64, need)
@@ -160,78 +170,16 @@ func (c *Classifier) ClassifyBatch(faces []*img.Gray, labels []Label, confs []fl
 		row := bs.feats[i*featLen : (i+1)*featLen : (i+1)*featLen]
 		bs.sc.feat = row
 		if _, err := c.featuresInto(f, &bs.sc); err != nil {
-			return nil, nil, fmt.Errorf("emotion: batch face %d: %w", i, err)
+			return fmt.Errorf("emotion: batch face %d: %w", i, err)
 		}
 		bs.rows = append(bs.rows, row)
 	}
 	var err error
-	if c.quant != nil {
-		bs.cls, bs.conf, err = c.quant.ClassifyBatch(bs.rows, bs.cls, bs.conf)
-	} else {
-		bs.cls, bs.conf, err = c.net.ClassifyBatch(bs.rows, bs.cls, bs.conf)
+	if bs.cls, bs.conf, err = c.net.ClassifyBatch(bs.rows, bs.cls, bs.conf); err != nil {
+		return fmt.Errorf("emotion: classifying batch: %w", err)
 	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("emotion: classifying batch: %w", err)
-	}
-	for i, cls := range bs.cls {
-		labels = append(labels, Label(cls))
-		confs = append(confs, bs.conf[i])
-	}
-	return labels, confs, nil
-}
-
-// QuantizedTolerance is the default confidence drift EnableQuantized
-// accepts between the int8 path and the float oracle. Symmetric
-// per-tensor input quantization measures a worst-case softmax drift of
-// ≈0.145 on this model family (1008 synthetic faces, two training
-// configurations, zero top-1 disagreements); 0.2 gives headroom while
-// still rejecting a genuinely broken quantization, whose confidences
-// scatter much wider.
-const QuantizedTolerance = 0.2
-
-// EnableQuantized builds the int8 inference view of the network and
-// installs it — but only after the oracle-equivalence gate passes:
-// every face of val must classify to the same top-1 label under int8
-// as under the float network, with confidence within tol (≤ 0 selects
-// QuantizedTolerance). On any disagreement the classifier is left
-// unchanged and the error reports the first offending sample. Must not
-// race with Classify/ClassifyBatch.
-func (c *Classifier) EnableQuantized(val *Dataset, tol float64) error {
-	if c.net == nil {
-		return ErrNotTrained
-	}
-	if tol <= 0 {
-		tol = QuantizedTolerance
-	}
-	q := c.net.Quantize()
-	for i, f := range val.Faces {
-		feat, err := c.Features(f)
-		if err != nil {
-			return fmt.Errorf("emotion: quantization gate sample %d: %w", i, err)
-		}
-		fc, fp, err := c.net.Classify(feat)
-		if err != nil {
-			return fmt.Errorf("emotion: quantization gate sample %d: %w", i, err)
-		}
-		qc, qp, err := q.Classify(feat)
-		if err != nil {
-			return fmt.Errorf("emotion: quantization gate sample %d: %w", i, err)
-		}
-		if qc != fc {
-			return fmt.Errorf("emotion: quantization rejected: sample %d classifies %v (%.3f) int8 vs %v (%.3f) float",
-				i, Label(qc), qp, Label(fc), fp)
-		}
-		if d := qp - fp; d > tol || d < -tol {
-			return fmt.Errorf("emotion: quantization rejected: sample %d confidence drift %.4f exceeds %.4f",
-				i, d, tol)
-		}
-	}
-	c.quant = q
 	return nil
 }
-
-// Quantized reports whether int8 inference is installed.
-func (c *Classifier) Quantized() bool { return c.quant != nil }
 
 // Dataset is a labelled set of face crops.
 type Dataset struct {
@@ -362,10 +310,8 @@ func (c *Classifier) Evaluate(ds *Dataset) (*ConfusionMatrix, error) {
 // re-derives the emotion layer.
 func (c *Classifier) Fingerprint() uint64 {
 	h := fnv.New64a()
-	// The quantization flag is part of the identity: int8 inference
-	// produces (slightly) different confidences, so a manifest built
-	// against the float path must not replay against the int8 one.
-	fmt.Fprintf(h, "grid=%dx%d;quant=%t;", c.gridX, c.gridY, c.quant != nil)
+	// The fixed "quant=false;" keeps fingerprints equal to existing manifests'.
+	fmt.Fprintf(h, "grid=%dx%d;quant=false;", c.gridX, c.gridY)
 	if c.net != nil {
 		// Saving into an fnv hash cannot fail.
 		_ = c.net.Save(h)

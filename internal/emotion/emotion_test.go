@@ -127,6 +127,102 @@ func sharedClassifier(t *testing.T) (*Classifier, *Dataset) {
 	return trainedClf, trainedTest
 }
 
+// TestClassifyBatchMatchesClassify checks the batched entry point gives
+// the same label and confidence as per-face Classify.
+func TestClassifyBatchMatchesClassify(t *testing.T) {
+	clf, test := sharedClassifier(t)
+	labels, confs, err := clf.ClassifyBatch(test.Faces, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(labels) != len(test.Faces) || len(confs) != len(test.Faces) {
+		t.Fatalf("batch sizes %d/%d for %d faces", len(labels), len(confs), len(test.Faces))
+	}
+	for i, f := range test.Faces {
+		l, p, err := clf.Classify(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if labels[i] != l || confs[i] != p {
+			t.Fatalf("face %d: batch (%v,%v) != single (%v,%v)", i, labels[i], confs[i], l, p)
+		}
+	}
+	if _, _, err := clf.ClassifyBatch(nil, nil, nil); err != nil {
+		t.Fatalf("empty batch: %v", err)
+	}
+}
+
+// TestSharedClassifierConcurrentBatch hammers one classifier from many
+// goroutines mixing Classify and ClassifyBatch — run under -race, this
+// is the shared-scratch safety gate.
+func TestSharedClassifierConcurrentBatch(t *testing.T) {
+	clf, _ := sharedClassifier(t)
+	t.Run("float", func(t *testing.T) {
+		ds := GenerateDataset(2, 77)
+		wantL, wantC, err := clf.ClassifyBatch(ds.Faces, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl := append([]Label(nil), wantL...)
+		wp := append([]float64(nil), wantC...)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var labels []Label
+				var confs []float64
+				for iter := 0; iter < 6; iter++ {
+					if g%2 == 0 {
+						var err error
+						labels, confs, err = clf.ClassifyBatch(ds.Faces, labels, confs)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for i := range wl {
+							if labels[i] != wl[i] || confs[i] != wp[i] {
+								t.Errorf("batch result drifted at face %d", i)
+								return
+							}
+						}
+					} else {
+						for i, f := range ds.Faces {
+							l, p, err := clf.Classify(f)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							if l != wl[i] || p != wp[i] {
+								t.Errorf("single result drifted at face %d", i)
+								return
+							}
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	})
+}
+
+// TestFingerprintGolden pins the benchmark-shaped classifier's identity
+// (training is deterministic, so this covers every trained weight and
+// the fingerprint preamble). A change here means stored emotion records
+// and run manifests no longer match earlier builds.
+func TestFingerprintGolden(t *testing.T) {
+	clf, err := NewClassifier(48, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clf.Train(GenerateDataset(10, 1), TrainOptions{Epochs: 5, Seed: 2, LearningRate: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := clf.Fingerprint(), uint64(0xe35614e01cc3fd7c); got != want {
+		t.Fatalf("fingerprint %016x, want %016x", got, want)
+	}
+}
+
 func TestClassifierAccuracy(t *testing.T) {
 	clf, test := sharedClassifier(t)
 	m, err := clf.Evaluate(test)

@@ -5,8 +5,13 @@ import "fmt"
 // batchActs is a pooled set of flat batch activation matrices: m[l]
 // holds batch×sizes[l] values, sample-major, for layer l ≥ 1 (the
 // input layer is read straight from the caller's slices). Buffers grow
-// to the largest batch seen and are reused verbatim afterwards.
-type batchActs struct{ m [][]float64 }
+// to the largest batch seen and are reused verbatim afterwards. one is
+// the one-element batch header the single-sample entry points run
+// their input through.
+type batchActs struct {
+	m   [][]float64
+	one [1][]float64
+}
 
 // acquireBatch returns a pooled batch activation set with capacity for
 // batch samples.
@@ -25,22 +30,43 @@ func (n *Network) acquireBatch(batch int) *batchActs {
 	return s
 }
 
+// releaseBatch returns an activation set to the pool, dropping the
+// one-sample input reference so pooled scratch never pins caller data.
+func (n *Network) releaseBatch(s *batchActs) {
+	s.one[0] = nil
+	n.batchPool.Put(s)
+}
+
+// forwardOne runs x through the forward pass as a batch of one. The
+// caller must releaseBatch the result.
+func (n *Network) forwardOne(x []float64) (*batchActs, error) {
+	sc := n.acquireBatch(1)
+	sc.one[0] = x
+	if err := n.forwardBatch(sc, sc.one[:]); err != nil {
+		n.releaseBatch(sc)
+		return nil, err
+	}
+	return sc, nil
+}
+
 // PredictBatch returns the softmax class probabilities for every input
 // in xs, in order. Results are bit-identical to calling Predict on
-// each input: the batched loops keep each sample's per-neuron
-// accumulation in the exact order of the single-sample path and only
-// restructure which of them run back to back — one weight-row walk now
-// serves the whole batch instead of being re-streamed from memory per
-// sample, which is where the batch speedup comes from.
+// each input: both run the same loop, which keeps each sample's
+// per-neuron accumulation in one fixed order whatever the batch size —
+// one weight-row walk serves the whole batch instead of being
+// re-streamed from memory per sample, which is where the batch speedup
+// comes from.
 func (n *Network) PredictBatch(xs [][]float64) ([][]float64, error) {
-	out := make([][]float64, len(xs))
-	last := n.sizes[len(n.sizes)-1]
-	flat := make([]float64, len(xs)*last)
-	if err := n.forwardBatch(xs, func(s int, p []float64) {
-		out[s] = flat[s*last : (s+1)*last]
-		copy(out[s], p)
-	}); err != nil {
+	sc := n.acquireBatch(len(xs))
+	defer n.releaseBatch(sc)
+	if err := n.forwardBatch(sc, xs); err != nil {
 		return nil, err
+	}
+	width := n.sizes[len(n.sizes)-1]
+	flat := append([]float64(nil), sc.m[len(sc.m)-1]...)
+	out := make([][]float64, len(xs))
+	for s := range out {
+		out[s] = flat[s*width : (s+1)*width : (s+1)*width]
 	}
 	return out, nil
 }
@@ -51,43 +77,39 @@ func (n *Network) PredictBatch(xs [][]float64) ([][]float64, error) {
 // to per-sample Classify calls.
 func (n *Network) ClassifyBatch(xs [][]float64, cls []int, conf []float64) ([]int, []float64, error) {
 	cls, conf = cls[:0], conf[:0]
-	if err := n.forwardBatch(xs, func(_ int, p []float64) {
-		best, bp := 0, p[0]
-		for i, v := range p[1:] {
-			if v > bp {
-				best, bp = i+1, v
-			}
-		}
+	sc := n.acquireBatch(len(xs))
+	defer n.releaseBatch(sc)
+	if err := n.forwardBatch(sc, xs); err != nil {
+		return nil, nil, err
+	}
+	width := n.sizes[len(n.sizes)-1]
+	probs := sc.m[len(sc.m)-1]
+	for s := range xs {
+		best, bp := argmax(probs[s*width : (s+1)*width])
 		cls = append(cls, best)
 		conf = append(conf, bp)
-	}); err != nil {
-		return nil, nil, err
 	}
 	return cls, conf, nil
 }
 
-// forwardBatch runs the batched forward pass, invoking emit with each
-// sample's softmax row (valid only during the call) in sample order.
-func (n *Network) forwardBatch(xs [][]float64, emit func(s int, probs []float64)) error {
-	if len(xs) == 0 {
-		return nil
-	}
+// forwardBatch is the network's forward pass: it runs xs into sc
+// (acquired for len(xs) samples), leaving every sample's layer-l
+// activations in sc.m[l] and its softmax row in sc.m[last].
+func (n *Network) forwardBatch(sc *batchActs, xs [][]float64) error {
 	for s, x := range xs {
 		if len(x) != n.sizes[0] {
 			return fmt.Errorf("nn: batch sample %d: input %d, want %d: %w", s, len(x), n.sizes[0], ErrBadInput)
 		}
 	}
 	batch := len(xs)
-	sc := n.acquireBatch(batch)
-	defer n.batchPool.Put(sc)
 	for l := 0; l+1 < len(n.sizes); l++ {
 		in, out := n.sizes[l], n.sizes[l+1]
 		prev := sc.m[l] // nil for l == 0; xs is read directly
 		cur := sc.m[l+1]
 		// Neuron-outer, sample-inner: the weight row stays hot in cache
-		// across the whole batch. Each sample's accumulation (bias
-		// first, then inputs in index order) matches forward exactly,
-		// so the sums round identically.
+		// across the whole batch. Each sample's accumulation runs bias
+		// first, then inputs in index order, independent of the batch
+		// around it, so a sample rounds identically at any batch size.
 		for j := 0; j < out; j++ {
 			row := n.w[l][j*in : (j+1)*in]
 			bj := n.b[l][j]
@@ -112,11 +134,6 @@ func (n *Network) forwardBatch(xs [][]float64, emit func(s int, probs []float64)
 				softmaxInPlace(cur[s*out : (s+1)*out])
 			}
 		}
-	}
-	last := len(n.sizes) - 1
-	width := n.sizes[last]
-	for s := 0; s < batch; s++ {
-		emit(s, sc.m[last][s*width:(s+1)*width])
 	}
 	return nil
 }

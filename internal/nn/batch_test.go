@@ -2,7 +2,6 @@ package nn
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -73,114 +72,9 @@ func TestPredictBatchValidation(t *testing.T) {
 	}
 }
 
-// TestQuantizedMatchesClassify checks Quantized.Classify and
-// Quantized.ClassifyBatch agree with each other exactly, and that the
-// quantized probabilities track the float network within the coarse
-// tolerance int8 affords on random (well-scaled) nets.
-func TestQuantizedMatchesClassify(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, act := range []Activation{ReLU, Tanh, Sigmoid} {
-		n, err := New(Config{Sizes: []int{6, 10, 5}, Hidden: act, Seed: 17 + int64(act)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := n.Quantize()
-		if got, want := q.Sizes(), n.sizes; len(got) != len(want) {
-			t.Fatalf("sizes %v", got)
-		}
-		xs := randomInputs(rng, 25, 6)
-		cls, conf, err := q.ClassifyBatch(xs, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s, x := range xs {
-			c1, p1, err := q.Classify(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c1 != cls[s] || p1 != conf[s] {
-				t.Fatalf("act=%v sample %d: Classify (%d,%v) != ClassifyBatch (%d,%v)",
-					act, s, c1, p1, cls[s], conf[s])
-			}
-			_, pf, _ := n.Classify(x)
-			if math.Abs(p1-pf) > 0.25 {
-				t.Fatalf("act=%v sample %d: quantized conf %v far from float %v", act, s, p1, pf)
-			}
-		}
-	}
-}
-
-// TestQuantizeEdgeCases covers the degenerate scales: an all-zero
-// weight row must dequantize to pure bias, and an all-zero input must
-// produce the same output as the float path (scale 0 short-circuit).
-func TestQuantizeEdgeCases(t *testing.T) {
-	n, _ := New(Config{Sizes: []int{4, 3, 2}, Seed: 5})
-	for i := 0; i < 4; i++ {
-		n.w[0][i] = 0 // zero out neuron 0's row in layer 0
-	}
-	q := n.Quantize()
-	zero := []float64{0, 0, 0, 0}
-	cq, _, err := q.Classify(zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf, _, _ := n.Classify(zero)
-	if cq != cf {
-		t.Fatalf("zero input: quantized class %d != float %d", cq, cf)
-	}
-	// The zero-input path must also be exact on probabilities: every
-	// layer-0 accumulator reduces to its bias in both paths.
-	pq := make([]float64, 0, 2)
-	_, pc, _ := q.Classify(zero)
-	pq = append(pq, pc)
-	pf, _ := n.Predict(zero)
-	if _, bp := argmax(pf); pq[0] != bp {
-		t.Fatalf("zero input conf: quantized %v != float %v", pq[0], bp)
-	}
-}
-
-// TestQuantizedConcurrent hammers one shared Quantized from many
+// TestNetworkBatchConcurrent hammers one shared network from many
 // goroutines (run with -race): scratch pooling must not leak state
 // across callers.
-func TestQuantizedConcurrent(t *testing.T) {
-	n, _ := New(Config{Sizes: []int{6, 9, 4}, Seed: 23})
-	q := n.Quantize()
-	rng := rand.New(rand.NewSource(99))
-	xs := randomInputs(rng, 40, 6)
-	wantCls, wantConf, err := q.ClassifyBatch(xs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc := append([]int(nil), wantCls...)
-	wp := append([]float64(nil), wantConf...)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var cls []int
-			var conf []float64
-			for iter := 0; iter < 30; iter++ {
-				var err error
-				cls, conf, err = q.ClassifyBatch(xs, cls, conf)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for s := range xs {
-					if cls[s] != wc[s] || conf[s] != wp[s] {
-						t.Errorf("goroutine %d iter %d sample %d: (%d,%v) != (%d,%v)",
-							g, iter, s, cls[s], conf[s], wc[s], wp[s])
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-// TestNetworkBatchConcurrent does the same for the float batched path.
 func TestNetworkBatchConcurrent(t *testing.T) {
 	n, _ := New(Config{Sizes: []int{6, 9, 4}, Seed: 29})
 	rng := rand.New(rand.NewSource(101))
@@ -215,23 +109,4 @@ func TestNetworkBatchConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestQuantizeRowEdges(t *testing.T) {
-	xq := make([]int8, 3)
-	if s := quantizeRow([]float64{0, 0, 0}, xq); s != 0 {
-		t.Fatalf("zero row scale = %v", s)
-	}
-	for _, v := range xq {
-		if v != 0 {
-			t.Fatal("zero row must zero xq")
-		}
-	}
-	s := quantizeRow([]float64{-2, 1, 2}, xq)
-	if s != 2.0/127 {
-		t.Fatalf("scale = %v", s)
-	}
-	if xq[0] != -127 || xq[2] != 127 {
-		t.Fatalf("extremes map to ±127, got %v", xq)
-	}
 }

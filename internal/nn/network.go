@@ -79,9 +79,11 @@ type Config struct {
 }
 
 // Network is a trained or trainable MLP. The output layer applies
-// softmax; training minimises cross-entropy. Predict and Classify are
-// safe for concurrent callers — forward passes borrow activation
-// scratch from a pool instead of mutating shared state.
+// softmax; training minimises cross-entropy. There is one forward pass,
+// the batched one: Predict, Classify and training's backprop run their
+// sample as a batch of one. Inference is safe for concurrent callers —
+// every pass borrows its activation scratch from a pool instead of
+// mutating shared state.
 type Network struct {
 	sizes  []int
 	hidden Activation
@@ -89,10 +91,8 @@ type Network struct {
 	// b[l] the bias vector of layer l+1.
 	w, b [][]float64
 
-	// actPool recycles per-call activation sets so the inference hot
-	// path stops allocating a full [][]float64 per Classify; batchPool
-	// does the same for PredictBatch/ClassifyBatch activation matrices.
-	actPool   sync.Pool
+	// batchPool recycles forward-pass activation matrices (*batchActs),
+	// so warm inference allocates nothing.
 	batchPool sync.Pool
 }
 
@@ -137,101 +137,39 @@ func New(cfg Config) (*Network, error) {
 // Sizes returns the layer widths.
 func (n *Network) Sizes() []int { return append([]int(nil), n.sizes...) }
 
-// NumParams returns the total parameter count.
-func (n *Network) NumParams() int {
-	t := 0
-	for l := range n.w {
-		t += len(n.w[l]) + len(n.b[l])
-	}
-	return t
-}
-
-// actSet boxes a pooled activation set behind a stable pointer so
-// sync.Pool round-trips don't re-box the slice header (which would cost
-// one allocation per forward pass).
-type actSet struct{ a [][]float64 }
-
-// acquireActs returns a pooled activation set: a[0] is left nil for the
-// caller's input, a[1..] are preallocated to the layer widths.
-func (n *Network) acquireActs() *actSet {
-	if v := n.actPool.Get(); v != nil {
-		return v.(*actSet)
-	}
-	s := &actSet{a: make([][]float64, len(n.sizes))}
-	for l := 1; l < len(n.sizes); l++ {
-		s.a[l] = make([]float64, n.sizes[l])
-	}
-	return s
-}
-
-// releaseActs returns an activation set to the pool, dropping the input
-// reference so pooled scratch never pins caller data.
-func (n *Network) releaseActs(s *actSet) {
-	s.a[0] = nil
-	n.actPool.Put(s)
-}
-
-// forward runs the network into a pooled activation set, returning every
-// layer's activated output (a[0] is the input itself, a[last] the
-// softmax probabilities). The caller must releaseActs the result.
-func (n *Network) forward(x []float64) (*actSet, error) {
-	if len(x) != n.sizes[0] {
-		return nil, fmt.Errorf("nn: input %d, want %d: %w", len(x), n.sizes[0], ErrBadInput)
-	}
-	s := n.acquireActs()
-	acts := s.a
-	acts[0] = x
-	for l := 0; l+1 < len(n.sizes); l++ {
-		in, out := n.sizes[l], n.sizes[l+1]
-		a := acts[l+1]
-		for j := 0; j < out; j++ {
-			s := n.b[l][j]
-			row := n.w[l][j*in : (j+1)*in]
-			for i, xi := range acts[l] {
-				s += row[i] * xi
-			}
-			a[j] = s
-		}
-		if l+2 < len(n.sizes) { // hidden layer
-			for j := range a {
-				a[j] = n.hidden.apply(a[j])
-			}
-		} else { // output: softmax
-			softmaxInPlace(a)
-		}
-	}
-	return s, nil
-}
-
 // Predict returns the softmax class probabilities for x.
 func (n *Network) Predict(x []float64) ([]float64, error) {
-	s, err := n.forward(x)
+	sc, err := n.forwardOne(x)
 	if err != nil {
 		return nil, err
 	}
-	out := s.a[len(s.a)-1]
-	cp := make([]float64, len(out))
-	copy(cp, out)
-	n.releaseActs(s)
-	return cp, nil
+	p := append([]float64(nil), sc.m[len(sc.m)-1]...)
+	n.releaseBatch(sc)
+	return p, nil
 }
 
 // Classify returns the argmax class and its probability. It allocates
 // nothing once the scratch pool is warm.
 func (n *Network) Classify(x []float64) (int, float64, error) {
-	s, err := n.forward(x)
+	sc, err := n.forwardOne(x)
 	if err != nil {
 		return 0, 0, err
 	}
-	p := s.a[len(s.a)-1]
+	best, bp := argmax(sc.m[len(sc.m)-1])
+	n.releaseBatch(sc)
+	return best, bp, nil
+}
+
+// argmax returns the index and value of p's largest entry (the first
+// on ties).
+func argmax(p []float64) (int, float64) {
 	best, bp := 0, p[0]
 	for i, v := range p[1:] {
 		if v > bp {
 			best, bp = i+1, v
 		}
 	}
-	n.releaseActs(s)
-	return best, bp, nil
+	return best, bp
 }
 
 // softmaxInPlace converts logits to probabilities, stably.
@@ -270,12 +208,12 @@ func (n *Network) newGrads() *grads {
 // backward accumulates gradients of the cross-entropy loss for one
 // sample into g and returns the sample's loss.
 func (n *Network) backward(x []float64, label int, g *grads) (float64, error) {
-	s, err := n.forward(x)
+	sc, err := n.forwardOne(x)
 	if err != nil {
 		return 0, err
 	}
-	defer n.releaseActs(s)
-	acts := s.a
+	defer n.releaseBatch(sc)
+	acts := sc.m          // acts[l]: layer l's activations, l ≥ 1
 	L := len(n.sizes) - 1 // number of weight layers
 	out := acts[L]
 	if label < 0 || label >= len(out) {
@@ -290,7 +228,10 @@ func (n *Network) backward(x []float64, label int, g *grads) (float64, error) {
 
 	for l := L - 1; l >= 0; l-- {
 		in := n.sizes[l]
-		prev := acts[l]
+		prev := x
+		if l > 0 {
+			prev = acts[l]
+		}
 		// Parameter gradients.
 		for j, dj := range delta {
 			row := g.w[l][j*in : (j+1)*in]

@@ -144,41 +144,3 @@ func (n *Network) applyUpdate(g, vel, sq *grads, scale float64, t int, opt Train
 		update(n.b[l], g.b[l], vel.b[l], sq.b[l])
 	}
 }
-
-// Evaluate returns classification accuracy on a labelled set.
-func (n *Network) Evaluate(samples [][]float64, labels []int) (float64, error) {
-	if len(samples) == 0 || len(samples) != len(labels) {
-		return 0, fmt.Errorf("nn: %d samples vs %d labels: %w", len(samples), len(labels), ErrBadData)
-	}
-	correct := 0
-	for i, x := range samples {
-		c, _, err := n.Classify(x)
-		if err != nil {
-			return 0, err
-		}
-		if c == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(samples)), nil
-}
-
-// Loss returns the mean cross-entropy over a labelled set without
-// updating parameters.
-func (n *Network) Loss(samples [][]float64, labels []int) (float64, error) {
-	if len(samples) == 0 || len(samples) != len(labels) {
-		return 0, fmt.Errorf("nn: %d samples vs %d labels: %w", len(samples), len(labels), ErrBadData)
-	}
-	var total float64
-	for i, x := range samples {
-		p, err := n.Predict(x)
-		if err != nil {
-			return 0, err
-		}
-		if labels[i] < 0 || labels[i] >= len(p) {
-			return 0, fmt.Errorf("nn: label %d out of range: %w", labels[i], ErrBadData)
-		}
-		total += -math.Log(math.Max(p[labels[i]], 1e-15))
-	}
-	return total / float64(len(samples)), nil
-}

@@ -28,8 +28,10 @@
 # its oracle, MANIFEST, statistics sidecar) and of the service wire
 # codec (record encoder, batch and envelope decoders against
 # encoding/json) so the checked-in corpora execute on every check, the
-# img/face suites on the generic (purego) build, and the benchmark
-# module's own tests.
+# img/face suites and the stage-graph oracle on the generic (purego)
+# build, and the benchmark module's own tests. The quick mode also
+# races the emotion network's batch-of-one equivalence and shared-
+# scratch gates.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -94,10 +96,10 @@ else
 	# and pyramid block sums.
 	go test -run 'TestScoreCascadeSkipContract|TestPyrBoundNeverBelowNumerator|TestDotRowMatchesGeneric|TestBuildPyramidMatchesNaive' ./internal/img
 	go test -run 'TestCellSkipContract' ./internal/face
-	# int8 inference oracle gate: quantized top-1 labels must match the
-	# float network across both synthetic generators, and the batched
-	# entry points must match their per-face forms bit for bit.
-	go test -run 'TestQuantizedOracleEquivalence|TestClassifyBatchMatchesClassify' ./internal/emotion
+	# One forward pass, raced: the batched entry points must match their
+	# single-sample (batch-of-one) forms bit for bit, and one shared
+	# classifier/network must stay exact under concurrent callers.
+	go test -race -run 'TestClassifyBatchMatchesClassify|TestSharedClassifierConcurrentBatch|TestPredictBatchMatchesPredict|TestNetworkBatchConcurrent' ./internal/emotion ./internal/nn
 	go test -run 'TestIdentifyBatchMatchesIdentify' ./internal/face
 	# Stage-graph equivalence vs the frozen monolithic oracle, raced
 	# with Workers > 1 (the pixel half skips under -short; run the
@@ -153,9 +155,11 @@ for FUZZ in FuzzRecordJSON FuzzDecodeBatch FuzzDecodeEnvelope; do
 	go test -run '^$' -fuzz "^$FUZZ\$" -fuzztime 5s ./internal/service
 done
 # Generic-build coverage: the detector-vs-oracle and skip-contract
-# suites on the portable dot kernel (the purego tag selects it on
-# amd64), and a cross-vet so the non-amd64 build keeps compiling.
+# suites and the stage-graph equivalence (pixel and geometric) on the
+# portable dot kernel (the purego tag selects it on amd64), and a
+# cross-vet so the non-amd64 build keeps compiling.
 go test -tags purego ./internal/img ./internal/face
+go test -tags purego -run 'TestStageGraphMatchesOracle' ./internal/core
 GOARCH=arm64 go vet ./internal/img ./internal/face
 # The end-to-end benchmark's own guards and smoke run (its nested
 # module is outside the root `go test ./...`). Performance itself is
