@@ -93,7 +93,10 @@ func BenchmarkFig3VideoParsing(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	frames := comp.Frames()
+	frames, err := video.Collect(comp.Source())
+	if err != nil {
+		b.Fatal(err)
+	}
 	an := parsing.NewAnalyzer(parsing.Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -236,14 +239,19 @@ func BenchmarkEmotionClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkLBPDescriptor measures the raw LBP grid-descriptor
-// extraction.
+// BenchmarkLBPDescriptor measures the LBP grid-descriptor extraction
+// as the classify stage runs it: GridDescriptorInto on descriptor and
+// code-image scratch reused across faces.
 func BenchmarkLBPDescriptor(b *testing.B) {
 	f := emotion.GenerateFace(emotion.Surprise, 5, 180)
+	var feat []float64
+	codes := &img.Gray{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lbp.GridDescriptor(f, 4, 4); err != nil {
+		var err error
+		feat, err = lbp.GridDescriptorInto(f, emotion.DefaultGrid, emotion.DefaultGrid, feat, codes)
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1054,31 +1062,6 @@ func BenchmarkHMMBaseline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := model.Viterbi(syms); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHMMBaumWelch measures one training run of the unsupervised
-// baseline variant.
-func BenchmarkHMMBaumWelch(b *testing.B) {
-	sc, err := scene.DinnerScenario(scene.DinnerOptions{Persons: 4, Frames: 1000, Seed: 3, Enjoyment: 0.6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim, err := scene.NewSimulator(sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	syms, _ := hmm.FeaturizeScenario(sim, 0.05, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h, err := hmm.NewLeftRight(scene.NumPhases, hmm.DiningSymbols, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := h.BaumWelch([][]int{syms}, 5, 1e-4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,9 @@
 // Command dievent-train trains the LBP+NN emotion classifier on the
-// synthetic expressive-face corpus, reports the held-out confusion
-// matrix, and optionally saves the model for later pipeline runs.
+// synthetic expressive-face corpus and reports the held-out confusion
+// matrix. With -o it also writes the trained model in the format
+// emotion.LoadClassifier reads; no command loads that file (pipeline
+// runs train their own classifier at startup), so it serves library
+// callers and offline inspection.
 //
 // Usage:
 //

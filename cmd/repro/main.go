@@ -1,6 +1,6 @@
-// Command repro regenerates every figure and table of the DiEvent paper
-// (and the quantitative experiments EXPERIMENTS.md indexes), printing
-// paper-expected versus measured values.
+// Command repro regenerates every figure and table of the DiEvent paper,
+// plus the quantitative experiments T-A…T-F this reproduction adds
+// (DESIGN.md §3), printing paper-expected versus measured values.
 //
 // Usage:
 //

@@ -41,12 +41,6 @@ func IntrinsicsFromFOV(w, h int, hfov float64) Intrinsics {
 	}
 }
 
-// HFOV returns the horizontal field of view in radians.
-func (in Intrinsics) HFOV() float64 { return 2 * math.Atan(float64(in.W)/2/in.Fx) }
-
-// VFOV returns the vertical field of view in radians.
-func (in Intrinsics) VFOV() float64 { return 2 * math.Atan(float64(in.H)/2/in.Fy) }
-
 // Camera is a calibrated camera: a name (its reference-frame label in the
 // rig's frame graph), a pose in the world frame, and intrinsics.
 type Camera struct {
@@ -95,18 +89,6 @@ func (c *Camera) InFrame(px geom.Vec2) bool {
 func (c *Camera) Sees(world geom.Vec3) bool {
 	px, err := c.Project(world)
 	return err == nil && c.InFrame(px)
-}
-
-// BackProject returns the world-frame ray through the given pixel,
-// originating at the camera centre.
-func (c *Camera) BackProject(px geom.Vec2) geom.Ray {
-	// Camera-frame direction for the pixel.
-	d := geom.V3(
-		1,
-		(c.In.Cx-px.X)/c.In.Fx,
-		(c.In.Cy-px.Y)/c.In.Fy,
-	)
-	return geom.NewRay(geom.Zero3, d).Transformed(c.CamToWorld())
 }
 
 // ProjectedRadius returns the apparent pixel radius of a world sphere of

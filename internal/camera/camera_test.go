@@ -11,18 +11,16 @@ import (
 func testCam() *Camera {
 	return &Camera{
 		Name: "C1",
-		Pose: geom.IdentityPose(), // at origin looking along +X
+		Pose: geom.Pose{Orientation: geom.Identity3()}, // at origin looking along +X
 		In:   IntrinsicsFromFOV(640, 480, geom.Deg2Rad(70)),
 	}
 }
 
 func TestIntrinsicsFOVRoundTrip(t *testing.T) {
 	in := IntrinsicsFromFOV(640, 480, geom.Deg2Rad(70))
-	if got := geom.Rad2Deg(in.HFOV()); math.Abs(got-70) > 1e-9 {
-		t.Errorf("HFOV = %v, want 70", got)
-	}
-	if in.VFOV() >= in.HFOV() {
-		t.Error("VFOV should be smaller than HFOV for a landscape sensor")
+	// The focal length maps the half-width onto half the field of view.
+	if got := geom.Rad2Deg(2 * math.Atan(320/in.Fx)); math.Abs(got-70) > 1e-9 || in.Fy != in.Fx {
+		t.Errorf("focal (%v,%v) gives HFOV %v, want 70", in.Fx, in.Fy, got)
 	}
 	if in.Cx != 320 || in.Cy != 240 {
 		t.Errorf("principal point = (%v,%v)", in.Cx, in.Cy)
@@ -68,34 +66,6 @@ func TestProjectBehind(t *testing.T) {
 	}
 	if _, err := c.Project(geom.Zero3); !errors.Is(err, ErrBehindCamera) {
 		t.Error("point at camera centre should be ErrBehindCamera")
-	}
-}
-
-func TestBackProjectRoundTrip(t *testing.T) {
-	c := &Camera{
-		Name: "C",
-		Pose: geom.LookAt(geom.V3(-2, 1, 2.5), geom.V3(0, 0, 0.75)),
-		In:   IntrinsicsFromFOV(640, 480, geom.Deg2Rad(70)),
-	}
-	pts := []geom.Vec3{
-		{X: 0, Y: 0, Z: 0.75},
-		{X: 0.5, Y: -0.3, Z: 1.1},
-		{X: -0.2, Y: 0.4, Z: 0.9},
-	}
-	for _, p := range pts {
-		px, err := c.Project(p)
-		if err != nil {
-			t.Fatalf("project %v: %v", p, err)
-		}
-		ray := c.BackProject(px)
-		// The ray must pass (numerically) through the original point.
-		if d := ray.DistanceToPoint(p); d > 1e-6 {
-			t.Errorf("back-projected ray misses %v by %v m", p, d)
-		}
-		// Ray originates at the camera centre.
-		if !ray.Origin.ApproxEq(c.Pose.Position, 1e-9) {
-			t.Errorf("ray origin = %v, want camera centre", ray.Origin)
-		}
 	}
 }
 

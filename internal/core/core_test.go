@@ -385,7 +385,7 @@ func TestConfuseStaysInVocabulary(t *testing.T) {
 	for _, l := range emotion.AllLabels() {
 		for i := 0; i < 20; i++ {
 			got := confuse(l, r)
-			if !got.Valid() {
+			if int(got) >= emotion.NumLabels {
 				t.Fatalf("confuse(%v) = invalid %d", l, got)
 			}
 			if got == l {

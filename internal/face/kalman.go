@@ -90,6 +90,3 @@ func (k *kalman) update(zx, zy float64) {
 
 // pos returns the estimated centre.
 func (k *kalman) pos() (float64, float64) { return k.x[0], k.x[1] }
-
-// vel returns the estimated velocity.
-func (k *kalman) vel() (float64, float64) { return k.x[2], k.x[3] }

@@ -19,7 +19,7 @@ const EmbedSize = 16
 // downsampled patch (structure) plus the mean intensity (tone). Patch
 // normalisation alone is deliberately illumination-invariant, which also
 // erases the absolute-brightness identity cue — so tone is carried
-// separately and weighed back in by Similarity.
+// separately and weighed back in by similarity.
 type Embedding struct {
 	// Patch is the zero-mean unit-norm 16×16 face patch.
 	Patch [EmbedSize * EmbedSize]float64
@@ -64,25 +64,10 @@ func Embed(face *img.Gray) Embedding {
 	return e
 }
 
-// Cosine returns the cosine similarity of the two structure patches in
-// [-1, 1] (tone excluded).
-func (e Embedding) Cosine(o Embedding) float64 {
-	var s float64
-	for i := range e.Patch {
-		s += e.Patch[i] * o.Patch[i]
-	}
-	return s
-}
-
-// Similarity combines patch cosine with a tone penalty; 1 means an
-// identical face, lower values increasingly different ones.
-func (e Embedding) Similarity(o Embedding) float64 {
-	return similarity(&e, &o)
-}
-
-// similarity is Similarity on pointers — the Identify hot loop calls
-// it once per centroid, and the value form would copy two 2KB structs
-// per call. Same expressions, same result.
+// similarity combines patch cosine with a tone penalty; 1 means an
+// identical face, lower values increasingly different ones. It takes
+// pointers because the Identify hot loop calls it once per centroid, and
+// a value form would copy two 2KB structs per call.
 func similarity(e, o *Embedding) float64 {
 	d := e.Tone - o.Tone
 	if d < 0 {
@@ -178,13 +163,6 @@ func (r *Recognizer) Enroll(id string, face *img.Gray) error {
 	c.n++
 	c.recompute()
 	return nil
-}
-
-// Identities returns the enrolled identities, sorted.
-func (r *Recognizer) Identities() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.ids...)
 }
 
 // Identify returns the best-matching identity and similarity for a face

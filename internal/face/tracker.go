@@ -53,12 +53,6 @@ type Track struct {
 	kf *kalman
 }
 
-// Center returns the estimated face centre.
-func (t *Track) Center() (float64, float64) { return t.kf.pos() }
-
-// Velocity returns the estimated centre velocity in pixels/frame.
-func (t *Track) Velocity() (float64, float64) { return t.kf.vel() }
-
 // TrackerOptions tune the tracker.
 type TrackerOptions struct {
 	// MaxDist is the gating distance in pixels: detections farther
@@ -113,17 +107,6 @@ func (tr *Tracker) Tracks() []*Track {
 	out := make([]*Track, 0, len(tr.tracks))
 	for _, t := range tr.tracks {
 		if t.State != Lost {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// Confirmed returns only confirmed tracks.
-func (tr *Tracker) Confirmed() []*Track {
-	out := make([]*Track, 0, len(tr.tracks))
-	for _, t := range tr.tracks {
-		if t.State == Confirmed {
 			out = append(out, t)
 		}
 	}

@@ -3,7 +3,6 @@ package gaze
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/camera"
@@ -41,21 +40,6 @@ func (m Matrix) index(id int) int {
 		}
 	}
 	return -1
-}
-
-// At returns M[x][y] by participant IDs.
-func (m Matrix) At(fromID, toID int) int {
-	i, j := m.index(fromID), m.index(toID)
-	if i < 0 || j < 0 {
-		return 0
-	}
-	return m.M[i][j]
-}
-
-// EyeContact reports the paper's mutual-gaze condition: both (x,y) and
-// (y,x) equal 1.
-func (m Matrix) EyeContact(a, b int) bool {
-	return m.At(a, b) == 1 && m.At(b, a) == 1
 }
 
 // EyeContactPairs lists all mutual-gaze pairs (each once, lower ID
@@ -266,15 +250,4 @@ func (s *Summary) String() string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-// SortedIDs returns a sorted copy of arbitrary participant IDs (helper
-// for building stable matrices from detection maps).
-func SortedIDs(ids map[int]bool) []int {
-	out := make([]int, 0, len(ids))
-	for id := range ids {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
 }

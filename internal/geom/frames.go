@@ -48,18 +48,6 @@ func (g *FrameGraph) setLocked(i, j string, t Transform) {
 	m[j] = t
 }
 
-// Frames returns the sorted set of frame names known to the graph.
-func (g *FrameGraph) Frames() []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	names := make([]string, 0, len(g.edges))
-	for n := range g.edges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Resolve returns iTj, chaining intermediate frames when no direct edge
 // exists (breadth-first over recorded edges, so the composition uses the
 // fewest hops). It returns a wrapped ErrNoPath when the frames are not
@@ -122,41 +110,4 @@ func (g *FrameGraph) resolveLocked(i, j string) (Transform, error) {
 		}
 	}
 	return IdentityTransform(), fmt.Errorf("geom: frames %q and %q not connected: %w", i, j, ErrNoPath)
-}
-
-// MustResolve is Resolve that panics on error — for statically-known rigs
-// in tests and examples.
-func (g *FrameGraph) MustResolve(i, j string) Transform {
-	t, err := g.Resolve(i, j)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// TransformPoint re-expresses a point given in frame j into frame i.
-func (g *FrameGraph) TransformPoint(i, j string, p Vec3) (Vec3, error) {
-	t, err := g.Resolve(i, j)
-	if err != nil {
-		return Vec3{}, err
-	}
-	return t.ApplyPoint(p), nil
-}
-
-// TransformDir re-expresses a direction given in frame j into frame i.
-func (g *FrameGraph) TransformDir(i, j string, d Vec3) (Vec3, error) {
-	t, err := g.Resolve(i, j)
-	if err != nil {
-		return Vec3{}, err
-	}
-	return t.ApplyDir(d), nil
-}
-
-// TransformRay re-expresses a ray given in frame j into frame i.
-func (g *FrameGraph) TransformRay(i, j string, r Ray) (Ray, error) {
-	t, err := g.Resolve(i, j)
-	if err != nil {
-		return Ray{}, err
-	}
-	return r.Transformed(t), nil
 }

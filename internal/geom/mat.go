@@ -16,15 +16,6 @@ func Identity3() Mat3 {
 	return Mat3{M: [3][3]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}}
 }
 
-// NewMat3 builds a matrix from rows.
-func NewMat3(r0, r1, r2 Vec3) Mat3 {
-	return Mat3{M: [3][3]float64{
-		{r0.X, r0.Y, r0.Z},
-		{r1.X, r1.Y, r1.Z},
-		{r2.X, r2.Y, r2.Z},
-	}}
-}
-
 // Mat3FromCols builds a matrix from column vectors.
 func Mat3FromCols(c0, c1, c2 Vec3) Mat3 {
 	return Mat3{M: [3][3]float64{
@@ -33,9 +24,6 @@ func Mat3FromCols(c0, c1, c2 Vec3) Mat3 {
 		{c0.Z, c1.Z, c2.Z},
 	}}
 }
-
-// Row returns row i as a Vec3.
-func (m Mat3) Row(i int) Vec3 { return Vec3{m.M[i][0], m.M[i][1], m.M[i][2]} }
 
 // Col returns column j as a Vec3.
 func (m Mat3) Col(j int) Vec3 { return Vec3{m.M[0][j], m.M[1][j], m.M[2][j]} }
@@ -75,35 +63,6 @@ func (m Mat3) Transpose() Mat3 {
 	return out
 }
 
-// Det returns the determinant of m.
-func (m Mat3) Det() float64 {
-	a := m.M
-	return a[0][0]*(a[1][1]*a[2][2]-a[1][2]*a[2][1]) -
-		a[0][1]*(a[1][0]*a[2][2]-a[1][2]*a[2][0]) +
-		a[0][2]*(a[1][0]*a[2][1]-a[1][1]*a[2][0])
-}
-
-// Inverse returns m⁻¹ and true, or the identity and false when m is
-// singular (|det| < Epsilon).
-func (m Mat3) Inverse() (Mat3, bool) {
-	d := m.Det()
-	if math.Abs(d) < Epsilon {
-		return Identity3(), false
-	}
-	a := m.M
-	inv := Mat3{}
-	inv.M[0][0] = (a[1][1]*a[2][2] - a[1][2]*a[2][1]) / d
-	inv.M[0][1] = (a[0][2]*a[2][1] - a[0][1]*a[2][2]) / d
-	inv.M[0][2] = (a[0][1]*a[1][2] - a[0][2]*a[1][1]) / d
-	inv.M[1][0] = (a[1][2]*a[2][0] - a[1][0]*a[2][2]) / d
-	inv.M[1][1] = (a[0][0]*a[2][2] - a[0][2]*a[2][0]) / d
-	inv.M[1][2] = (a[0][2]*a[1][0] - a[0][0]*a[1][2]) / d
-	inv.M[2][0] = (a[1][0]*a[2][1] - a[1][1]*a[2][0]) / d
-	inv.M[2][1] = (a[0][1]*a[2][0] - a[0][0]*a[2][1]) / d
-	inv.M[2][2] = (a[0][0]*a[1][1] - a[0][1]*a[1][0]) / d
-	return inv, true
-}
-
 // ApproxEq reports element-wise agreement within tol.
 func (m Mat3) ApproxEq(n Mat3, tol float64) bool {
 	for i := 0; i < 3; i++ {
@@ -114,16 +73,6 @@ func (m Mat3) ApproxEq(n Mat3, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// IsRotation reports whether m is a proper rotation matrix: orthonormal
-// with determinant +1, within tol.
-func (m Mat3) IsRotation(tol float64) bool {
-	if math.Abs(m.Det()-1) > tol {
-		return false
-	}
-	mt := m.Transpose().Mul(m)
-	return mt.ApproxEq(Identity3(), tol)
 }
 
 // String renders the matrix over three lines.
@@ -187,45 +136,4 @@ func (m Mat3) ToEulerZYX() (yaw, pitch, roll float64) {
 	yaw = math.Atan2(m.M[1][0], m.M[0][0])
 	roll = math.Atan2(m.M[2][1], m.M[2][2])
 	return yaw, pitch, roll
-}
-
-// AxisAngle builds the rotation of angle a about the (normalised) axis.
-// A zero axis yields the identity.
-func AxisAngle(axis Vec3, a float64) Mat3 {
-	u := axis.Unit()
-	if u.IsZero() {
-		return Identity3()
-	}
-	c, s := math.Cos(a), math.Sin(a)
-	t := 1 - c
-	x, y, z := u.X, u.Y, u.Z
-	return Mat3{M: [3][3]float64{
-		{t*x*x + c, t*x*y - s*z, t*x*z + s*y},
-		{t*x*y + s*z, t*y*y + c, t*y*z - s*x},
-		{t*x*z - s*y, t*y*z + s*x, t*z*z + c},
-	}}
-}
-
-// RotationBetween returns a rotation taking unit direction a to unit
-// direction b. Antiparallel inputs rotate π about an arbitrary orthogonal
-// axis.
-func RotationBetween(a, b Vec3) Mat3 {
-	ua, ub := a.Unit(), b.Unit()
-	if ua.IsZero() || ub.IsZero() {
-		return Identity3()
-	}
-	d := Clamp(ua.Dot(ub), -1, 1)
-	if d > 1-1e-12 {
-		return Identity3()
-	}
-	if d < -1+1e-12 {
-		// Pick any axis orthogonal to a.
-		axis := ua.Cross(V3(1, 0, 0))
-		if axis.Norm() < 1e-6 {
-			axis = ua.Cross(V3(0, 1, 0))
-		}
-		return AxisAngle(axis, math.Pi)
-	}
-	axis := ua.Cross(ub)
-	return AxisAngle(axis, math.Acos(d))
 }

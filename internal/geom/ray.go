@@ -13,15 +13,6 @@ type Ray struct {
 // NewRay constructs a ray.
 func NewRay(origin, dir Vec3) Ray { return Ray{Origin: origin, Dir: dir} }
 
-// At returns the point at parameter d along the ray.
-func (r Ray) At(d float64) Vec3 { return r.Origin.Add(r.Dir.Scale(d)) }
-
-// Transformed returns the ray expressed in another frame via tr (rotating
-// the direction and transforming the origin), as in paper Eq. 2.
-func (r Ray) Transformed(tr Transform) Ray {
-	return Ray{Origin: tr.ApplyPoint(r.Origin), Dir: tr.ApplyDir(r.Dir)}
-}
-
 // Sphere is the head model of paper Eq. 3: ‖x − C‖² = R².
 type Sphere struct {
 	C Vec3    // center (head position)
@@ -30,9 +21,6 @@ type Sphere struct {
 
 // NewSphere constructs a sphere.
 func NewSphere(c Vec3, r float64) Sphere { return Sphere{C: c, R: r} }
-
-// Contains reports whether p lies inside or on the sphere.
-func (s Sphere) Contains(p Vec3) bool { return p.Dist(s.C) <= s.R+Epsilon }
 
 // SphereHit is the result of a ray–sphere intersection test.
 type SphereHit struct {
@@ -74,47 +62,4 @@ func (r Ray) IntersectSphere(s Sphere) SphereHit {
 	d2 := (-b + sq) / v2
 	hit := d2 >= 0 // at least the far intersection is in front
 	return SphereHit{Hit: hit, D1: d1, D2: d2, W: w}
-}
-
-// DistanceToPoint returns the shortest distance from point p to the
-// forward half of the ray (used for angular diagnostics in gaze tests).
-func (r Ray) DistanceToPoint(p Vec3) float64 {
-	u := r.Dir.Unit()
-	if u.IsZero() {
-		return r.Origin.Dist(p)
-	}
-	w := p.Sub(r.Origin)
-	d := w.Dot(u)
-	if d < 0 {
-		return r.Origin.Dist(p)
-	}
-	return r.Origin.Add(u.Scale(d)).Sub(p).Norm()
-}
-
-// AngularOffset returns the angle (radians) between the ray direction and
-// the direction from the ray origin to p. Useful for noise-sweep
-// experiments: eye contact at tolerance θ means AngularOffset ≤ θ.
-func (r Ray) AngularOffset(p Vec3) float64 {
-	return r.Dir.AngleTo(p.Sub(r.Origin))
-}
-
-// Plane is an infinite plane through Point with unit Normal, used for
-// table-surface and floor tests in the scene simulator.
-type Plane struct {
-	Point  Vec3
-	Normal Vec3
-}
-
-// IntersectPlane returns the ray parameter d where the ray crosses the
-// plane, and whether such a forward crossing exists.
-func (r Ray) IntersectPlane(pl Plane) (float64, bool) {
-	denom := pl.Normal.Dot(r.Dir)
-	if math.Abs(denom) < Epsilon {
-		return 0, false
-	}
-	d := pl.Normal.Dot(pl.Point.Sub(r.Origin)) / denom
-	if d < 0 {
-		return 0, false
-	}
-	return d, true
 }

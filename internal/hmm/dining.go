@@ -205,20 +205,6 @@ func MultilayerSymbol(fs scene.FrameState, dropout float64, seed int64) int {
 	return base + affect*DiningSymbols
 }
 
-// FeaturizeScenarioMultilayer converts an event into multilayer symbols
-// plus ground-truth phases.
-func FeaturizeScenarioMultilayer(sim *scene.Simulator, dropout float64, seed int64) (symbols []int, phases []scene.Phase) {
-	n := sim.NumFrames()
-	symbols = make([]int, n)
-	phases = make([]scene.Phase, n)
-	for i := 0; i < n; i++ {
-		fs := sim.FrameState(i)
-		symbols[i] = MultilayerSymbol(fs, dropout, seed)
-		phases[i] = fs.Phase
-	}
-	return symbols, phases
-}
-
 // FitSupervised estimates HMM parameters by maximum likelihood from
 // labelled sequences over an m-symbol alphabet — the protocol of Gao et
 // al., who trained on annotated nursing-home footage. States are the
@@ -293,38 +279,6 @@ func FitSupervised(seqs [][]int, labels [][]scene.Phase, m int) (*HMM, error) {
 	}
 	h.Pi[0] = 1
 	return h, nil
-}
-
-// MapStatesToPhases maps decoded HMM states to dining phases by majority
-// vote against ground truth (the standard unsupervised-HMM evaluation
-// protocol), returning the per-frame phase prediction.
-func MapStatesToPhases(states []int, truth []scene.Phase, numStates int) []scene.Phase {
-	votes := make([][]int, numStates)
-	for i := range votes {
-		votes[i] = make([]int, scene.NumPhases)
-	}
-	for t, s := range states {
-		if s >= 0 && s < numStates {
-			votes[s][truth[t]]++
-		}
-	}
-	mapping := make([]scene.Phase, numStates)
-	for s := range votes {
-		best, bestV := 0, -1
-		for p, v := range votes[s] {
-			if v > bestV {
-				best, bestV = p, v
-			}
-		}
-		mapping[s] = scene.Phase(best)
-	}
-	out := make([]scene.Phase, len(states))
-	for t, s := range states {
-		if s >= 0 && s < numStates {
-			out[t] = mapping[s]
-		}
-	}
-	return out
 }
 
 // PhaseAccuracy returns the per-frame agreement between predicted and

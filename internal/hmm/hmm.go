@@ -1,7 +1,7 @@
-// Package hmm implements a discrete hidden Markov model — forward/
-// backward with scaling, Viterbi decoding, and Baum–Welch training —
-// plus the dining-activity observation model of Gao et al. [16] ("Dining
-// activity analysis using a hidden Markov model", ICPR 2004), the prior
+// Package hmm implements a discrete hidden Markov model — supervised
+// maximum-likelihood fitting and Viterbi decoding — plus the
+// dining-activity observation model of Gao et al. [16] ("Dining activity
+// analysis using a hidden Markov model", ICPR 2004), the prior
 // automated-dining-analysis system the paper cites. DiEvent's multilayer
 // analysis is compared against this baseline in experiment T-E.
 package hmm
@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // HMM is a discrete-observation hidden Markov model with N states and M
@@ -31,61 +30,6 @@ var (
 	ErrBadObs   = errors.New("hmm: bad observation sequence")
 )
 
-// New initialises a model with slightly perturbed uniform parameters
-// (exact uniformity is a saddle point for Baum–Welch).
-func New(n, m int, seed int64) (*HMM, error) {
-	if n < 1 || m < 2 {
-		return nil, fmt.Errorf("hmm: n=%d m=%d: %w", n, m, ErrBadModel)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	h := &HMM{N: n, M: m}
-	h.Pi = randDist(n, rng)
-	h.A = make([][]float64, n)
-	h.B = make([][]float64, n)
-	for i := 0; i < n; i++ {
-		h.A[i] = randDist(n, rng)
-		h.B[i] = randDist(m, rng)
-	}
-	return h, nil
-}
-
-// NewLeftRight initialises a left-to-right model (each state transitions
-// to itself or the next), the natural topology for dining phases that
-// progress arriving → ordering → eating → talking → paying.
-func NewLeftRight(n, m int, seed int64) (*HMM, error) {
-	h, err := New(n, m, seed)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if j != i && j != i+1 {
-				h.A[i][j] = 0
-			}
-		}
-		normalize(h.A[i])
-	}
-	// Start in the first state.
-	for i := range h.Pi {
-		h.Pi[i] = 0
-	}
-	h.Pi[0] = 1
-	return h, nil
-}
-
-func randDist(n int, rng *rand.Rand) []float64 {
-	d := make([]float64, n)
-	var s float64
-	for i := range d {
-		d[i] = 1 + 0.1*rng.Float64()
-		s += d[i]
-	}
-	for i := range d {
-		d[i] /= s
-	}
-	return d
-}
-
 func normalize(d []float64) {
 	var s float64
 	for _, v := range d {
@@ -102,38 +46,6 @@ func normalize(d []float64) {
 	}
 }
 
-// Validate checks that all distributions are proper.
-func (h *HMM) Validate() error {
-	check := func(d []float64, what string) error {
-		var s float64
-		for _, v := range d {
-			if v < 0 || math.IsNaN(v) {
-				return fmt.Errorf("hmm: negative/NaN in %s: %w", what, ErrBadModel)
-			}
-			s += v
-		}
-		if math.Abs(s-1) > 1e-6 {
-			return fmt.Errorf("hmm: %s sums to %v: %w", what, s, ErrBadModel)
-		}
-		return nil
-	}
-	if len(h.Pi) != h.N || len(h.A) != h.N || len(h.B) != h.N {
-		return fmt.Errorf("hmm: shape mismatch: %w", ErrBadModel)
-	}
-	if err := check(h.Pi, "pi"); err != nil {
-		return err
-	}
-	for i := 0; i < h.N; i++ {
-		if err := check(h.A[i], fmt.Sprintf("A[%d]", i)); err != nil {
-			return err
-		}
-		if err := check(h.B[i], fmt.Sprintf("B[%d]", i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // checkObs validates a sequence.
 func (h *HMM) checkObs(obs []int) error {
 	if len(obs) == 0 {
@@ -145,80 +57,6 @@ func (h *HMM) checkObs(obs []int) error {
 		}
 	}
 	return nil
-}
-
-// forwardScaled runs the scaled forward pass, returning alpha, the
-// per-step scale factors, and the log-likelihood.
-func (h *HMM) forwardScaled(obs []int) (alpha [][]float64, scales []float64, logLik float64) {
-	T := len(obs)
-	alpha = make([][]float64, T)
-	scales = make([]float64, T)
-	alpha[0] = make([]float64, h.N)
-	var c0 float64
-	for i := 0; i < h.N; i++ {
-		alpha[0][i] = h.Pi[i] * h.B[i][obs[0]]
-		c0 += alpha[0][i]
-	}
-	if c0 == 0 {
-		c0 = 1e-300
-	}
-	scales[0] = c0
-	for i := range alpha[0] {
-		alpha[0][i] /= c0
-	}
-	for t := 1; t < T; t++ {
-		alpha[t] = make([]float64, h.N)
-		var ct float64
-		for j := 0; j < h.N; j++ {
-			var s float64
-			for i := 0; i < h.N; i++ {
-				s += alpha[t-1][i] * h.A[i][j]
-			}
-			alpha[t][j] = s * h.B[j][obs[t]]
-			ct += alpha[t][j]
-		}
-		if ct == 0 {
-			ct = 1e-300
-		}
-		scales[t] = ct
-		for j := range alpha[t] {
-			alpha[t][j] /= ct
-		}
-	}
-	for _, c := range scales {
-		logLik += math.Log(c)
-	}
-	return alpha, scales, logLik
-}
-
-// backwardScaled runs the scaled backward pass using forward scales.
-func (h *HMM) backwardScaled(obs []int, scales []float64) [][]float64 {
-	T := len(obs)
-	beta := make([][]float64, T)
-	beta[T-1] = make([]float64, h.N)
-	for i := range beta[T-1] {
-		beta[T-1][i] = 1 / scales[T-1]
-	}
-	for t := T - 2; t >= 0; t-- {
-		beta[t] = make([]float64, h.N)
-		for i := 0; i < h.N; i++ {
-			var s float64
-			for j := 0; j < h.N; j++ {
-				s += h.A[i][j] * h.B[j][obs[t+1]] * beta[t+1][j]
-			}
-			beta[t][i] = s / scales[t]
-		}
-	}
-	return beta
-}
-
-// LogLikelihood returns log P(obs | model).
-func (h *HMM) LogLikelihood(obs []int) (float64, error) {
-	if err := h.checkObs(obs); err != nil {
-		return 0, err
-	}
-	_, _, ll := h.forwardScaled(obs)
-	return ll, nil
 }
 
 // Viterbi returns the most likely hidden state sequence (log-space).
@@ -283,143 +121,4 @@ func (h *HMM) Viterbi(obs []int) ([]int, error) {
 		path[t] = psi[t+1][path[t+1]]
 	}
 	return path, nil
-}
-
-// BaumWelch trains the model on sequences for at most iters iterations,
-// returning the log-likelihood after each. Training stops early when
-// improvement falls below tol.
-func (h *HMM) BaumWelch(seqs [][]int, iters int, tol float64) ([]float64, error) {
-	if len(seqs) == 0 {
-		return nil, fmt.Errorf("hmm: no sequences: %w", ErrBadObs)
-	}
-	for _, s := range seqs {
-		if err := h.checkObs(s); err != nil {
-			return nil, err
-		}
-	}
-	if iters <= 0 {
-		iters = 30
-	}
-	if tol <= 0 {
-		tol = 1e-4
-	}
-	var history []float64
-	prev := math.Inf(-1)
-	for it := 0; it < iters; it++ {
-		// Accumulators.
-		piAcc := make([]float64, h.N)
-		aNum := make([][]float64, h.N)
-		aDen := make([]float64, h.N)
-		bNum := make([][]float64, h.N)
-		bDen := make([]float64, h.N)
-		for i := 0; i < h.N; i++ {
-			aNum[i] = make([]float64, h.N)
-			bNum[i] = make([]float64, h.M)
-		}
-		var total float64
-		for _, obs := range seqs {
-			alpha, scales, ll := h.forwardScaled(obs)
-			beta := h.backwardScaled(obs, scales)
-			total += ll
-			T := len(obs)
-			// gamma_t(i) ∝ alpha_t(i)·beta_t(i)·scale_t
-			for t := 0; t < T; t++ {
-				var norm float64
-				g := make([]float64, h.N)
-				for i := 0; i < h.N; i++ {
-					g[i] = alpha[t][i] * beta[t][i] * scales[t]
-					norm += g[i]
-				}
-				if norm == 0 {
-					continue
-				}
-				for i := 0; i < h.N; i++ {
-					g[i] /= norm
-					if t == 0 {
-						piAcc[i] += g[i]
-					}
-					bNum[i][obs[t]] += g[i]
-					bDen[i] += g[i]
-					if t < T-1 {
-						aDen[i] += g[i]
-					}
-				}
-			}
-			// xi accumulators.
-			for t := 0; t < T-1; t++ {
-				var norm float64
-				xi := make([][]float64, h.N)
-				for i := 0; i < h.N; i++ {
-					xi[i] = make([]float64, h.N)
-					for j := 0; j < h.N; j++ {
-						xi[i][j] = alpha[t][i] * h.A[i][j] * h.B[j][obs[t+1]] * beta[t+1][j]
-						norm += xi[i][j]
-					}
-				}
-				if norm == 0 {
-					continue
-				}
-				for i := 0; i < h.N; i++ {
-					for j := 0; j < h.N; j++ {
-						aNum[i][j] += xi[i][j] / norm
-					}
-				}
-			}
-		}
-		// Re-estimate.
-		normalize(piAcc)
-		copy(h.Pi, piAcc)
-		for i := 0; i < h.N; i++ {
-			if aDen[i] > 0 {
-				for j := 0; j < h.N; j++ {
-					h.A[i][j] = aNum[i][j] / aDen[i]
-				}
-			}
-			normalize(h.A[i])
-			if bDen[i] > 0 {
-				for k := 0; k < h.M; k++ {
-					h.B[i][k] = bNum[i][k] / bDen[i]
-				}
-			}
-			// Emission floor keeps unseen symbols representable and
-			// Viterbi finite.
-			for k := 0; k < h.M; k++ {
-				if h.B[i][k] < 1e-6 {
-					h.B[i][k] = 1e-6
-				}
-			}
-			normalize(h.B[i])
-		}
-		history = append(history, total)
-		if total-prev < tol && it > 0 {
-			break
-		}
-		prev = total
-	}
-	return history, nil
-}
-
-// Posterior returns gamma[t][i] = P(state i at t | obs).
-func (h *HMM) Posterior(obs []int) ([][]float64, error) {
-	if err := h.checkObs(obs); err != nil {
-		return nil, err
-	}
-	alpha, scales, _ := h.forwardScaled(obs)
-	beta := h.backwardScaled(obs, scales)
-	T := len(obs)
-	g := make([][]float64, T)
-	for t := 0; t < T; t++ {
-		g[t] = make([]float64, h.N)
-		var norm float64
-		for i := 0; i < h.N; i++ {
-			g[t][i] = alpha[t][i] * beta[t][i] * scales[t]
-			norm += g[t][i]
-		}
-		if norm > 0 {
-			for i := range g[t] {
-				g[t][i] /= norm
-			}
-		}
-	}
-	return g, nil
 }

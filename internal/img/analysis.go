@@ -17,18 +17,6 @@ func (g *Gray) Hist() Histogram {
 	return h
 }
 
-// HistRegion computes the histogram over the (clipped) rectangle.
-func (g *Gray) HistRegion(r Rect) Histogram {
-	var h Histogram
-	c := r.Intersect(Rect{0, 0, g.W, g.H})
-	for y := c.Y; y < c.Y+c.H; y++ {
-		for x := c.X; x < c.X+c.W; x++ {
-			h[g.Pix[y*g.W+x]]++
-		}
-	}
-	return h
-}
-
 // Total returns the histogram mass (pixel count).
 func (h Histogram) Total() uint64 {
 	var s uint64
@@ -153,12 +141,6 @@ type IntegralSq struct {
 	Sum  []uint64 // (W+1)*(H+1)
 }
 
-// NewIntegralSq builds the squared summed-area table of g.
-func NewIntegralSq(g *Gray) *IntegralSq {
-	_, sq := BuildIntegrals(g, nil, nil)
-	return sq
-}
-
 // BuildIntegrals builds the plain and squared summed-area tables of g
 // in one pass over the pixels, reusing in and sq (and their buffers)
 // when non-nil. This is the per-frame entry point of the detection hot
@@ -234,8 +216,8 @@ func (in *Integral) RegionSum(r Rect) uint64 {
 
 // RegionSumUnclipped is RegionSum without the clip: r must lie fully
 // inside the image. It is the fast path for interior windows — the
-// detector's scan windows and BoxBlur's interior pixels are in-bounds
-// by construction, so they skip the two Intersect calls per lookup.
+// detector's scan windows are in-bounds by construction, so they skip
+// the two Intersect calls per lookup.
 // The four-corner combination is exact in uint32 modular arithmetic
 // because the true region sum always fits.
 func (in *Integral) RegionSumUnclipped(r Rect) uint64 {
@@ -262,96 +244,12 @@ func (in *Integral) RegionMeanUnclipped(r Rect) float64 {
 	return float64(in.RegionSumUnclipped(r)) / float64(r.Area())
 }
 
-// RegionSum returns the sum of squared pixels in the rectangle
-// (clipped to the image).
-func (sq *IntegralSq) RegionSum(r Rect) uint64 {
-	c := r.Intersect(Rect{0, 0, sq.W, sq.H})
-	if c.Area() == 0 {
-		return 0
-	}
-	return sq.RegionSumUnclipped(c)
-}
-
-// RegionSumUnclipped is RegionSum without the clip: r must lie fully
-// inside the image.
+// RegionSumUnclipped returns the sum of squared pixels in r, which must
+// lie fully inside the image.
 func (sq *IntegralSq) RegionSumUnclipped(r Rect) uint64 {
 	stride := sq.W + 1
 	x0, y0, x1, y1 := r.X, r.Y, r.X+r.W, r.Y+r.H
 	return sq.Sum[y1*stride+x1] - sq.Sum[y0*stride+x1] - sq.Sum[y1*stride+x0] + sq.Sum[y0*stride+x0]
-}
-
-// RegionVariance returns the intensity variance over r, which must lie
-// fully inside both tables: (n·Σp² − (Σp)²)/n², with the numerator
-// exact in integer arithmetic (it is non-negative by Cauchy–Schwarz)
-// before a single float division. This replaces the detector's
-// per-window crop-and-Variance() pass with four lookups.
-func RegionVariance(in *Integral, sq *IntegralSq, r Rect) float64 {
-	n := uint64(r.Area())
-	s := in.RegionSumUnclipped(r)
-	q := sq.RegionSumUnclipped(r)
-	return float64(n*q-s*s) / float64(n*n)
-}
-
-// BoxBlur returns the image smoothed with a (2r+1)×(2r+1) box filter using
-// the integral image (O(1) per pixel).
-func (g *Gray) BoxBlur(r int) *Gray {
-	return g.BoxBlurInto(r, nil, nil)
-}
-
-// BoxBlurInto is BoxBlur reusing dst's pixels and in's table when
-// possible (nil allocates; in is rebuilt from g either way). Interior
-// pixels — where the window is fully inside the image — take the
-// unclipped lookup fast path; only the r-wide border pays clipping.
-func (g *Gray) BoxBlurInto(r int, dst *Gray, in *Integral) *Gray {
-	if r <= 0 {
-		out := Ensure(dst, g.W, g.H)
-		copy(out.Pix, g.Pix)
-		return out
-	}
-	in = BuildIntegral(g, in)
-	out := Ensure(dst, g.W, g.H)
-	side := 2*r + 1
-	for y := 0; y < g.H; y++ {
-		row := out.Pix[y*g.W : (y+1)*g.W]
-		if y < r || y+r >= g.H {
-			for x := range row {
-				row[x] = uint8(math.Round(in.RegionMean(Rect{X: x - r, Y: y - r, W: side, H: side})))
-			}
-			continue
-		}
-		x := 0
-		for ; x < r && x < g.W; x++ {
-			row[x] = uint8(math.Round(in.RegionMean(Rect{X: x - r, Y: y - r, W: side, H: side})))
-		}
-		for ; x+r < g.W; x++ {
-			row[x] = uint8(math.Round(in.RegionMeanUnclipped(Rect{X: x - r, Y: y - r, W: side, H: side})))
-		}
-		for ; x < g.W; x++ {
-			row[x] = uint8(math.Round(in.RegionMean(Rect{X: x - r, Y: y - r, W: side, H: side})))
-		}
-	}
-	return out
-}
-
-// SobelMag returns the Sobel gradient magnitude image (clamped to 255),
-// used as an auxiliary cue by the face detector.
-func (g *Gray) SobelMag() *Gray {
-	out := New(g.W, g.H)
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			gx := -int(g.AtClamped(x-1, y-1)) + int(g.AtClamped(x+1, y-1)) +
-				-2*int(g.AtClamped(x-1, y)) + 2*int(g.AtClamped(x+1, y)) +
-				-int(g.AtClamped(x-1, y+1)) + int(g.AtClamped(x+1, y+1))
-			gy := -int(g.AtClamped(x-1, y-1)) - 2*int(g.AtClamped(x, y-1)) - int(g.AtClamped(x+1, y-1)) +
-				int(g.AtClamped(x-1, y+1)) + 2*int(g.AtClamped(x, y+1)) + int(g.AtClamped(x+1, y+1))
-			m := math.Hypot(float64(gx), float64(gy))
-			if m > 255 {
-				m = 255
-			}
-			out.Pix[y*g.W+x] = uint8(m)
-		}
-	}
-	return out
 }
 
 // NCC returns the normalised cross-correlation between two equally-sized

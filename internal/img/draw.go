@@ -5,17 +5,6 @@ import "math"
 // Drawing primitives for the synthetic frame renderer. All primitives
 // clip to image bounds and write opaque intensity values.
 
-// FillRect fills the rectangle with intensity v.
-func (g *Gray) FillRect(r Rect, v uint8) {
-	c := r.Intersect(Rect{0, 0, g.W, g.H})
-	for y := c.Y; y < c.Y+c.H; y++ {
-		row := g.Pix[y*g.W : (y+1)*g.W]
-		for x := c.X; x < c.X+c.W; x++ {
-			row[x] = v
-		}
-	}
-}
-
 // FillCircle fills the disc of radius rad centred at (cx, cy).
 func (g *Gray) FillCircle(cx, cy, rad float64, v uint8) {
 	if rad <= 0 {
@@ -89,25 +78,6 @@ func (g *Gray) DrawLine(x0, y0, x1, y1 int, v uint8) {
 			err += dx
 			y0 += sy
 		}
-	}
-}
-
-// DrawArc draws a circular arc centred at (cx,cy) with radius rad between
-// angles a0 and a1 (radians, CCW from +x). Used for mouths and eyebrows in
-// the synthetic face generator.
-func (g *Gray) DrawArc(cx, cy, rad, a0, a1 float64, v uint8) {
-	if rad <= 0 {
-		return
-	}
-	if a1 < a0 {
-		a0, a1 = a1, a0
-	}
-	// Step fine enough that adjacent samples touch.
-	step := 0.5 / rad
-	for a := a0; a <= a1; a += step {
-		x := int(math.Round(cx + rad*math.Cos(a)))
-		y := int(math.Round(cy + rad*math.Sin(a)))
-		g.Set(x, y, v)
 	}
 }
 

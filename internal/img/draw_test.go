@@ -6,27 +6,17 @@ import (
 	"testing"
 )
 
-func TestFillRectClips(t *testing.T) {
-	g := New(4, 4)
-	g.FillRect(Rect{-2, -2, 100, 100}, 255)
-	for _, p := range g.Pix {
-		if p != 255 {
-			t.Fatal("FillRect should cover whole image")
-		}
-	}
-}
-
 func TestFillCircle(t *testing.T) {
 	g := New(21, 21)
 	g.FillCircle(10.5, 10.5, 5, 255)
-	if g.At(10, 10) != 255 {
+	if g.AtClamped(10, 10) != 255 {
 		t.Error("centre should be filled")
 	}
-	if g.At(0, 0) != 0 {
+	if g.AtClamped(0, 0) != 0 {
 		t.Error("corner should stay black")
 	}
 	// Radius respected: point just outside stays black.
-	if g.At(10, 17) != 0 {
+	if g.AtClamped(10, 17) != 0 {
 		t.Error("outside radius should be black")
 	}
 	g.FillCircle(5, 5, 0, 9) // no-op, must not panic
@@ -36,13 +26,13 @@ func TestFillEllipseRotation(t *testing.T) {
 	g := New(40, 40)
 	// Wide flat ellipse along x.
 	g.FillEllipse(20, 20, 15, 3, 0, 255)
-	if g.At(33, 20) != 255 || g.At(20, 30) != 0 {
+	if g.AtClamped(33, 20) != 255 || g.AtClamped(20, 30) != 0 {
 		t.Error("unrotated ellipse extent wrong")
 	}
 	h := New(40, 40)
 	// Same ellipse rotated 90°: extents swap.
 	h.FillEllipse(20, 20, 15, 3, math.Pi/2, 255)
-	if h.At(20, 33) != 255 || h.At(30, 20) != 0 {
+	if h.AtClamped(20, 33) != 255 || h.AtClamped(30, 20) != 0 {
 		t.Error("rotated ellipse extent wrong")
 	}
 }
@@ -51,36 +41,19 @@ func TestDrawLine(t *testing.T) {
 	g := New(10, 10)
 	g.DrawLine(0, 0, 9, 9, 255)
 	for i := 0; i < 10; i++ {
-		if g.At(i, i) != 255 {
+		if g.AtClamped(i, i) != 255 {
 			t.Fatalf("diagonal pixel (%d,%d) not set", i, i)
 		}
 	}
 	h := New(10, 10)
 	h.DrawLine(9, 5, 0, 5, 128) // right-to-left horizontal
 	for i := 0; i < 10; i++ {
-		if h.At(i, 5) != 128 {
+		if h.AtClamped(i, 5) != 128 {
 			t.Fatal("horizontal line incomplete")
 		}
 	}
 	// Line exiting the image must not panic.
 	g.DrawLine(-5, -5, 20, 3, 1)
-}
-
-func TestDrawArc(t *testing.T) {
-	g := New(40, 40)
-	// Smile: lower half arc.
-	g.DrawArc(20, 20, 10, 0.2, math.Pi-0.2, 255)
-	// Some pixel near the bottom of the arc must be set.
-	found := false
-	for x := 15; x <= 25; x++ {
-		if g.At(x, 29) == 255 || g.At(x, 30) == 255 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("arc bottom missing")
-	}
-	g.DrawArc(5, 5, 0, 0, 1, 255) // zero radius no-op
 }
 
 func TestAddNoiseDeterministic(t *testing.T) {
@@ -111,7 +84,7 @@ func TestAddNoiseDeterministic(t *testing.T) {
 	c := New(4, 4)
 	c.Fill(7)
 	c.AddNoise(0, func() float64 { return 100 })
-	if c.At(0, 0) != 7 {
+	if c.AtClamped(0, 0) != 7 {
 		t.Error("zero sigma should not change pixels")
 	}
 }

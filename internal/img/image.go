@@ -41,14 +41,6 @@ func FromPix(w, h int, pix []uint8) (*Gray, error) {
 	return &Gray{W: w, H: h, Pix: pix}, nil
 }
 
-// At returns the pixel at (x,y); out-of-range coordinates read as 0.
-func (g *Gray) At(x, y int) uint8 {
-	if x < 0 || y < 0 || x >= g.W || y >= g.H {
-		return 0
-	}
-	return g.Pix[y*g.W+x]
-}
-
 // AtClamped returns the pixel at (x,y) with coordinates clamped to the
 // image border (replicate padding) — used by LBP and convolution.
 func (g *Gray) AtClamped(x, y int) uint8 {
@@ -80,13 +72,6 @@ func (g *Gray) Fill(v uint8) {
 	}
 }
 
-// Clone returns a deep copy.
-func (g *Gray) Clone() *Gray {
-	out := New(g.W, g.H)
-	copy(out.Pix, g.Pix)
-	return out
-}
-
 // Ensure returns g resized to w×h, reusing its pixel buffer when the
 // capacity allows and allocating otherwise. A nil g allocates fresh.
 // Pixel contents after Ensure are unspecified — callers overwrite them.
@@ -111,11 +96,6 @@ func Ensure(g *Gray, w, h int) *Gray {
 // Rect is an integer pixel rectangle [X, X+W) × [Y, Y+H).
 type Rect struct {
 	X, Y, W, H int
-}
-
-// Contains reports whether (x,y) lies inside r.
-func (r Rect) Contains(x, y int) bool {
-	return x >= r.X && x < r.X+r.W && y >= r.Y && y < r.Y+r.H
 }
 
 // Intersect returns the overlap of r and o (possibly empty).
@@ -157,14 +137,9 @@ func (r Rect) Center() (float64, float64) {
 // String renders the rect.
 func (r Rect) String() string { return fmt.Sprintf("rect(%d,%d %dx%d)", r.X, r.Y, r.W, r.H) }
 
-// Crop returns a copy of the given region. Regions extending outside the
-// image return ErrBounds.
-func (g *Gray) Crop(r Rect) (*Gray, error) {
-	return g.CropInto(r, nil)
-}
-
-// CropInto is Crop reusing dst's buffer when possible (nil dst
-// allocates). dst must not alias g.
+// CropInto copies the given region into dst, reusing its buffer when
+// possible (nil dst allocates). dst must not alias g. Regions extending
+// outside the image return ErrBounds.
 func (g *Gray) CropInto(r Rect, dst *Gray) (*Gray, error) {
 	if r.X < 0 || r.Y < 0 || r.W <= 0 || r.H <= 0 || r.X+r.W > g.W || r.Y+r.H > g.H {
 		return nil, fmt.Errorf("img: crop %v from %dx%d: %w", r, g.W, g.H, ErrBounds)

@@ -172,9 +172,9 @@ func (m *TemplateMatcher) Score(g *Gray, in *Integral, sq *IntegralSq, x, y int)
 // rejects, each of which proves score < bound without finishing the
 // window: (score, true) is the exact fused value, (0, false) a skip.
 //
-// Variance gate: windows whose intensity variance (the exact-integer
-// RegionVariance value) is below minVar are skipped before any scoring
-// work. Pass a negative minVar to disable it. The gate compares the
+// Variance gate: windows whose exact-integer intensity variance (from
+// the plain and squared integral tables) is below minVar are skipped
+// before any scoring work. Pass a negative minVar to disable it. The gate compares the
 // exact-integer variance where a crop-based caller would compare
 // float-accumulated Gray.Variance — the two agree to ~1e-12 relative,
 // so a window whose true variance sits within rounding distance of

@@ -10,7 +10,7 @@ import (
 // plain crop of the window.
 func oracleNCC(t *testing.T, g *Gray, tpl *Gray, x, y int) float64 {
 	t.Helper()
-	crop, err := g.Crop(Rect{X: x, Y: y, W: tpl.W, H: tpl.H})
+	crop, err := g.CropInto(Rect{X: x, Y: y, W: tpl.W, H: tpl.H}, nil)
 	if err != nil {
 		t.Fatalf("crop (%d,%d) %dx%d: %v", x, y, tpl.W, tpl.H, err)
 	}
@@ -32,10 +32,10 @@ func scenicImage(w, h int, seed int64) *Gray {
 		v := uint8(90 + rng.Intn(160))
 		bw, bh := 10+rng.Intn(60), 10+rng.Intn(60)
 		bx, by := rng.Intn(w), rng.Intn(h)
-		g.FillRect(Rect{X: bx, Y: by, W: bw, H: bh}, v)
+		fillRect(g, Rect{X: bx, Y: by, W: bw, H: bh}, v)
 	}
 	// One flat strip so some windows are exactly degenerate.
-	g.FillRect(Rect{X: 0, Y: h - 12, W: w, H: 12}, 77)
+	fillRect(g, Rect{X: 0, Y: h - 12, W: w, H: 12}, 77)
 	return g
 }
 
@@ -84,7 +84,7 @@ func checkWindow(t *testing.T, m *TemplateMatcher, g *Gray, in *Integral, sq *In
 func TestMatcherFlatWindows(t *testing.T) {
 	g := New(64, 64)
 	g.Fill(50)
-	g.FillRect(Rect{X: 32, Y: 0, W: 32, H: 64}, 200)
+	fillRect(g, Rect{X: 32, Y: 0, W: 32, H: 64}, 200)
 	in, sq := BuildIntegrals(g, nil, nil)
 
 	textured := scenicImage(16, 16, 9)

@@ -24,77 +24,3 @@ func (g *Gray) WritePGM(w io.Writer) error {
 	}
 	return nil
 }
-
-// ReadPGM decodes a binary (P5) PGM image with maxval ≤ 255.
-func ReadPGM(r io.Reader) (*Gray, error) {
-	br := bufio.NewReader(r)
-	var magic string
-	if _, err := fmt.Fscan(br, &magic); err != nil {
-		return nil, fmt.Errorf("img: reading pgm magic: %w", err)
-	}
-	if magic != "P5" {
-		return nil, fmt.Errorf("img: pgm magic %q: %w", magic, ErrBounds)
-	}
-	var w, h, maxval int
-	for _, p := range []*int{&w, &h, &maxval} {
-		if err := scanPGMInt(br, p); err != nil {
-			return nil, err
-		}
-	}
-	if w <= 0 || h <= 0 || w*h > 64<<20 {
-		return nil, fmt.Errorf("img: pgm dimensions %dx%d: %w", w, h, ErrBounds)
-	}
-	if maxval <= 0 || maxval > 255 {
-		return nil, fmt.Errorf("img: pgm maxval %d unsupported: %w", maxval, ErrBounds)
-	}
-	// Exactly one whitespace byte separates the header from pixels.
-	if _, err := br.ReadByte(); err != nil {
-		return nil, fmt.Errorf("img: pgm header separator: %w", err)
-	}
-	pix := make([]uint8, w*h)
-	if _, err := io.ReadFull(br, pix); err != nil {
-		return nil, fmt.Errorf("img: pgm pixels: %w", err)
-	}
-	return FromPix(w, h, pix)
-}
-
-// scanPGMInt reads the next integer, skipping whitespace and '#'
-// comments (the PGM header grammar).
-func scanPGMInt(br *bufio.Reader, out *int) error {
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return fmt.Errorf("img: pgm header: %w", err)
-		}
-		switch {
-		case b == '#':
-			if _, err := br.ReadString('\n'); err != nil {
-				return fmt.Errorf("img: pgm comment: %w", err)
-			}
-		case b == ' ' || b == '\t' || b == '\n' || b == '\r':
-			continue
-		case b >= '0' && b <= '9':
-			v := int(b - '0')
-			for {
-				nb, err := br.ReadByte()
-				if err == io.EOF {
-					*out = v
-					return nil
-				}
-				if err != nil {
-					return fmt.Errorf("img: pgm header: %w", err)
-				}
-				if nb < '0' || nb > '9' {
-					if err := br.UnreadByte(); err != nil {
-						return fmt.Errorf("img: pgm header: %w", err)
-					}
-					*out = v
-					return nil
-				}
-				v = v*10 + int(nb-'0')
-			}
-		default:
-			return fmt.Errorf("img: pgm header byte %q: %w", b, ErrBounds)
-		}
-	}
-}

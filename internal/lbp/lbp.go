@@ -1,15 +1,14 @@
 // Package lbp implements Local Binary Patterns, the feature extractor
 // the paper specifies for emotion recognition (§II-C: "we consider the
 // Local Binary Patterns as a feature extractor and neural network as a
-// classifier"). It provides the basic 3×3 operator, the circular (P,R)
-// generalisation with bilinear sampling, the uniform-pattern mapping,
-// and spatial grid histograms — the standard LBP face-descriptor recipe.
+// classifier"). It provides the basic 3×3 operator, the uniform-pattern
+// mapping, and spatial grid histograms — the standard LBP
+// face-descriptor recipe.
 package lbp
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/img"
 )
@@ -33,45 +32,8 @@ func Code3x3(g *img.Gray, x, y int) uint8 {
 	return code
 }
 
-// CodeCircular computes the circular LBP code with p sampling points on
-// a radius-r circle, using bilinear interpolation for off-grid samples.
-// p must be ≤ 32.
-func CodeCircular(g *img.Gray, x, y, p int, r float64) (uint32, error) {
-	if p < 4 || p > 32 {
-		return 0, fmt.Errorf("lbp: %d sampling points outside [4,32]: %w", p, ErrBadParams)
-	}
-	if r <= 0 {
-		return 0, fmt.Errorf("lbp: radius %v must be positive: %w", r, ErrBadParams)
-	}
-	c := float64(g.AtClamped(x, y))
-	var code uint32
-	for i := 0; i < p; i++ {
-		ang := 2 * math.Pi * float64(i) / float64(p)
-		sx := float64(x) + r*math.Cos(ang)
-		sy := float64(y) - r*math.Sin(ang)
-		// Epsilon absorbs bilinear round-off so flat regions compare
-		// as "equal" (≥) exactly like the integer 3×3 operator.
-		if bilinear(g, sx, sy) >= c-1e-9 {
-			code |= 1 << uint(i)
-		}
-	}
-	return code, nil
-}
-
 // ErrBadParams reports invalid operator parameters.
 var ErrBadParams = errors.New("lbp: bad parameters")
-
-// bilinear samples the image at a fractional coordinate with clamped
-// borders.
-func bilinear(g *img.Gray, x, y float64) float64 {
-	x0, y0 := int(math.Floor(x)), int(math.Floor(y))
-	dx, dy := x-float64(x0), y-float64(y0)
-	v00 := float64(g.AtClamped(x0, y0))
-	v10 := float64(g.AtClamped(x0+1, y0))
-	v01 := float64(g.AtClamped(x0, y0+1))
-	v11 := float64(g.AtClamped(x0+1, y0+1))
-	return v00*(1-dx)*(1-dy) + v10*dx*(1-dy) + v01*(1-dx)*dy + v11*dx*dy
-}
 
 // transitions counts 0↔1 transitions in the circular 8-bit pattern.
 func transitions(code uint8) int {
@@ -114,13 +76,8 @@ func init() {
 // UniformBin maps an LBP code to its uniform-histogram bin.
 func UniformBin(code uint8) int { return int(uniformMap[code]) }
 
-// Image computes the LBP code image of g (same dimensions).
-func Image(g *img.Gray) *img.Gray {
-	return ImageInto(g, nil)
-}
-
-// ImageInto is Image reusing dst's buffer when possible (nil dst
-// allocates). dst must not alias g.
+// ImageInto computes the LBP code image of g (same dimensions), reusing
+// dst's buffer when possible (nil dst allocates). dst must not alias g.
 func ImageInto(g *img.Gray, dst *img.Gray) *img.Gray {
 	out := img.Ensure(dst, g.W, g.H)
 	for y := 0; y < g.H; y++ {
@@ -129,15 +86,6 @@ func ImageInto(g *img.Gray, dst *img.Gray) *img.Gray {
 		}
 	}
 	return out
-}
-
-// Histogram computes the uniform-LBP histogram of a region of the code
-// image (as produced by Image), L1-normalised to sum 1 (all-zero when
-// the region is empty).
-func Histogram(codes *img.Gray, r img.Rect) []float64 {
-	h := make([]float64, NumUniformBins)
-	histogramInto(h, codes, r)
-	return h
 }
 
 // histogramInto fills h (length NumUniformBins, zeroed here) with the
@@ -162,17 +110,13 @@ func histogramInto(h []float64, codes *img.Gray, r img.Rect) {
 	}
 }
 
-// GridDescriptor divides the image into gx×gy cells and concatenates
+// GridDescriptorInto divides the image into gx×gy cells and concatenates
 // the per-cell uniform-LBP histograms — the classic LBP face descriptor.
-// The result has gx·gy·NumUniformBins components, each cell L1-normalised.
-func GridDescriptor(g *img.Gray, gx, gy int) ([]float64, error) {
-	return GridDescriptorInto(g, gx, gy, nil, nil)
-}
-
-// GridDescriptorInto is GridDescriptor with caller-owned scratch: dst
-// receives the descriptor (grown as needed, contents overwritten) and
-// codes holds the intermediate LBP code image. Either may be nil; the
-// returned slice aliases dst when its capacity sufficed.
+// The result has gx·gy·NumUniformBins components, each cell
+// L1-normalised. Scratch is caller-owned: dst receives the descriptor
+// (grown as needed, contents overwritten) and codes holds the
+// intermediate LBP code image. Either may be nil; the returned slice
+// aliases dst when its capacity sufficed.
 func GridDescriptorInto(g *img.Gray, gx, gy int, dst []float64, codes *img.Gray) ([]float64, error) {
 	if gx <= 0 || gy <= 0 {
 		return nil, fmt.Errorf("lbp: grid %dx%d: %w", gx, gy, ErrBadParams)
@@ -200,21 +144,4 @@ func GridDescriptorInto(g *img.Gray, gx, gy int, dst []float64, codes *img.Gray)
 		}
 	}
 	return out, nil
-}
-
-// ChiSquare returns the χ² distance between two equally-long descriptors.
-// It panics on length mismatch — descriptors of different grids are a
-// programming error, not a data condition.
-func ChiSquare(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("lbp: descriptor lengths %d != %d", len(a), len(b)))
-	}
-	var d float64
-	for i := range a {
-		s := a[i] + b[i]
-		if s > 0 {
-			d += (a[i] - b[i]) * (a[i] - b[i]) / s
-		}
-	}
-	return d / 2
 }

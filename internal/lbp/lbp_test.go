@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/img"
 )
@@ -48,38 +47,6 @@ func TestCode3x3Gradient(t *testing.T) {
 		if code&(1<<b) != 0 {
 			t.Errorf("bit %d should be clear in %08b", b, code)
 		}
-	}
-}
-
-func TestCodeCircularValidation(t *testing.T) {
-	g := img.New(8, 8)
-	if _, err := CodeCircular(g, 4, 4, 2, 1); !errors.Is(err, ErrBadParams) {
-		t.Error("p=2 should fail")
-	}
-	if _, err := CodeCircular(g, 4, 4, 64, 1); !errors.Is(err, ErrBadParams) {
-		t.Error("p=64 should fail")
-	}
-	if _, err := CodeCircular(g, 4, 4, 8, 0); !errors.Is(err, ErrBadParams) {
-		t.Error("r=0 should fail")
-	}
-}
-
-func TestCodeCircularMatchesIntuition(t *testing.T) {
-	g := img.New(9, 9)
-	g.Fill(10)
-	g.Set(4, 4, 200) // bright centre
-	code, err := CodeCircular(g, 4, 4, 8, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 0 {
-		t.Errorf("bright centre circular code = %b, want 0", code)
-	}
-	flat := img.New(9, 9)
-	flat.Fill(42)
-	code, _ = CodeCircular(flat, 4, 4, 8, 1.5)
-	if code != 0xFF {
-		t.Errorf("flat circular code = %b, want 0xFF", code)
 	}
 }
 
@@ -127,8 +94,9 @@ func TestHistogramNormalised(t *testing.T) {
 	for i := range g.Pix {
 		g.Pix[i] = uint8(rng.Intn(256))
 	}
-	codes := Image(g)
-	h := Histogram(codes, img.Rect{X: 0, Y: 0, W: 32, H: 32})
+	codes := ImageInto(g, nil)
+	h := make([]float64, NumUniformBins)
+	histogramInto(h, codes, img.Rect{X: 0, Y: 0, W: 32, H: 32})
 	var sum float64
 	for _, v := range h {
 		if v < 0 {
@@ -140,8 +108,8 @@ func TestHistogramNormalised(t *testing.T) {
 		t.Errorf("histogram mass = %v, want 1", sum)
 	}
 	// Empty region: all zeros.
-	empty := Histogram(codes, img.Rect{X: 100, Y: 100, W: 5, H: 5})
-	for _, v := range empty {
+	histogramInto(h, codes, img.Rect{X: 100, Y: 100, W: 5, H: 5})
+	for _, v := range h {
 		if v != 0 {
 			t.Error("empty region histogram should be zero")
 		}
@@ -154,7 +122,7 @@ func TestGridDescriptor(t *testing.T) {
 	for i := range g.Pix {
 		g.Pix[i] = uint8(rng.Intn(256))
 	}
-	d, err := GridDescriptor(g, 4, 4)
+	d, err := GridDescriptorInto(g, 4, 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +139,11 @@ func TestGridDescriptor(t *testing.T) {
 			t.Errorf("cell %d mass %v", c, s)
 		}
 	}
-	if _, err := GridDescriptor(g, 0, 4); !errors.Is(err, ErrBadParams) {
+	if _, err := GridDescriptorInto(g, 0, 4, nil, nil); !errors.Is(err, ErrBadParams) {
 		t.Error("zero grid should fail")
 	}
 	small := img.New(2, 2)
-	if _, err := GridDescriptor(small, 4, 4); !errors.Is(err, ErrBadParams) {
+	if _, err := GridDescriptorInto(small, 4, 4, nil, nil); !errors.Is(err, ErrBadParams) {
 		t.Error("grid larger than image should fail")
 	}
 }
@@ -189,55 +157,29 @@ func TestDescriptorDiscriminates(t *testing.T) {
 			base.Set(x, y, uint8((x*4+y)%256))
 		}
 	}
-	noisy := base.Clone()
+	noisy, _ := img.FromPix(64, 64, append([]uint8(nil), base.Pix...))
 	rng := rand.New(rand.NewSource(3))
 	noisy.AddNoise(3, rng.NormFloat64)
 	other := img.New(64, 64)
 	other.FillCircle(32, 32, 20, 220)
 
-	dBase, _ := GridDescriptor(base, 4, 4)
-	dNoisy, _ := GridDescriptor(noisy, 4, 4)
-	dOther, _ := GridDescriptor(other, 4, 4)
+	dBase, _ := GridDescriptorInto(base, 4, 4, nil, nil)
+	dNoisy, _ := GridDescriptorInto(noisy, 4, 4, nil, nil)
+	dOther, _ := GridDescriptorInto(other, 4, 4, nil, nil)
 
-	near := ChiSquare(dBase, dNoisy)
-	far := ChiSquare(dBase, dOther)
+	// L1 distance between descriptors.
+	dist := func(a, b []float64) float64 {
+		var d float64
+		for i := range a {
+			d += math.Abs(a[i] - b[i])
+		}
+		return d
+	}
+	near := dist(dBase, dNoisy)
+	far := dist(dBase, dOther)
 	if near >= far {
 		t.Errorf("noise distance %v should be < structural distance %v", near, far)
 	}
-}
-
-func TestChiSquareProperties(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		// Build two valid histograms from the raw values.
-		a := make([]float64, len(raw))
-		b := make([]float64, len(raw))
-		for i, v := range raw {
-			av := math.Abs(math.Mod(v, 10))
-			if math.IsNaN(av) || math.IsInf(av, 0) {
-				av = 1
-			}
-			a[i] = av
-			b[len(raw)-1-i] = av
-		}
-		dab := ChiSquare(a, b)
-		dba := ChiSquare(b, a)
-		return dab >= 0 && math.Abs(dab-dba) < 1e-9 && ChiSquare(a, a) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestChiSquarePanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch should panic")
-		}
-	}()
-	ChiSquare([]float64{1}, []float64{1, 2})
 }
 
 func TestImageDeterministic(t *testing.T) {
@@ -246,7 +188,7 @@ func TestImageDeterministic(t *testing.T) {
 	for i := range g.Pix {
 		g.Pix[i] = uint8(rng.Intn(256))
 	}
-	a, b := Image(g), Image(g)
+	a, b := ImageInto(g, nil), ImageInto(g, nil)
 	for i := range a.Pix {
 		if a.Pix[i] != b.Pix[i] {
 			t.Fatal("LBP image not deterministic")

@@ -124,8 +124,11 @@ func decodePayload(p []byte, labels labelTable) (Record, error) {
 	if rec.Kind = Kind(p[8]); rec.Kind >= numKinds { // byKind is indexed by it
 		return rec, fmt.Errorf("metadata: kind %d: %w", p[8], ErrCorrupt)
 	}
-	rec.Frame = int(int64(le.Uint64(p[9:])))
-	rec.FrameEnd = int(int64(le.Uint64(p[17:])))
+	frame, frameEnd := int64(le.Uint64(p[9:])), int64(le.Uint64(p[17:]))
+	if int64(int(frame)) != frame || int64(int(frameEnd)) != frameEnd { // int is 32 bits
+		return rec, fmt.Errorf("metadata: frame %d..%d overflows int: %w", frame, frameEnd, ErrCorrupt)
+	}
+	rec.Frame, rec.FrameEnd = int(frame), int(frameEnd)
 	rec.Time = time.Duration(int64(le.Uint64(p[25:])))
 	rec.Person = int(int32(le.Uint32(p[33:])))
 	rec.Other = int(int32(le.Uint32(p[37:])))

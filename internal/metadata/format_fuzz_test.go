@@ -11,6 +11,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -230,7 +231,7 @@ func TestSegmentDecodeProperty(t *testing.T) {
 		if rng.Intn(10) == 0 && len(data) >= 4 {
 			data = withLength(data, []uint32{0, maxEntry, maxEntry + 1, uint32(rng.Int63())}[rng.Intn(4)])
 		}
-		count := []int{0, len(recs), -1, 1 << 40}[rng.Intn(4)]
+		count := []int{0, len(recs), -1, min(1<<40, math.MaxInt)}[rng.Intn(4)]
 		checkSegmentDecode(t, data, true, count)
 		got, corrupt := checkSegmentDecode(t, data, false, count)
 		switch {
@@ -366,8 +367,12 @@ func FuzzDecodeStats(f *testing.F) {
 	for cut := len(statsMagic); cut < len(good); cut += 7 {
 		f.Add(resealStats(good[:cut]))
 	}
-	for _, at := range []int{len(statsMagic) + 4 + int(numKinds)*4 + 32} { // the label bloom's length
-		for _, n := range []uint32{0, 1, 1 << 20, math.MaxUint32} {
+	// Lying lengths and counts, 2^31 and up included: on a 32-bit int
+	// those convert negative and must still be refused, not panic.
+	labelAt := len(statsMagic) + 4 + int(numKinds)*4 + 32
+	personAt := labelAt + 4 + int(binary.LittleEndian.Uint32(good[labelAt:]))
+	for _, at := range []int{len(statsMagic), labelAt, personAt} { // the record count, both bloom lengths
+		for _, n := range []uint32{0, 1, 1 << 20, 1 << 31, math.MaxUint32 - 3, math.MaxUint32} {
 			lying := append([]byte(nil), good...)
 			binary.LittleEndian.PutUint32(lying[at:], n)
 			f.Add(resealStats(lying))
@@ -377,6 +382,34 @@ func FuzzDecodeStats(f *testing.F) {
 		checkDecodeStats(t, data)
 		checkDecodeStats(t, resealStats(data))
 	})
+}
+
+// TestDecodeStatsRefusesCountBeyondInt: a record or kind count of 2^31
+// reads back as itself on a 64-bit build and is refused as corrupt on a
+// 32-bit one, where it would convert negative.
+func TestDecodeStatsRefusesCountBeyondInt(t *testing.T) {
+	good := encodeStats(statsOfRecords(fuzzSegmentRecords))
+	for _, at := range []int{len(statsMagic), len(statsMagic) + 4} { // the record count, the first kind's count
+		data := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(data[at:], 1<<31)
+		st, err := decodeStats(resealStats(data))
+		if strconv.IntSize == 32 {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("offset %d: 32-bit decode = %+v, %v; want ErrCorrupt", at, st, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("offset %d: %v", at, err)
+		}
+		got := st.count
+		if at != len(statsMagic) {
+			got = st.kinds[0]
+		}
+		if int64(got) != 1<<31 {
+			t.Errorf("offset %d: decode = %+v, %v; want the count 2^31 back", at, st, err)
+		}
+	}
 }
 
 func TestDecodeStatsProperty(t *testing.T) {

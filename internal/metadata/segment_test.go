@@ -1,11 +1,13 @@
 package metadata
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -624,5 +626,27 @@ func TestSyncPolicies(t *testing.T) {
 				t.Fatalf("policy %d: reopened %d records, want 40", p, r2.Len())
 			}
 		})
+	}
+}
+
+// TestDecodeRefusesFrameBeyondInt: a stored frame reopens as itself or
+// is refused as corrupt, never truncated. On a 32-bit build a frame of
+// 2^40 does not fit in int, so the entry must be refused there.
+func TestDecodeRefusesFrameBeyondInt(t *testing.T) {
+	const frame = int64(1) << 40
+	entry := appendRecord(nil, Record{ID: 1, Kind: KindObservation, Label: "x"})
+	for _, off := range []int{9, 17} { // the Frame and FrameEnd fields
+		p := append([]byte(nil), entry[4:len(entry)-4]...)
+		binary.LittleEndian.PutUint64(p[off:], uint64(frame))
+		rec, err := decodePayload(p, nil)
+		if strconv.IntSize == 32 {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("offset %d: 32-bit decode = %+v, %v; want ErrCorrupt", off, rec, err)
+			}
+			continue
+		}
+		if err != nil || int64(rec.Frame)+int64(rec.FrameEnd) != frame {
+			t.Errorf("offset %d: decode = %+v, %v; want frame 2^40 back", off, rec, err)
+		}
 	}
 }

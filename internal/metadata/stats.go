@@ -340,7 +340,10 @@ func decodeStats(data []byte) (*segStats, error) {
 		return fail("checksum")
 	}
 	off := len(statsMagic)
-	need := func(n int) bool { return off+n <= len(body) }
+	// need reports whether n more bytes remain. A uint32 read from the
+	// block converts to a negative int on a 32-bit build when it is 2^31
+	// or more; such a count or length is refused, never used.
+	need := func(n int) bool { return n >= 0 && n <= len(body)-off }
 	u32 := func() uint32 {
 		v := binary.LittleEndian.Uint32(body[off:])
 		off += 4
@@ -356,15 +359,20 @@ func decodeStats(data []byte) (*segStats, error) {
 	}
 	s := &segStats{}
 	s.count = int(u32())
+	negative := s.count < 0
 	for i := range s.kinds {
 		s.kinds[i] = int(u32())
+		negative = negative || s.kinds[i] < 0
+	}
+	if negative {
+		return fail("count")
 	}
 	s.minFrame = i64()
 	s.maxFrame = i64()
 	s.minTime = i64()
 	s.maxTime = i64()
 	ln := int(u32())
-	if !need(ln + 4) {
+	if ln < 0 || !need(ln+4) {
 		return fail("label bloom")
 	}
 	if ln > 0 {

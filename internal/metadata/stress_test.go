@@ -216,9 +216,6 @@ func TestClosedRepositorySentinel(t *testing.T) {
 	if _, err := r.Count("frame = 1"); !errors.Is(err, ErrClosed) {
 		t.Errorf("Count err = %v, want ErrClosed", err)
 	}
-	if _, err := r.TimeHistogram("frame = 1", 10); !errors.Is(err, ErrClosed) {
-		t.Errorf("TimeHistogram err = %v, want ErrClosed", err)
-	}
 	if err := r.Scan(func(Record) bool { return true }); !errors.Is(err, ErrClosed) {
 		t.Errorf("Scan err = %v, want ErrClosed", err)
 	}

@@ -246,16 +246,6 @@ type FrameState struct {
 	Persons []PersonState
 }
 
-// Person returns the state of a participant by ID.
-func (f *FrameState) Person(id int) (PersonState, bool) {
-	for _, p := range f.Persons {
-		if p.ID == id {
-			return p, true
-		}
-	}
-	return PersonState{}, false
-}
-
 // TrueLookAt returns the ground-truth look-at matrix of the frame:
 // M[x][y] = 1 iff Px's scripted target is Py (indices are positions in
 // Persons order, which follows ascending ID).

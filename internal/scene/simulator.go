@@ -151,20 +151,6 @@ func (s *Simulator) gazePoint(p PersonSpec, t GazeTarget) geom.Vec3 {
 	}
 }
 
-// Frames streams all frame states in order. The channel is closed after
-// the last frame. A small buffer lets the producer run ahead of slow
-// consumers (the renderer).
-func (s *Simulator) Frames() <-chan FrameState {
-	ch := make(chan FrameState, 8)
-	go func() {
-		defer close(ch)
-		for i := 0; i < s.sc.NumFrames; i++ {
-			ch <- s.FrameState(i)
-		}
-	}()
-	return ch
-}
-
 // TrueSummary sums the ground-truth look-at matrices over all frames —
 // the oracle for the paper's Fig. 9 summary matrix.
 func (s *Simulator) TrueSummary() [][]int {

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"math"
 	"net/http/httptest"
 	"sort"
 	"sync"
@@ -21,7 +22,7 @@ func benchServer(b *testing.B) (*service.Server, string) {
 		Root:        b.TempDir(),
 		MaxInflight: 1024,
 		AppendRate:  1 << 30,
-		AppendBurst: 1 << 31,
+		AppendBurst: min(1<<31, math.MaxInt),
 	})
 	if err != nil {
 		b.Fatal(err)

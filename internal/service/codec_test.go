@@ -86,7 +86,7 @@ var genFloats = []float64{
 	1 << 53, 1<<53 + 2, 5e-324, 1e100, 1e-100, math.Pi, -math.E, math.NaN(), math.Inf(1), math.Inf(-1),
 }
 
-var genInts = []int{0, 1, -1, 7, 250, 100000, -5, math.MaxInt32, math.MinInt32, math.MaxInt64, math.MinInt64, 1 << 53}
+var genInts = []int{0, 1, -1, 7, 250, 100000, -5, math.MaxInt32, math.MinInt32, math.MaxInt, math.MinInt, min(1<<53, math.MaxInt)}
 
 func pick[T any](r *rand.Rand, xs []T) T { return xs[r.IntN(len(xs))] }
 
@@ -686,7 +686,7 @@ func BenchmarkCodec(b *testing.B) {
 func FuzzRecordJSON(f *testing.F) {
 	f.Add(uint64(1), uint8(1), 3, 4, int64(120000), 0, -1, "happy", 0.83, "camera", "C2", "", "")
 	f.Add(uint64(0), uint8(0), -1, -1, int64(0), -1, -1, "location", 0.0, "value", "meeting room", "k2", "<v>&")
-	f.Add(uint64(math.MaxUint64), uint8(9), math.MinInt64, math.MaxInt64, int64(math.MinInt64), -7, 7, "bad\xffutf8\u2028\x01\"\\", math.Copysign(0, -1), "\u00e9", "\xed\xa0\x80", "a", "b")
+	f.Add(uint64(math.MaxUint64), uint8(9), math.MinInt, math.MaxInt, int64(math.MinInt64), -7, 7, "bad\xffutf8\u2028\x01\"\\", math.Copysign(0, -1), "\u00e9", "\xed\xa0\x80", "a", "b")
 	f.Add(uint64(2), uint8(2), 0, 0, int64(999), 0, 0, "<>&", 1e-7, "", "", "", "")
 	f.Add(uint64(2), uint8(3), 0, 0, int64(-1500), 0, 0, "x", 1e21, "", "", "", "")
 	f.Add(uint64(2), uint8(3), 0, 0, int64(1), 0, 0, "x", 9.999999999999999e20, "", "", "", "")

@@ -206,9 +206,6 @@ func (s *Server) janitor() {
 	}
 }
 
-// Draining reports whether Drain has started.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain performs the graceful-shutdown sequence (DESIGN.md §11):
 //
 //  1. stop admitting — readyz flips to 503, every new request is

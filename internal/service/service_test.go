@@ -847,7 +847,7 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // connection in one Write, closing envelope included, and a large one in
 // blocks of at least 16 KiB — streamed, not gathered whole.
 func TestQueryWritesAnswerInBlocks(t *testing.T) {
-	ts := newTestServer(t, service.Config{AppendRate: 1 << 30, AppendBurst: 1 << 31})
+	ts := newTestServer(t, service.Config{AppendRate: 1 << 30, AppendBurst: min(1<<31, math.MaxInt)})
 	c := ts.client(t, "blocks", client.Config{})
 	const n = 100_000
 	for lo := 0; lo < n; lo += 10_000 {

@@ -219,13 +219,6 @@ func pickWindows(imp []float64, why []map[string]bool, opt Options) []Highlight 
 	return out
 }
 
-func abs(a int) int {
-	if a < 0 {
-		return -a
-	}
-	return a
-}
-
 // digest renders the human-readable report.
 func digest(res *layers.Result, s *Summary) string {
 	var b strings.Builder

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/img"
-
 	"repro/internal/emotion"
 	"repro/internal/gaze"
 	"repro/internal/layers"
@@ -159,35 +157,5 @@ func TestSummarizeShortEvent(t *testing.T) {
 	}
 	if s.Highlights[0].End > 10 {
 		t.Errorf("highlight exceeds event length: %+v", s.Highlights[0])
-	}
-}
-
-func TestContactSheet(t *testing.T) {
-	frames := make([]*img.Gray, 5)
-	for i := range frames {
-		frames[i] = img.New(64, 48)
-		frames[i].Fill(uint8(50 + i*40))
-	}
-	sheet, err := ContactSheet(frames, 3, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 columns × 2 rows of 32×24 thumbs + gutters.
-	if sheet.W != 3*32+4*2 || sheet.H != 2*24+3*2 {
-		t.Fatalf("sheet dims %dx%d", sheet.W, sheet.H)
-	}
-	// First thumb content present at its cell.
-	if sheet.At(2+5, 2+5) != 50 {
-		t.Errorf("thumb 0 pixel = %d", sheet.At(7, 7))
-	}
-	// Last cell of an incomplete row stays background.
-	if sheet.At(2+2*(32+2)+5, 2+24+2+5) == 210 {
-		t.Error("empty cell should stay background")
-	}
-	if _, err := ContactSheet(nil, 3, 32); !errors.Is(err, ErrNoData) {
-		t.Error("empty frames should fail")
-	}
-	if _, err := ContactSheet(frames, 0, 32); !errors.Is(err, ErrNoData) {
-		t.Error("zero cols should fail")
 	}
 }

@@ -49,8 +49,6 @@ type Composition struct {
 	// cutIndexes are the first frame index of every shot after the
 	// first — the ground truth for shot-boundary detection.
 	cutIndexes []int
-	// dissolves marks which of those boundaries are gradual.
-	dissolves map[int]bool
 }
 
 // Compose materialises the edit. Sources must all yield identically
@@ -72,7 +70,7 @@ func Compose(sources []Source, shots []Shot) (*Composition, error) {
 		}
 		mat[i] = fs
 	}
-	c := &Composition{dissolves: make(map[int]bool)}
+	c := &Composition{}
 	cursor := make([]int, len(sources)) // next unused frame per source
 	var prevTail *img.Gray
 	for si, shot := range shots {
@@ -89,9 +87,6 @@ func Compose(sources []Source, shots []Shot) (*Composition, error) {
 		start := len(c.frames)
 		if si > 0 {
 			c.cutIndexes = append(c.cutIndexes, start)
-			if shot.TransitionIn == Dissolve {
-				c.dissolves[start] = true
-			}
 		}
 		for k := 0; k < shot.Len; k++ {
 			f := src[cursor[shot.Source]+k]
@@ -127,9 +122,6 @@ func blend(a, b *img.Gray, alpha float64) *img.Gray {
 	return out
 }
 
-// Frames returns the composed frames.
-func (c *Composition) Frames() []Frame { return c.frames }
-
 // TrueBoundaries returns the ground-truth first-frame indexes of every
 // shot after the first.
 func (c *Composition) TrueBoundaries() []int {
@@ -137,9 +129,6 @@ func (c *Composition) TrueBoundaries() []int {
 	copy(out, c.cutIndexes)
 	return out
 }
-
-// IsDissolve reports whether the boundary at frame index i was gradual.
-func (c *Composition) IsDissolve(i int) bool { return c.dissolves[i] }
 
 // Source returns the composition as a Source.
 func (c *Composition) Source() Source {
@@ -150,11 +139,6 @@ func (c *Composition) Source() Source {
 type sliceSource struct {
 	frames []Frame
 	i      int
-}
-
-// NewSliceSource wraps pre-rendered frames as a Source.
-func NewSliceSource(frames []Frame) Source {
-	return &sliceSource{frames: frames}
 }
 
 func (s *sliceSource) Next() (Frame, error) {

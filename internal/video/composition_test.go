@@ -21,22 +21,16 @@ func TestComposeCutsAndBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(comp.Frames()); got != 85 {
+	if got := len(comp.frames); got != 85 {
 		t.Fatalf("composed %d frames, want 85", got)
 	}
 	b := comp.TrueBoundaries()
 	if len(b) != 2 || b[0] != 30 || b[1] != 55 {
 		t.Fatalf("boundaries = %v, want [30 55]", b)
 	}
-	if comp.IsDissolve(30) {
-		t.Error("boundary 30 is a hard cut")
-	}
-	if !comp.IsDissolve(55) {
-		t.Error("boundary 55 is a dissolve")
-	}
 	// Dissolve frames actually blend: the first dissolve frame should
 	// differ from both the pure previous tail and the pure new shot.
-	fr := comp.Frames()
+	fr := comp.frames
 	if img.MeanAbsDiff(fr[55].Pixels, fr[54].Pixels) == 0 {
 		t.Error("dissolve should change pixels gradually")
 	}
@@ -68,7 +62,7 @@ func TestComposeValidation(t *testing.T) {
 
 func TestSliceSource(t *testing.T) {
 	f := Frame{Index: 0, Pixels: img.New(4, 4)}
-	s := NewSliceSource([]Frame{f, f, f})
+	s := (&Composition{frames: []Frame{f, f, f}}).Source()
 	if s.Len() != 3 {
 		t.Errorf("len = %d", s.Len())
 	}

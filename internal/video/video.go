@@ -274,12 +274,6 @@ type renderSource struct {
 	off int
 }
 
-// NewSource returns a Source streaming every simulated frame through the
-// renderer in order.
-func NewSource(r *Renderer) Source {
-	return &renderSource{r: r, n: r.sim.NumFrames()}
-}
-
 // NewSourceRange streams frames [from, to).
 func NewSourceRange(r *Renderer, from, to int) (Source, error) {
 	if from < 0 || to > r.sim.NumFrames() || from >= to {
@@ -300,17 +294,6 @@ func (s *renderSource) Next() (Frame, error) {
 }
 
 func (s *renderSource) Len() int { return s.n }
-
-// Capture renders the full event from every camera of a rig, returning
-// one Source per camera in rig order — the paper's synchronized
-// multi-camera acquisition.
-func Capture(sim *scene.Simulator, rig *camera.Rig, opt RenderOptions) []Source {
-	out := make([]Source, len(rig.Cameras))
-	for i, c := range rig.Cameras {
-		out[i] = NewSource(NewRenderer(sim, c, opt))
-	}
-	return out
-}
 
 // Collect drains a source into a slice (testing/tooling helper).
 func Collect(s Source) ([]Frame, error) {

@@ -54,7 +54,7 @@ func TestRenderHasFacesAtProjectedPositions(t *testing.T) {
 			continue
 		}
 		// The face tone should appear at (or near) the projected head.
-		got := f.Pixels.At(int(px.X), int(px.Y))
+		got := f.Pixels.AtClamped(int(px.X), int(px.Y))
 		if got >= p.FaceTone-40 && got <= p.FaceTone+40 {
 			found++
 		}
@@ -70,7 +70,7 @@ func TestRenderBackgroundAndTable(t *testing.T) {
 	r := NewRenderer(sim, rig.Cameras[0], RenderOptions{})
 	f := r.Render(0)
 	// Top corner: wall background.
-	if got := f.Pixels.At(2, 2); got != 45 {
+	if got := f.Pixels.AtClamped(2, 2); got != 45 {
 		t.Errorf("background = %d, want 45", got)
 	}
 	// Frame must contain some table-tone pixels.
@@ -94,7 +94,10 @@ func TestRenderNoiseChangesPixelsAcrossFrames(t *testing.T) {
 func TestSourceStreamsAll(t *testing.T) {
 	sim := protoSim(t)
 	rig := protoRig(t)
-	src := NewSource(NewRenderer(sim, rig.Cameras[0], RenderOptions{}))
+	src, err := NewSourceRange(NewRenderer(sim, rig.Cameras[0], RenderOptions{}), 0, sim.NumFrames())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if src.Len() != 610 {
 		t.Fatalf("len = %d, want 610", src.Len())
 	}
@@ -140,30 +143,5 @@ func TestSourceRange(t *testing.T) {
 	}
 	if _, err := NewSourceRange(r, 0, 10000); err == nil {
 		t.Error("overlong range should fail")
-	}
-}
-
-func TestCaptureAllCameras(t *testing.T) {
-	sim := protoSim(t)
-	rig := protoRig(t)
-	srcs := Capture(sim, rig, RenderOptions{})
-	if len(srcs) != 4 {
-		t.Fatalf("capture gave %d sources, want 4", len(srcs))
-	}
-	// Same frame index from different cameras: same timestamp,
-	// different camera names (synchronized capture).
-	f0, err := srcs[0].Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, err := srcs[1].Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f0.Time != f1.Time {
-		t.Error("synchronized cameras must share timestamps")
-	}
-	if f0.Camera == f1.Camera {
-		t.Error("sources should identify their cameras")
 	}
 }

@@ -29,9 +29,13 @@
 # codec (record encoder, batch and envelope decoders against
 # encoding/json) so the checked-in corpora execute on every check, the
 # img/face suites and the stage-graph oracle on the generic (purego)
-# build, and the benchmark module's own tests. The quick mode also
-# races the emotion network's batch-of-one equivalence and shared-
-# scratch gates.
+# build, a 32-bit (GOARCH=386) vet of the whole tree plus the frame-
+# and stats-overflow refusal tests, and the benchmark module's own tests. The
+# quick mode also races the emotion network's batch-of-one equivalence
+# and shared-scratch gates. Before the gates, both modes confirm that
+# every -run pattern below still names existing tests and run the
+# reachability probe (scripts/reach), which fails on any function only
+# tests can reach unless its allowlist gives a reason.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -45,6 +49,32 @@ fi
 
 go vet ./...
 go build ./...
+
+# Every |-separated name in every -run pattern below must match a test
+# that `go test -list` shows for that step's packages (and build tags):
+# `go test -run` passes silently when a pattern matches nothing, so a
+# renamed or deleted test would otherwise drop its gate unnoticed.
+LISTS="$(mktemp -d)"
+trap 'rm -rf "$LISTS"' EXIT
+grep -E "^[[:space:]]*(GOARCH=[a-z0-9]+ )?go test .*-run '[^']*[A-Za-z]" scripts/check.sh |
+	while IFS= read -r STEP; do
+		PATTERN="$(printf '%s\n' "$STEP" | sed -E "s/.*-run '([^']*)'.*/\1/")"
+		TAGS="$(printf '%s\n' "$STEP" | grep -oE -- '-tags [a-z]+' || true)"
+		PKGS="$(printf '%s\n' "$STEP" | grep -oE '\./[^ ]+' | tr '\n' ' ')"
+		LIST="$LISTS/$(printf '%s %s' "$TAGS" "$PKGS" | tr -c 'A-Za-z0-9' '_')"
+		[ -f "$LIST" ] || go test $TAGS -list '.*' $PKGS >"$LIST"
+		for NAME in $(printf '%s\n' "$PATTERN" | tr '|' ' '); do
+			if ! grep -qE "$NAME" "$LIST"; then
+				echo "check.sh: -run '$PATTERN' names $NAME, which matches no test in $PKGS" >&2
+				exit 1
+			fi
+		done
+	done
+
+# Reachability: no function that only tests reach, beyond the reasoned
+# allowlist in scripts/reach/allow.txt (which must itself stay exact).
+go run ./scripts/reach
+
 if [ "${1:-}" = "-full" ]; then
 	# The full (non-short) suites already include the torn-write
 	# recovery matrix, the raced compact-under-load stress, and the
@@ -161,6 +191,12 @@ done
 go test -tags purego ./internal/img ./internal/face
 go test -tags purego -run 'TestStageGraphMatchesOracle' ./internal/core
 GOARCH=arm64 go vet ./internal/img ./internal/face
+# 32-bit build: everything (tests included) compiles, and a stored frame,
+# count or length that does not fit a 32-bit int is refused as corrupt,
+# not truncated (the statistics fuzzer's seed corpus plants lengths and
+# counts of 2^31 and up).
+GOARCH=386 go vet ./...
+GOARCH=386 go test -run 'TestDecodeRefusesFrameBeyondInt|TestDecodeStatsRefusesCountBeyondInt|FuzzDecodeStats' ./internal/metadata
 # The end-to-end benchmark's own guards and smoke run (its nested
 # module is outside the root `go test ./...`). Performance itself is
 # measured by `sh benchmark/run.sh`, not gated here.

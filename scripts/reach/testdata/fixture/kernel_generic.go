@@ -1,0 +1,7 @@
+//go:build purego
+
+package main
+
+import "fixture/lib"
+
+func kernel() int { return lib.OnlyPurego() }
