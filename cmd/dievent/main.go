@@ -34,6 +34,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -128,6 +129,10 @@ func main() {
 	}
 }
 
+// errStreamDone ends the -follow cursor once the stream has appended its
+// last record.
+var errStreamDone = errors.New("stream done")
+
 // runStreaming drives the online mode: the pipeline ingests frames
 // (cycling the scenario when frames exceeds it) into a repository the
 // main goroutine can Tail concurrently. The live stages are enabled so
@@ -177,19 +182,20 @@ func runStreaming(cfg dievent.Config, frames int, follow, mode string) {
 		if err != nil {
 			fatal(err)
 		}
-		// Stop following once the ingest finishes (or Ctrl-C fires),
-		// with a short grace so the queued tail of the feed drains.
-		fctx, fcancel := context.WithCancel(ctx)
+		// Once the ingest finishes (or Ctrl-C stops it), end the
+		// follower right after the last record it appended.
 		go func() {
 			<-done
-			time.Sleep(200 * time.Millisecond)
-			fcancel()
+			cur.Kill(errStreamDone)
 		}()
 		n := 0
 		for {
-			rec, err := cur.Next(fctx)
-			if err != nil {
+			rec, err := cur.Next(context.Background())
+			if errors.Is(err, errStreamDone) {
 				break
+			}
+			if err != nil {
+				fatal(fmt.Errorf("follow after %d rows: %w", n, err))
 			}
 			fmt.Println(rec)
 			n++

@@ -1,14 +1,13 @@
 // Command dieventd serves the DiEvent multi-tenant ingest/query API
 // (DESIGN.md §11): each tenant an isolated repository under -root, with
 // admission control, per-tenant append quotas and disk limits, FOLLOW
-// streaming with a pluggable backpressure policy, and graceful drain on
-// SIGTERM/SIGINT.
+// streaming, and graceful drain on SIGTERM/SIGINT.
 //
 // Usage:
 //
 //	dieventd -root /var/lib/dievent [-addr 127.0.0.1:8080] \
 //	    [-max-inflight 256] [-append-rate 50000] [-append-burst 100000] \
-//	    [-max-followers 64] [-max-disk-bytes 0] [-backpressure drop|spill] \
+//	    [-max-followers 64] [-max-disk-bytes 0] \
 //	    [-idle-close 0] [-drain-timeout 30s]
 //
 // The chosen listen address is printed as "dieventd listening on ADDR"
@@ -43,8 +42,7 @@ func main() {
 		appendRate   = flag.Float64("append-rate", 50000, "per-tenant append quota, records/second")
 		appendBurst  = flag.Int("append-burst", 0, "per-tenant append burst (default 2x rate)")
 		maxFollowers = flag.Int("max-followers", 64, "per-tenant cap on open FOLLOW streams (-1 = unlimited)")
-		maxDiskBytes = flag.Int64("max-disk-bytes", 0, "per-tenant disk quota in bytes, segments+spill (0 = unlimited)")
-		backpressure = flag.String("backpressure", "drop", "follower overflow policy: drop (terminate with lagging) or spill (spill to disk within quota)")
+		maxDiskBytes = flag.Int64("max-disk-bytes", 0, "per-tenant disk quota in bytes of segments (0 = unlimited)")
 		idleClose    = flag.Duration("idle-close", 0, "release a tenant's writer lease after this idle time (0 = never)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "bound on the SIGTERM drain sequence")
 	)
@@ -52,11 +50,6 @@ func main() {
 	if *root == "" {
 		fmt.Fprintln(os.Stderr, "dieventd: -root is required")
 		flag.Usage()
-		os.Exit(2)
-	}
-	bp, err := service.ParseBackpressure(*backpressure)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dieventd: %v\n", err)
 		os.Exit(2)
 	}
 	logger := log.New(os.Stderr, "dieventd: ", log.LstdFlags|log.Lmicroseconds)
@@ -67,7 +60,6 @@ func main() {
 		AppendBurst:  *appendBurst,
 		MaxFollowers: *maxFollowers,
 		MaxDiskBytes: *maxDiskBytes,
-		Backpressure: bp,
 		IdleClose:    *idleClose,
 		Logf:         logger.Printf,
 	})

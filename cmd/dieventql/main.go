@@ -222,13 +222,12 @@ func runQuery(ctx context.Context, w *os.File, repo *metadata.Repository, q stri
 }
 
 // runFollow drives a QUERY ... FOLLOW subscription: matching history in
-// ID order, then the live append feed, each record exactly once. On a
+// ID order, then the live appends, each record exactly once. On a
 // read-only lease the live phase never fires (no writer in this
 // process), so after the history the cursor ends with ErrTailEnded —
-// reported as a clean end here, exit 0. A subscription the writer
-// terminated for falling behind (ErrLagging) is a real failure: the
-// stream has a gap, so the error propagates and the process exits 1,
-// letting scripts gate on it.
+// reported as a clean end here, exit 0. Any other terminal error (a
+// query-evaluation failure, the repository closing) propagates and the
+// process exits 1, letting scripts gate on it.
 func runFollow(ctx context.Context, w *os.File, repo *metadata.Repository, expr metadata.Expr, limit int) error {
 	cur, err := repo.Tail(expr, metadata.TailOpts{})
 	if err != nil {

@@ -31,9 +31,6 @@ type Record = metadata.Record
 // Sentinel errors mapped from terminal stream envelopes and refusal
 // statuses once retries are exhausted.
 var (
-	// ErrLagging ends a Follow stream whose server-side queue (or
-	// spill quota) overflowed; re-subscribe to resume from history.
-	ErrLagging = metadata.ErrLagging
 	// ErrDraining reports the server is shutting down; retry against
 	// another instance or after the restart.
 	ErrDraining = errors.New("client: server draining")
@@ -376,10 +373,9 @@ func newLineScanner(r io.Reader) *bufio.Scanner {
 	return sc
 }
 
-// Next returns the next record. Terminal errors: ErrLagging (server
-// dropped the subscription or its spill quota ran out), ErrDraining
-// (server shutdown), ErrEnded (read-only tail exhausted), io.EOF-style
-// stream end without a terminal envelope is reported as an error.
+// Next returns the next record. Terminal errors: ErrDraining (server
+// shutdown), ErrEnded (read-only tail exhausted); a stream end without
+// a terminal envelope is reported as an error.
 func (f *FollowStream) Next() (Record, error) {
 	if f.err != nil {
 		return Record{}, f.err
@@ -408,8 +404,6 @@ func (f *FollowStream) Next() (Record, error) {
 // envelopeErr maps a terminal envelope to its sentinel.
 func envelopeErr(env service.Envelope) error {
 	switch env.Code {
-	case service.CodeLagging:
-		return fmt.Errorf("client: %s: %w", env.Error, ErrLagging)
 	case service.CodeDraining:
 		return fmt.Errorf("client: %s: %w", env.Error, ErrDraining)
 	case service.CodeEnded:

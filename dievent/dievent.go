@@ -74,6 +74,13 @@
 // The types below are aliases into the implementation packages, so the
 // whole framework is drivable from this single import; advanced users
 // can reach the subsystem packages directly.
+//
+// Removed API. A TailCursor reads the repository's append-only record
+// store at its own position, so a follower can no longer fall behind
+// far enough to be dropped, and what served that case is gone: the
+// tail overflow-policy interface, TailOpts' Buffer and Overflow fields,
+// the lagging sentinel error (here and in repro/dievent/client), and
+// dieventd's -backpressure flag. TailOpts itself remains, empty.
 package dievent
 
 import (
@@ -281,21 +288,9 @@ type (
 	// TailCursor is a live query subscription (Repository.Tail, Follow):
 	// matching history first, then new appends as they happen.
 	TailCursor = metadata.TailCursor
-	// TailOpts tunes a tail subscription (per-subscriber buffer,
-	// overflow policy).
+	// TailOpts is Tail's (empty) options argument.
 	TailOpts = metadata.TailOpts
-	// TailOverflow is a pluggable backpressure policy for tail
-	// subscriptions (TailOpts.Overflow): when a subscriber's channel
-	// fills, records divert through the policy — e.g. spooled to disk —
-	// instead of killing the subscription with ErrLagging. The dieventd
-	// service's SpillToDisk backpressure mode is built on it.
-	TailOverflow = metadata.TailOverflow
 )
-
-// ErrLagging terminates a tail cursor whose consumer fell behind the
-// append rate past its buffer; re-subscribe to resume from current
-// history.
-var ErrLagging = metadata.ErrLagging
 
 // ErrTailEnded ends a tail cursor on a read-only repository once the
 // matching history is exhausted: without the writer lease there is no

@@ -12,13 +12,18 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"sync"
-	"time"
 
 	"repro/dievent"
 )
+
+// errStreamDone ends the followers once the stream has finished: Kill
+// hands it to each cursor, which first delivers every match appended
+// before it.
+var errStreamDone = errors.New("stream done")
 
 func main() {
 	sc, err := dievent.DinnerScenario(dievent.DinnerOptions{
@@ -48,7 +53,7 @@ func main() {
 	repo := dievent.NewMemRepository()
 	defer repo.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx := context.Background()
 	done := make(chan struct{})
 	var res *dievent.Result
 	var runErr error
@@ -66,20 +71,20 @@ func main() {
 	// Two independent followers over the same live repository. The
 	// FOLLOW suffix is the dieventql surface for the same subscription.
 	var wg sync.WaitGroup
+	var curs []*dievent.TailCursor
 	followers := []struct{ name, query string }{
 		{"phases", "label = 'live-phase' FOLLOW"},
 		{"alerts", "label = 'alert-negative-spike' OR label = 'alert-emotion-change' FOLLOW"},
 	}
 	for _, f := range followers {
-		// The live feed carries every append (filtering is consumer-side)
-		// and never blocks the ingest: a follower that falls more than
-		// Buffer records behind is dropped with ErrLagging. This ingest
-		// runs at full synthetic speed — far faster than real-time video —
-		// so size the buffer for the whole burst.
-		cur, err := dievent.Follow(repo, f.query, dievent.TailOpts{Buffer: 1 << 15})
+		// A follower reads the repository at its own pace: it never
+		// blocks the ingest, and however far behind it falls it still
+		// sees every match.
+		cur, err := dievent.Follow(repo, f.query, dievent.TailOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}
+		curs = append(curs, cur)
 		wg.Add(1)
 		go func(name string, cur *dievent.TailCursor) {
 			defer wg.Done()
@@ -87,9 +92,12 @@ func main() {
 			n := 0
 			for {
 				rec, err := cur.Next(ctx)
-				if err != nil {
-					fmt.Printf("[%s] feed closed after %d rows (%v)\n", name, n, err)
+				if errors.Is(err, errStreamDone) {
+					fmt.Printf("[%s] stream done after %d rows\n", name, n)
 					return
+				}
+				if err != nil {
+					log.Fatalf("[%s] after %d rows: %v", name, n, err)
 				}
 				n++
 				if n <= 5 || n%25 == 0 {
@@ -99,14 +107,15 @@ func main() {
 		}(f.name, cur)
 	}
 
-	// Let the stream run to completion, then give the followers a moment
-	// to drain their queued tails before cancelling their contexts.
+	// Let the stream run to completion, then end each follower right
+	// after the last record the stream appended.
 	<-done
 	if runErr != nil {
 		log.Fatal(runErr)
 	}
-	time.Sleep(100 * time.Millisecond)
-	cancel()
+	for _, cur := range curs {
+		cur.Kill(errStreamDone)
+	}
 	wg.Wait()
 
 	fmt.Printf("\nstreamed %d frames into %d records, memory bounded\n",

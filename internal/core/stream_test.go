@@ -248,7 +248,7 @@ func TestStreamFollowExactlyOnceDuringIngest(t *testing.T) {
 	if err != nil || !follow {
 		t.Fatalf("ParseFollow: %v (follow=%v)", err, follow)
 	}
-	cur, err := repo.Tail(expr, metadata.TailOpts{Buffer: 1 << 15})
+	cur, err := repo.Tail(expr, metadata.TailOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

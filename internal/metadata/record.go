@@ -145,12 +145,6 @@ var (
 	// ErrQuarantined rejects operations (Compact) that would need the
 	// records of a segment quarantined by WithQuarantine.
 	ErrQuarantined = errors.New("metadata: repository has quarantined segments")
-	// ErrLagging terminates a tail cursor whose subscriber queue
-	// overflowed: the consumer fell behind the append rate and the
-	// repository dropped the subscription rather than block writers or
-	// buffer without bound. The consumer drains what was queued, then
-	// Next returns this error; re-subscribe with Tail to resume.
-	ErrLagging = errors.New("metadata: tail cursor lagging, subscription dropped")
 	// ErrTailEnded terminates a tail cursor on a read-only repository
 	// once its history is exhausted: no writer can exist in that
 	// process, so the live phase can never fire and blocking would

@@ -87,12 +87,11 @@ type Repository struct {
 	// unlocked segment rewrite while mu is free for appends and queries.
 	compactMu sync.Mutex
 
-	// subs are the live tail-cursor subscribers (see Tail). Membership
-	// and each subscriber's lifecycle transition are guarded by mu; the
-	// append path publishes to every subscriber while already holding
-	// the write lock, so subscription registration and the history
-	// watermark are atomic with respect to appends.
-	subs []*tailSub
+	// wake is the channel parked tail cursors wait on (see Tail): nil
+	// until a cursor that has read every record parks, closed and reset
+	// by the next append call, Kill or Close. Cursors set it under the
+	// read lock, so it is atomic; the closers hold the write lock.
+	wake atomic.Pointer[chan struct{}]
 }
 
 // SyncPolicy selects when the repository fsyncs the active segment.
@@ -353,11 +352,11 @@ func (r *Repository) load() error {
 		if workers > len(sealed) {
 			workers = len(sealed)
 		}
-		// Backpressure: a worker claims a decode ticket per segment and
-		// the indexer returns it once that segment is consumed, so at
-		// most maxAhead decoded-but-unindexed segments exist at any
-		// moment — peak memory is the store plus a bounded in-flight
-		// window, never a second decoded copy of the dataset.
+		// Bounded read-ahead: a worker claims a decode ticket per
+		// segment and the indexer returns it once that segment is
+		// consumed, so at most maxAhead decoded-but-unindexed segments
+		// exist at any moment — peak memory is the store plus a bounded
+		// in-flight window, never a second decoded copy of the dataset.
 		maxAhead := 2 * workers
 		tickets := make(chan struct{}, maxAhead)
 		for i := 0; i < maxAhead; i++ {
@@ -800,6 +799,7 @@ func (r *Repository) Append(rec Record) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	r.wakeTailsLocked()
 	if r.opts.sync == SyncAlways {
 		if err := r.flushLocked(true); err != nil {
 			return id, err
@@ -846,7 +846,6 @@ func (r *Repository) appendLocked(rec Record) (uint64, error) {
 	if r.activeStats != nil {
 		r.activeStats.add(rec)
 	}
-	r.publishLocked(rec)
 	return rec.ID, nil
 }
 
@@ -1010,10 +1009,12 @@ func (r *Repository) AppendBatch(recs []Record) error {
 	}
 	for i := range recs {
 		if _, err := r.appendLocked(recs[i]); err != nil {
+			r.wakeTailsLocked()
 			r.mu.Unlock()
 			return fmt.Errorf("metadata: batch record %d: %w", i, err)
 		}
 	}
+	r.wakeTailsLocked()
 	err := r.flushLocked(r.opts.sync == SyncAlways)
 	r.mu.Unlock()
 	return err
@@ -1078,10 +1079,7 @@ func (r *Repository) Close() error {
 		return nil
 	}
 	r.closed = true
-	for _, s := range r.subs {
-		r.killSubLocked(s, ErrClosed)
-	}
-	r.subs = nil
+	r.wakeTailsLocked()
 	var err error
 	if r.activeBuf != nil {
 		err = r.flushLocked(r.opts.sync != SyncNone)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
@@ -124,30 +123,27 @@ func TestTailCloseContract(t *testing.T) {
 			wantNext: ErrClosed,
 		},
 		{
-			name: "after ErrLagging",
+			name: "after Kill",
 			arrange: func(t *testing.T) (*TailCursor, error) {
 				r := NewMem()
 				t.Cleanup(func() { r.Close() })
-				cur, err := r.Tail(mustParse(t, "label = 'hit'"), TailOpts{Buffer: 2})
+				cur, err := r.Tail(mustParse(t, "label = 'hit'"), TailOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := 0; i < 5; i++ {
-					if _, err := r.Append(tailRecord(i, "hit")); err != nil {
-						t.Fatal(err)
-					}
+				if _, err := r.Append(tailRecord(0, "hit")); err != nil {
+					t.Fatal(err)
 				}
-				for { // drain the queued prefix to the terminal error
-					if _, err := cur.Next(ctx); err != nil {
-						if !errors.Is(err, ErrLagging) {
-							t.Fatalf("drive to lagging: %v", err)
-						}
-						break
-					}
+				cur.Kill(errKilled)
+				if rec, err := cur.Next(ctx); err != nil || rec.Frame != 0 {
+					t.Fatalf("record before Kill: (%d, %v)", rec.Frame, err)
 				}
-				return cur, ErrLagging
+				if _, err := cur.Next(ctx); !errors.Is(err, errKilled) {
+					t.Fatalf("drive to Kill reason: %v", err)
+				}
+				return cur, errKilled
 			},
-			wantNext: ErrLagging,
+			wantNext: errKilled,
 		},
 		{
 			name: "after evaluation error",
@@ -244,225 +240,114 @@ func TestTailCloseContract(t *testing.T) {
 	}
 }
 
-// TestTailLaggingDrainContract deterministically pins the drain loop: a
-// subscription killed by overflow still delivers every already-queued
-// matching record, in order, before surfacing ErrLagging — interleaved
-// with non-matching records the consumer-side filter must skip during
-// the drain.
-func TestTailLaggingDrainContract(t *testing.T) {
+// errKilled is the reason the Kill tests hand a cursor.
+var errKilled = errors.New("test: cursor killed")
+
+// TestTailKillDrainContract deterministically pins the kill contract: a
+// cursor killed at store position n still delivers every matching
+// record below n, in order — skipping the non-matching ones between
+// them — before surfacing the reason; nothing appended after Kill is
+// delivered. A cursor parked on an empty live phase wakes on Kill.
+func TestTailKillDrainContract(t *testing.T) {
 	r := NewMem()
 	defer r.Close()
-	const buffer = 8
-	cur, err := r.Tail(mustParse(t, "label = 'hit'"), TailOpts{Buffer: buffer})
+	cur, err := r.Tail(mustParse(t, "label = 'hit'"), TailOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cur.Close()
-	// Fill the queue exactly (alternating hit/miss), then overflow it.
-	// All appends run on this goroutine, so the queue contents are
-	// deterministic: frames 0..7 queued, frame 8+ dropped the sub.
-	for i := 0; i < buffer+4; i++ {
-		label := "hit"
-		if i%2 == 1 {
-			label = "miss"
-		}
-		if _, err := r.Append(tailRecord(i, label)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The subscription is already dead (killed at frame 8), but the
-	// queued prefix must drain first: hits 0, 2, 4, 6 in order.
-	ctx := context.Background()
-	for want := 0; want < buffer; want += 2 {
-		rec, err := cur.Next(ctx)
-		if err != nil {
-			t.Fatalf("drain Next(frame %d) = %v; terminal error surfaced before the queue drained", want, err)
-		}
-		if rec.Frame != want || rec.Label != "hit" {
-			t.Fatalf("drain record frame %d %q, want frame %d \"hit\"", rec.Frame, rec.Label, want)
-		}
-	}
-	// Only now the terminal reason.
-	if _, err := cur.Next(ctx); !errors.Is(err, ErrLagging) {
-		t.Fatalf("post-drain Next = %v, want ErrLagging", err)
-	}
-	if !errors.Is(cur.Err(), ErrLagging) {
-		t.Fatalf("Err() = %v, want ErrLagging", cur.Err())
-	}
-	// And Close reports the failure too (satellite: no silent discard).
-	if cerr := cur.Close(); !errors.Is(cerr, ErrLagging) {
-		t.Fatalf("Close() = %v, want ErrLagging", cerr)
-	}
-}
-
-// memOverflow is an in-memory TailOverflow policy for the hook's
-// contract tests: an unbounded (optionally capped) FIFO with the
-// capacity-1 ready notification the interface documents.
-type memOverflow struct {
-	mu      sync.Mutex
-	recs    []Record
-	ready   chan struct{}
-	cap     int // 0 = unbounded
-	divErr  error
-	diverts int
-}
-
-func newMemOverflow(capacity int) *memOverflow {
-	return &memOverflow{ready: make(chan struct{}, 1), cap: capacity}
-}
-
-func (m *memOverflow) Divert(rec Record) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.cap > 0 && len(m.recs) >= m.cap {
-		m.divErr = fmt.Errorf("overflow policy full at %d records: %w", m.cap, ErrLagging)
-		return m.divErr
-	}
-	m.diverts++
-	m.recs = append(m.recs, rec)
-	select {
-	case m.ready <- struct{}{}:
-	default:
-	}
-	return nil
-}
-
-func (m *memOverflow) TryNext() (Record, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.recs) == 0 {
-		return Record{}, false, nil
-	}
-	rec := m.recs[0]
-	m.recs = m.recs[1:]
-	return rec, true, nil
-}
-
-func (m *memOverflow) Ready() <-chan struct{} { return m.ready }
-
-// TestTailOverflowPolicyPreservesOrder: with a TailOverflow policy, an
-// overflowing subscription is not killed — the stream continues through
-// the policy, in order, across the queue→policy seam, and concurrent
-// appends keep flowing while the consumer lags.
-func TestTailOverflowPolicyPreservesOrder(t *testing.T) {
-	r := NewMem()
-	defer r.Close()
-	pol := newMemOverflow(0)
-	const buffer = 4
-	cur, err := r.Tail(mustParse(t, "label = 'hit'"), TailOpts{Buffer: buffer, Overflow: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	const total = 100
-	for i := 0; i < total; i++ {
-		label := "hit"
-		if i%3 == 2 {
-			label = "miss"
-		}
-		if _, err := r.Append(tailRecord(i, label)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if pol.diverts == 0 {
-		t.Fatal("policy never consulted despite a full queue")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for want := 0; want < total; want++ {
-		if want%3 == 2 {
-			continue
-		}
-		rec, err := cur.Next(ctx)
-		if err != nil {
-			t.Fatalf("Next(frame %d): %v", want, err)
-		}
-		if rec.Frame != want {
-			t.Fatalf("got frame %d, want %d (loss/dup/reorder across the spill seam)", rec.Frame, want)
-		}
-	}
-	// Appends after the consumer catches up still arrive (via the
-	// policy — diversion is permanent once it starts).
-	if _, err := r.Append(tailRecord(total, "hit")); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := cur.Next(ctx)
-	if err != nil || rec.Frame != total {
-		t.Fatalf("post-catch-up Next = (%d, %v), want frame %d", rec.Frame, err, total)
-	}
-}
-
-// TestTailOverflowPolicyDivertErrorKills: a Divert failure (e.g. spill
-// quota exhausted) terminates the subscription with that error — after
-// the already-accepted records drain.
-func TestTailOverflowPolicyDivertErrorKills(t *testing.T) {
-	r := NewMem()
-	defer r.Close()
-	pol := newMemOverflow(3) // accepts 3 diverted records, then fails
-	const buffer = 2
-	cur, err := r.Tail(mustParse(t, "label = 'hit'"), TailOpts{Buffer: buffer, Overflow: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	// 2 queued + 3 diverted + 1 that overflows the policy and kills.
-	for i := 0; i < buffer+3+1; i++ {
-		if _, err := r.Append(tailRecord(i, "hit")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx := context.Background()
-	for want := 0; want < buffer+3; want++ {
-		rec, err := cur.Next(ctx)
-		if err != nil {
-			t.Fatalf("accepted record %d lost to early termination: %v", want, err)
-		}
-		if rec.Frame != want {
-			t.Fatalf("got frame %d, want %d", rec.Frame, want)
-		}
-	}
-	if _, err := cur.Next(ctx); !errors.Is(err, ErrLagging) {
-		t.Fatalf("post-drain Next = %v, want the policy's quota error (ErrLagging chain)", err)
-	}
-	if cerr := cur.Close(); !errors.Is(cerr, ErrLagging) {
-		t.Fatalf("Close() = %v, want the terminal failure", cerr)
-	}
-}
-
-// TestTailOverflowPolicyConcurrent races a slow consumer against a fast
-// producer through the policy seam under -race: every matching record
-// arrives exactly once, in order.
-func TestTailOverflowPolicyConcurrent(t *testing.T) {
-	r := NewMem()
-	defer r.Close()
-	pol := newMemOverflow(0)
-	cur, err := r.Tail(mustParse(t, "label = 'hit'"), TailOpts{Buffer: 8, Overflow: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	const total = 5000
-	go func() {
-		for i := 0; i < total; i++ {
+	appendRange := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			label := "hit"
 			if i%2 == 1 {
 				label = "miss"
 			}
 			if _, err := r.Append(tailRecord(i, label)); err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
 		}
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for want := 0; want < total; want += 2 {
+	}
+	appendRange(0, 8)
+	cur.Kill(errKilled)
+	cur.Kill(errors.New("a second Kill is ignored"))
+	appendRange(8, 12)
+	ctx := context.Background()
+	for want := 0; want < 8; want += 2 {
 		rec, err := cur.Next(ctx)
 		if err != nil {
-			t.Fatalf("Next(frame %d): %v", want, err)
+			t.Fatalf("drain Next(frame %d) = %v; terminal error surfaced before the backlog drained", want, err)
+		}
+		if rec.Frame != want || rec.Label != "hit" {
+			t.Fatalf("drain record frame %d %q, want frame %d \"hit\"", rec.Frame, rec.Label, want)
+		}
+	}
+	// Only now the terminal reason; frames 8 and 10 came after Kill.
+	if rec, err := cur.Next(ctx); !errors.Is(err, errKilled) {
+		t.Fatalf("post-drain Next = (%d, %v), want errKilled", rec.Frame, err)
+	}
+	if !errors.Is(cur.Err(), errKilled) {
+		t.Fatalf("Err() = %v, want errKilled", cur.Err())
+	}
+	// And Close reports the reason too: no silent discard.
+	if cerr := cur.Close(); !errors.Is(cerr, errKilled) {
+		t.Fatalf("Close() = %v, want errKilled", cerr)
+	}
+
+	// A parked cursor: Kill from another goroutine wakes it.
+	parked, err := r.Tail(mustParse(t, "label = 'none'"), TailOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parked.Close()
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		parked.Kill(errKilled)
+	}()
+	wait, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if _, err := parked.Next(wait); !errors.Is(err, errKilled) {
+		t.Fatalf("parked cursor after Kill: %v, want errKilled", err)
+	}
+}
+
+// TestTailKillDrainsFarBehind: Kill after the writer has finished
+// delivers every record appended before it, then the reason, even to a
+// consumer that is more than 100k records behind.
+func TestTailKillDrainsFarBehind(t *testing.T) {
+	r := NewMem()
+	defer r.Close()
+	cur, err := r.Tail(mustParse(t, "frame >= 0"), TailOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	const total = 100*1024 + 3000
+	recs := make([]Record, 0, 1024)
+	for lo := 0; lo < total; lo += 1024 {
+		recs = recs[:0]
+		for i := lo; i < min(lo+1024, total); i++ {
+			recs = append(recs, tailRecord(i, "hit"))
+		}
+		if err := r.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur.Kill(errKilled)
+	if _, err := r.Append(tailRecord(total, "hit")); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for want := 0; want < total; want++ {
+		rec, err := cur.Next(ctx)
+		if err != nil {
+			t.Fatalf("Next(frame %d) before the reason: %v", want, err)
 		}
 		if rec.Frame != want {
 			t.Fatalf("got frame %d, want %d", rec.Frame, want)
 		}
+	}
+	if rec, err := cur.Next(ctx); !errors.Is(err, errKilled) {
+		t.Fatalf("after %d records Next = (%d, %v), want errKilled", total, rec.Frame, err)
 	}
 }

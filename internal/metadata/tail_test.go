@@ -83,47 +83,70 @@ func TestTailCursorHistoryThenLive(t *testing.T) {
 	}
 }
 
-// TestTailCursorLagging pins the overflow contract: a consumer that
-// stops draining gets the buffered prefix, then ErrLagging.
-func TestTailCursorLagging(t *testing.T) {
-	r := NewMem()
-	defer r.Close()
-	expr, _, err := ParseFollow("label = 'hit'")
+// TestTailCursorStalledConsumerGetsEverything: a cursor reads the store
+// itself, so a consumer that stops reading while far more records are
+// appended than any per-subscriber queue would hold — across many
+// segment rolls — resumes where it stopped and receives every match
+// exactly once, in order, with no error.
+func TestTailCursorStalledConsumerGetsEverything(t *testing.T) {
+	r, err := Open(t.TempDir(), WithSegmentSize(256<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := r.Tail(expr, TailOpts{Buffer: 4})
+	defer r.Close()
+	cur, err := r.Tail(mustParse(t, "label = 'hit'"), TailOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cur.Close()
-	for i := 0; i < 10; i++ {
-		if _, err := r.Append(tailRecord(i, "hit")); err != nil {
+	hitOrMiss := func(i int) Record {
+		if i%3 == 2 {
+			return tailRecord(i, "miss")
+		}
+		return tailRecord(i, "hit")
+	}
+	// Reach the live phase, then stall.
+	if _, err := r.Append(hitOrMiss(0)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if rec, err := cur.Next(ctx); err != nil || rec.Frame != 0 {
+		t.Fatalf("first live Next = (%d, %v), want frame 0", rec.Frame, err)
+	}
+	const total = 100*1024 + 5000
+	for lo := 1; lo < total; lo += 1000 {
+		recs := make([]Record, 0, 1000)
+		for i := lo; i < min(lo+1000, total); i++ {
+			recs = append(recs, hitOrMiss(i))
+		}
+		if err := r.AppendBatch(recs); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ctx := context.Background()
-	for i := 0; i < 4; i++ {
+	st, err := r.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Segments) < 10 {
+		t.Fatalf("only %d segments: the stall did not span rolls", len(st.Segments))
+	}
+	for want := 1; want < total; want++ {
+		if want%3 == 2 {
+			continue
+		}
 		rec, err := cur.Next(ctx)
 		if err != nil {
-			t.Fatalf("buffered Next #%d: %v", i, err)
+			t.Fatalf("Next(frame %d) after the stall: %v", want, err)
 		}
-		if rec.Frame != i {
-			t.Fatalf("buffered record %d = frame %d", i, rec.Frame)
+		if rec.Frame != want {
+			t.Fatalf("got frame %d, want %d (loss/dup/reorder)", rec.Frame, want)
 		}
 	}
-	if _, err := cur.Next(ctx); !errors.Is(err, ErrLagging) {
-		t.Fatalf("overflowed cursor returned %v, want ErrLagging", err)
-	}
-	if !errors.Is(cur.Err(), ErrLagging) {
-		t.Fatalf("Err() = %v, want ErrLagging", cur.Err())
-	}
-	// The dropped subscription must be gone from the registry.
-	r.mu.RLock()
-	n := len(r.subs)
-	r.mu.RUnlock()
-	if n != 0 {
-		t.Fatalf("%d subscribers still registered after overflow", n)
+	idle, cancelIdle := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancelIdle()
+	if rec, err := cur.Next(idle); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("extra delivery after the backlog: (%d, %v)", rec.Frame, err)
 	}
 }
 
@@ -179,7 +202,7 @@ func TestTailCursorSurvivesRollAndCompactUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := r.Tail(expr, TailOpts{Buffer: 2 * total})
+	cur, err := r.Tail(expr, TailOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +412,7 @@ func TestTailManySubscribers(t *testing.T) {
 	const nSubs, total = 4, 400
 	curs := make([]*TailCursor, nSubs)
 	for i := range curs {
-		c, err := r.Tail(expr, TailOpts{Buffer: total})
+		c, err := r.Tail(expr, TailOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -277,20 +277,6 @@ func (d *Decoder) batchFast(body []byte, into []metadata.Record) ([]metadata.Rec
 	}
 }
 
-// record decodes one bare wire object (a follower-spill frame),
-// keeping the repository-assigned ID.
-func (d *Decoder) record(b []byte) (metadata.Record, error) {
-	var rec metadata.Record
-	if i, ok := d.object(b, skipSpace(b, 0), &rec); ok && skipSpace(b, i) == len(b) {
-		return rec, nil
-	}
-	var w WireRecord
-	if err := json.Unmarshal(b, &w); err != nil {
-		return metadata.Record{}, err
-	}
-	return fromWireKeepID(w)
-}
-
 // Line decodes one NDJSON line of a query or follow response. A record
 // line returns the record (ID kept) and a nil envelope; any other line
 // — a terminal error, the EOF marker — returns its envelope.

@@ -16,9 +16,9 @@ import (
 	"repro/internal/metadata"
 )
 
-// The oracles: the reflection call sequences the handler, the client
-// and the spill used before the codec existed, spelled out here so the
-// reference is not the code under test.
+// The oracles: the reflection call sequences the handler and the client
+// used before the codec existed, spelled out here so the reference is
+// not the code under test.
 
 func refRecord(rec metadata.Record) ([]byte, error) { return json.Marshal(ToWire(rec)) }
 
@@ -536,7 +536,7 @@ func TestDecodeMatchesJSON(t *testing.T) {
 // TestScoreCascadeSkipContract): whatever the encoder produces for
 // records whose strings are printable ASCII without ", \, <, > or & —
 // every pipeline stage's and every benchmark load's records — must be
-// decoded by the fast path, all of it, batch, line and spill frame.
+// decoded by the fast path, all of it, batch and line.
 func TestFastPathTakesPlainASCII(t *testing.T) {
 	r := rand.New(rand.NewPCG(17, 3))
 	var d Decoder

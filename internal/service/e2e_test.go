@@ -41,7 +41,6 @@ func TestDieventdEndToEnd(t *testing.T) {
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
 		"-root", root,
-		"-backpressure", "spill",
 		"-drain-timeout", "30s",
 	)
 	stdout, err := cmd.StdoutPipe()

@@ -303,10 +303,11 @@ func (s *Server) unencodable(t *tenant, id uint64, err error) Envelope {
 
 // handleFollow upgrades to a live NDJSON stream over Repository.Tail:
 // history first, then matching appends as they land, one envelope per
-// line, flushed per record. The stream ends with a terminal envelope —
-// "lagging" (overflow under DropLagging, or spill quota exhausted
-// under SpillToDisk), "draining" (server shutdown), "closed"
-// (repository closed) — or silently when the client goes away.
+// line, flushed per record. The cursor reads the tenant's record store
+// at its own pace, so a slow client is never dropped and costs the
+// server no buffer. The stream ends with a terminal envelope —
+// "draining" (server shutdown), "closed" (repository closed) — or
+// silently when the client goes away.
 func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 	t, err := s.tenant(r.PathValue("tenant"))
 	if err != nil {
@@ -337,19 +338,7 @@ func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 	}
 	defer t.release(s.cfg.now())
 
-	topts := metadata.TailOpts{Buffer: s.cfg.FollowBuffer}
-	if s.cfg.Backpressure == SpillToDisk {
-		spill, err := newDiskSpill(s.cfg.Root, func(delta int64) error {
-			return t.chargeSpill(delta, s.cfg.MaxDiskBytes)
-		})
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		defer spill.Close()
-		topts.Overflow = spill
-	}
-	cur, err := repo.Tail(expr, topts)
+	cur, err := repo.Tail(expr, metadata.TailOpts{})
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("service: %v", err))
 		return
@@ -363,9 +352,9 @@ func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 		tok.release()
 	}
 	// Drain terminates the follower via the cursor's own kill contract:
-	// Kill(ErrDraining) lets Next deliver everything already queued,
-	// then surface the drain sentinel — deterministic, unlike cancelling
-	// the context (which races against queued records in Next's select).
+	// Kill(ErrDraining) lets Next deliver every match appended before
+	// the drain, then surface the drain sentinel — deterministic, unlike
+	// cancelling the context, which cuts the stream wherever it is.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	go func() {
@@ -405,8 +394,6 @@ func followCode(err error) string {
 	switch {
 	case errors.Is(err, ErrDraining):
 		return CodeDraining
-	case errors.Is(err, metadata.ErrLagging):
-		return CodeLagging
 	case errors.Is(err, metadata.ErrTailEnded):
 		return CodeEnded
 	case errors.Is(err, metadata.ErrClosed):

@@ -27,8 +27,7 @@ type Config struct {
 	// (Root/<tenant>). Required.
 	Root string
 	// FS, when non-nil, replaces the OS filesystem for every tenant
-	// repository (fault injection via vfs.FaultFS). Follower spill
-	// files always use the real OS temp machinery.
+	// repository (fault injection via vfs.FaultFS).
 	FS vfs.FS
 	// RepoOpts is appended to every tenant repository open.
 	RepoOpts []metadata.Option
@@ -48,18 +47,11 @@ type Config struct {
 	// MaxFollowers caps open FOLLOW streams per tenant (default 64;
 	// negative = unlimited).
 	MaxFollowers int
-	// MaxDiskBytes caps a tenant's disk footprint — repository
-	// segments plus live follower spill (0 = unlimited). Breaching it,
-	// or an ENOSPC append failure, degrades the tenant to read-only:
-	// appends are refused with 507 while reads continue and healthz
-	// reports the degradation.
+	// MaxDiskBytes caps a tenant's disk footprint — its repository
+	// segments (0 = unlimited). Breaching it, or an ENOSPC append
+	// failure, degrades the tenant to read-only: appends are refused
+	// with 507 while reads continue and healthz reports the degradation.
 	MaxDiskBytes int64
-	// Backpressure selects the follower overflow policy (DropLagging
-	// default).
-	Backpressure Backpressure
-	// FollowBuffer is the per-follower live queue capacity in records
-	// (default: the repository's default).
-	FollowBuffer int
 
 	// IdleClose releases a tenant's writer lease after this much idle
 	// time so out-of-band WithReadOnly tools can attach (0 = never
@@ -261,8 +253,8 @@ func (s *Server) noteAppendError(t *tenant, err error) {
 }
 
 // overQuota applies the disk-quota half of the degradation contract
-// after a successful append: segments plus live spill beyond
-// MaxDiskBytes flips the tenant read-only for subsequent appends.
+// after a successful append: segments beyond MaxDiskBytes flip the
+// tenant read-only for subsequent appends.
 func (s *Server) overQuota(t *tenant, repo *metadata.Repository) {
 	if s.cfg.MaxDiskBytes <= 0 {
 		return
@@ -271,11 +263,8 @@ func (s *Server) overQuota(t *tenant, repo *metadata.Repository) {
 	if err != nil {
 		return
 	}
-	t.mu.Lock()
-	total := st.DiskBytes + t.spill
-	t.mu.Unlock()
-	if total > s.cfg.MaxDiskBytes {
-		t.degrade(fmt.Sprintf("disk quota exceeded (%d > %d bytes)", total, s.cfg.MaxDiskBytes))
-		s.cfg.Logf("tenant %s: degraded to read-only: %d bytes > quota %d", t.name, total, s.cfg.MaxDiskBytes)
+	if st.DiskBytes > s.cfg.MaxDiskBytes {
+		t.degrade(fmt.Sprintf("disk quota exceeded (%d > %d bytes)", st.DiskBytes, s.cfg.MaxDiskBytes))
+		s.cfg.Logf("tenant %s: degraded to read-only: %d bytes > quota %d", t.name, st.DiskBytes, s.cfg.MaxDiskBytes)
 	}
 }

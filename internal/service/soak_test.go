@@ -29,9 +29,8 @@ func soakScale() (ingest, query, follow, totalRecords int) {
 // TestServiceSoak drives hundreds of concurrent ingest/query/follow
 // clients through one server over ≥1M records (scaled down under
 // -short) and then verifies: every acknowledged record is queryable,
-// follower streams were either complete or terminated with the
-// documented lagging sentinel, the drain completes, and the store
-// passes offline Fsck.
+// every follower stream was complete, gap-free and in order, the drain
+// completes, and the store passes offline Fsck.
 func TestServiceSoak(t *testing.T) {
 	nIngest, nQuery, nFollow, totalRecords := soakScale()
 	const tenants = 4
@@ -42,7 +41,6 @@ func TestServiceSoak(t *testing.T) {
 		AppendRate:   5_000_000, // quota is not under test here
 		AppendBurst:  10_000_000,
 		MaxFollowers: nFollow + 8,
-		Backpressure: service.SpillToDisk,
 	})
 	// The full shape takes ~1 min plain but 10-15× that under the race
 	// detector on a single-core runner; the deadline covers the worst.
@@ -120,15 +118,15 @@ func TestServiceSoak(t *testing.T) {
 		}(i)
 	}
 
-	// Follow fleet: live subscribers that must see ID-ordered streams;
-	// a slow one may legitimately end with ErrLagging (spill quota) but
-	// never with a gap or reordering. Each follower watches a bounded
-	// frame window in the middle of ingest client i's range (client i
-	// writes to this follower's tenant because nIngest ≡ 0 mod tenants)
-	// — the window arrives live, mid-soak, through the tail feed, but a
-	// follower doesn't have to consume its tenant's entire feed: with
-	// every record fanned out to every follower with a per-record
-	// flush, the read side would again starve the ingest under -race.
+	// Follow fleet: live subscribers that must each receive their whole
+	// window, in order, with no gap and no duplicate, however far they
+	// lag. Each follower watches a bounded frame window in the middle of
+	// ingest client i's range (client i writes to this follower's tenant
+	// because nIngest ≡ 0 mod tenants, and appends its range in frame
+	// order) — the window arrives live, mid-soak, or from history if the
+	// subscription lands late, but a follower doesn't have to consume its
+	// tenant's entire feed: with a per-record flush to every follower,
+	// the read side would again starve the ingest under -race.
 	for i := 0; i < nFollow; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -140,28 +138,22 @@ func TestServiceSoak(t *testing.T) {
 			if w > 5000 {
 				w = 5000
 			}
-			fs, err := c.Follow(queryCtx, fmt.Sprintf("label = 'soak' AND frame >= %d AND frame < %d", lo, lo+w))
+			fs, err := c.Follow(ctx, fmt.Sprintf("label = 'soak' AND frame >= %d AND frame < %d", lo, lo+w))
 			if err != nil {
-				if queryCtx.Err() == nil {
-					errCh <- fmt.Errorf("follow %d subscribe: %w", i, err)
-				}
+				errCh <- fmt.Errorf("follow %d subscribe: %w", i, err)
 				return
 			}
 			defer fs.Close()
 			var lastID uint64
-			for {
+			for got := 0; got < w; got++ {
 				rec, err := fs.Next()
 				if err != nil {
-					ok := errors.Is(err, client.ErrLagging) ||
-						errors.Is(err, client.ErrDraining) ||
-						queryCtx.Err() != nil
-					if !ok {
-						errCh <- fmt.Errorf("follow %d: %w", i, err)
-					}
+					errCh <- fmt.Errorf("follow %d after %d of %d records: %w", i, got, w, err)
 					return
 				}
-				if rec.ID <= lastID {
-					errCh <- fmt.Errorf("follow %d: ID %d after %d (reorder/dup)", i, rec.ID, lastID)
+				if rec.Frame != lo+got || rec.ID <= lastID {
+					errCh <- fmt.Errorf("follow %d: frame %d (ID %d after %d), want frame %d (gap/reorder/dup)",
+						i, rec.Frame, rec.ID, lastID, lo+got)
 					return
 				}
 				lastID = rec.ID
@@ -175,8 +167,7 @@ func TestServiceSoak(t *testing.T) {
 		close(ingestAndQueriesDone)
 	}()
 	// Let queries and follows run while ingest completes, then stop
-	// the read fleets (follows end via queryCancel's request-context
-	// teardown).
+	// the query fleet; each follower ends once its window is complete.
 	waitIngested := func() {
 		tick := time.NewTicker(50 * time.Millisecond)
 		defer tick.Stop()

@@ -75,8 +75,7 @@ type tenant struct {
 	last time.Time            // end of the most recent request
 
 	bucket    *tokenBucket
-	followers int   // open FOLLOW streams
-	spill     int64 // bytes of live follower spill on disk
+	followers int // open FOLLOW streams
 
 	// degraded flips the tenant to service-level read-only: appends are
 	// refused with 507 while queries and follows continue. Set on disk
@@ -184,25 +183,6 @@ func (t *tenant) releaseFollower() {
 	t.mu.Unlock()
 }
 
-// chargeSpill is the disk-spill accounting hook handed to SpillToDisk
-// followers: delta > 0 reserves bytes against the tenant's disk quota
-// (shared with the repository's own segments), delta < 0 returns them.
-// Over-quota reservations fail with an ErrLagging-chained error so the
-// follower terminates with the documented overflow semantics.
-func (t *tenant) chargeSpill(delta int64, quota int64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if delta > 0 && quota > 0 && t.spill+delta > quota {
-		return fmt.Errorf("service: tenant %s spill quota (%d bytes) exhausted: %w",
-			t.name, quota, metadata.ErrLagging)
-	}
-	t.spill += delta
-	if t.spill < 0 {
-		t.spill = 0
-	}
-	return nil
-}
-
 // status snapshots the tenant for healthz/stats. Repository statistics
 // are read only when the repo is open — status never forces an open.
 func (t *tenant) status() TenantStatus {
@@ -212,7 +192,6 @@ func (t *tenant) status() TenantStatus {
 		Tenant:           t.name,
 		Open:             t.repo != nil,
 		ReadOnlyDegraded: t.degraded,
-		SpillBytes:       t.spill,
 		Followers:        t.followers,
 	}
 	if t.repo != nil {

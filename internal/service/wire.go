@@ -111,9 +111,9 @@ type Envelope struct {
 	// Error is the human-readable terminal reason; the envelope
 	// carrying it is the last line of the stream.
 	Error string `json:"error,omitempty"`
-	// Code classifies terminal errors: "lagging" (follower overflow),
-	// "draining" (server shutdown), "ended" (read-only tail exhausted),
-	// "closed" (repository closed), "internal".
+	// Code classifies terminal errors: "draining" (server shutdown),
+	// "ended" (read-only tail exhausted), "closed" (repository closed),
+	// "internal".
 	Code string `json:"code,omitempty"`
 	// EOF marks the clean end of a bounded stream (one-shot query).
 	EOF bool `json:"eof,omitempty"`
@@ -121,7 +121,6 @@ type Envelope struct {
 
 // Terminal-error codes on streaming envelopes.
 const (
-	CodeLagging  = "lagging"
 	CodeDraining = "draining"
 	CodeEnded    = "ended"
 	CodeClosed   = "closed"
@@ -142,8 +141,6 @@ type TenantStatus struct {
 	// Records and DiskBytes mirror Repository.Stats.
 	Records   int   `json:"records"`
 	DiskBytes int64 `json:"disk_bytes"`
-	// SpillBytes is the tenant's current follower-spill disk usage.
-	SpillBytes int64 `json:"spill_bytes,omitempty"`
 	// Followers is the number of open FOLLOW streams.
 	Followers int `json:"followers"`
 	// Health is the repository's own degradation report.

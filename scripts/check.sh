@@ -13,11 +13,12 @@
 # gates (quarantine under raced load, stage panic isolation), the
 # streaming gates (finite-stream ≡ batch oracle raced on the worker
 # pool, tail cursors surviving segment roll + compaction under raced
-# append load, the live-FOLLOW exactly-once contract, and the
-# bounded-memory check on a 24k-frame cycled stream), the dieventd
-# service gates (the drain contract under active ingest, ENOSPC
-# degradation instead of wedging, backpressure-policy order, and the
-# mixed connection soak — scaled down under -short; the full
+# append load and a stalled consumer across 100k appends, the
+# live-FOLLOW exactly-once contract, and the bounded-memory check on a
+# 24k-frame cycled stream), the dieventd service gates (the drain
+# contract under active ingest, ENOSPC degradation instead of wedging,
+# a slow HTTP follower receiving the complete stream, and the mixed
+# connection soak with every follower complete — scaled down under -short; the full
 # ≥200-client / 1M-record shape in -full — all raced), an end-to-end
 # server smoke (build the real dieventd binary, drive concurrent
 # ingest+query+FOLLOW, SIGTERM it, require drain within its deadline
@@ -138,7 +139,8 @@ else
 	go test -race -run 'TestStageGraphMatchesOracle|TestRunStreamedSinkFailureStopsWorkers|TestIncremental' ./internal/core
 	# Streaming gates (DESIGN.md §10), raced: tail cursors must survive
 	# active-segment roll and incremental compaction under concurrent
-	# append load (exactly-once, in order), query iterators must release
+	# append load (exactly-once, in order), a cursor stalled across 100k
+	# appends must still get every match, query iterators must release
 	# their workers on Close/cancel, and the grammar must accept FOLLOW.
 	go test -race -run 'TestTailCursor|TestTailMany|TestIterCloseReleasesWorkers|TestQueryCtxCancel|TestParseFollowGrammar' ./internal/metadata
 	# Finite-stream oracle identity on the worker pool plus the live
@@ -150,12 +152,13 @@ else
 	go test -run 'TestStreamBoundedMemory' ./internal/core
 	# Service gates (DESIGN.md §11), raced: the tail-cursor terminal
 	# contracts dieventd is built on (read-only sentinel, Close/Err
-	# consistency, deterministic lagging drain, overflow-policy order),
-	# then the server itself — graceful drain under active ingest,
-	# ENOSPC degrading a tenant to read-only instead of wedging it,
-	# both backpressure policies, and the scaled-down mixed soak.
-	go test -race -run 'TestTailReadOnlyEndsWithSentinel|TestTailCloseContract|TestTailLaggingDrainContract|TestTailOverflowPolicy' ./internal/metadata
-	go test -race -run 'TestDrainGraceful|TestENOSPCDegradesNotWedges|TestFollowSpill|TestFollowDropLagging|TestIdleCloseReadOnlyCoexistence' ./internal/service
+	# consistency, the Kill drain — also for a consumer 100k records
+	# behind), then the server itself — graceful drain under active
+	# ingest, ENOSPC degrading a tenant to read-only instead of wedging
+	# it, a slow follower receiving the complete stream, and the
+	# scaled-down mixed soak.
+	go test -race -run 'TestTailReadOnlyEndsWithSentinel|TestTailCloseContract|TestTailKillDrainContract|TestTailKillDrainsFarBehind' ./internal/metadata
+	go test -race -run 'TestDrainGraceful|TestENOSPCDegradesNotWedges|TestFollowSlowConsumerComplete|TestIdleCloseReadOnlyCoexistence' ./internal/service
 	go test -race -short -run 'TestServiceSoak' ./internal/service
 	# End-to-end server smoke: build the real dieventd binary, run
 	# concurrent ingest+query+FOLLOW against it, SIGTERM mid-traffic,
