@@ -97,11 +97,10 @@ func BenchmarkFig3VideoParsing(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	an := parsing.NewAnalyzer(parsing.Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := an.AnalyzeFrames(frames); err != nil {
+		if _, err := parsing.AnalyzeFrames(frames); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1068,53 +1067,6 @@ func BenchmarkHMMBaseline(b *testing.B) {
 }
 
 // --- ablations (DESIGN.md design choices) ---
-
-// BenchmarkAblationSmoothingWindow measures the multilayer analyzer at
-// different temporal smoothing windows — the design knob that absorbs
-// per-frame gaze flicker.
-func BenchmarkAblationSmoothingWindow(b *testing.B) {
-	sim := mustSim(b)
-	rig := mustRig(b)
-	est := gaze.NewEstimator(gaze.EstimatorOptions{Seed: 1})
-	det := gaze.NewDetector()
-	ids := []int{0, 1, 2, 3}
-	// Pre-compute 200 frames of matrices.
-	var mats []gaze.Matrix
-	for f := 0; f < 200; f++ {
-		obs := est.Observe(sim.FrameState(f), rig)
-		m, err := det.LookAt(obs, rig, ids)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mats = append(mats, m)
-	}
-	p, err := core.New(core.Config{Scenario: scene.PrototypeScenario()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := p.Context()
-	for _, window := range []int{3, 9, 25} {
-		b.Run(fmt.Sprintf("window%d", window), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				an, err := layers.NewAnalyzer(ctx, layers.Options{SmoothWindow: window})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for f, m := range mats {
-					in := layers.FrameInput{
-						Index: f, LookAt: m,
-						Emotions: map[int]layers.EmotionObs{},
-					}
-					if err := an.Push(in); err != nil {
-						b.Fatal(err)
-					}
-				}
-				an.Finalize()
-			}
-		})
-	}
-}
 
 // BenchmarkLookAtPartySize sweeps the party size: the eye-contact
 // procedure is O(n²) per frame (the paper notes n(n−1) repetitions).

@@ -148,7 +148,7 @@ func fig3Parsing() error {
 	if err != nil {
 		return err
 	}
-	p, err := parsing.NewAnalyzer(parsing.Options{}).Analyze(comp.Source())
+	p, err := parsing.Analyze(comp.Source())
 	if err != nil {
 		return err
 	}

@@ -58,11 +58,13 @@ type Config struct {
 	// negative = no retries).
 	MaxRetries int
 	// Backoff is the base backoff step (default 100ms). Attempt n
-	// sleeps Retry-After + rand(0, Backoff·2ⁿ), capped at MaxBackoff
-	// (default 5s).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// sleeps Retry-After + rand(0, Backoff·2ⁿ), the random part capped
+	// at maxBackoff.
+	Backoff time.Duration
 }
+
+// maxBackoff caps the exponential part of a retry's sleep.
+const maxBackoff = 5 * time.Second
 
 // Client calls one tenant's dieventd API. Safe for concurrent use.
 type Client struct {
@@ -89,9 +91,6 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 100 * time.Millisecond
 	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 5 * time.Second
-	}
 	return &Client{cfg: cfg}, nil
 }
 
@@ -105,10 +104,7 @@ func retryable(status int) bool {
 // server's Retry-After as a floor and adding full jitter on top of the
 // exponential step. Returns ctx.Err if the deadline lands first.
 func (c *Client) backoff(ctx context.Context, attempt int, retryAfter time.Duration) error {
-	step := c.cfg.Backoff << (attempt - 1)
-	if step > c.cfg.MaxBackoff {
-		step = c.cfg.MaxBackoff
-	}
+	step := min(c.cfg.Backoff<<(attempt-1), maxBackoff)
 	sleep := retryAfter + rand.N(step)
 	t := time.NewTimer(sleep)
 	defer t.Stop()
@@ -249,13 +245,8 @@ func readErrorKeepOpen(resp *http.Response) string {
 
 // QueryOpts tunes a one-shot query.
 type QueryOpts struct {
-	// Limit caps results (0 = unlimited).
+	// Limit caps results (0 = unlimited). Results come in frame order.
 	Limit int
-	// Order is "frame" (default) or "id".
-	Order string
-	// Timeout is a server-side deadline propagated into the executor
-	// (0 = request context only).
-	Timeout time.Duration
 }
 
 // Query runs a one-shot query and returns every match. Safe operation:
@@ -264,12 +255,6 @@ func (c *Client) Query(ctx context.Context, q string, opts QueryOpts) ([]Record,
 	vals := url.Values{"q": {q}}
 	if opts.Limit > 0 {
 		vals.Set("limit", strconv.Itoa(opts.Limit))
-	}
-	if opts.Order != "" {
-		vals.Set("order", opts.Order)
-	}
-	if opts.Timeout > 0 {
-		vals.Set("timeout", opts.Timeout.String())
 	}
 	resp, err := c.do(ctx, http.MethodGet, c.url("query", vals), nil, true)
 	if err != nil {

@@ -45,17 +45,16 @@
 // (DESIGN.md §5). WithSegmentSize and WithSyncPolicy tune the engine;
 // Repository.Stats and Repository.Compact expose maintenance.
 //
-// The pipeline itself is a registry-driven stage graph (DESIGN.md §7):
-// extraction, analysis and derivation run as named stages over shared
-// per-(camera, frame) artifacts. Plug additional analyzers in by name:
+// The pipeline itself is a stage graph (DESIGN.md §7): extraction,
+// analysis and derivation run as named stages over shared per-(camera,
+// frame) artifacts. Add the optional built-in analyzers by name:
 //
 //	pipe, err := dievent.New(dievent.Config{
 //	    Scenario: dievent.PrototypeScenario(),
 //	    Stages:   []string{dievent.StageAttention}, // per-person gaze fixations
 //	})
 //
-// and register your own with NewStageRegistry + Registry.Register +
-// Config.Registry. Runs with Config.Incremental persist a manifest of
+// Runs with Config.Incremental persist a manifest of
 // every stage's version and config hash; Pipeline.RunIncremental then
 // diffs a new configuration against a previous run's repository and
 // re-runs only the stale stages, replaying fresh raw layers from the
@@ -81,6 +80,31 @@
 // tail overflow-policy interface, TailOpts' Buffer and Overflow fields,
 // the lagging sentinel error (here and in repro/dievent/client), and
 // dieventd's -backpressure flag. TailOpts itself remains, empty.
+//
+// The pipeline runs only its built-in stages, and every knob that no
+// command, example or benchmark sets is gone, with the code only it
+// reached (dievent/api.txt lists what remains):
+//   - the stage-plugin API: StageRegistry, NewStageRegistry,
+//     StageFactory, StageBuild (and its Config, Rig, Simulator, IDs,
+//     Cameras and NumFrames methods), Stage, StageEnv, ArtifactKey,
+//     Artifacts, FrameArtifacts, and Config.Registry;
+//   - degraded-mode stage isolation: Config.Degraded,
+//     Result.Quarantined and StageFailure (a stage panic fails the run);
+//   - in-pipeline video parsing: Config.ParseVideo, Result.Parse, the
+//     shot and shot-boundary records, and Summary.KeyFrames (cmd/repro
+//     reproduces Fig. 3 directly);
+//   - Config.Rig (the prototype rig of §III is the one rig a run
+//     uses), Config.Render, Config.Layers and Config.Summarize (their
+//     defaults are the values every run used);
+//   - StreamOptions.DiscardRecords;
+//   - EmotionTrainOptions' BatchSize (32), L2 (1e-4), Optimizer,
+//     Momentum and OnEpoch: training is minibatch Adam;
+//   - RenderOptions' LightDrift, LightPeriod, Background and TableTone;
+//   - AnalysisResult's context fields Menu, Date, Temperature and
+//     Relations, and the Role of a participant;
+//   - in repro/dievent/client, QueryOpts.Timeout, QueryOpts.Order and
+//     Config.MaxBackoff (5 s); the server keeps its timeout and order
+//     query parameters.
 package dievent
 
 import (
@@ -119,40 +143,15 @@ const (
 // New validates a configuration and prepares a pipeline.
 func New(cfg Config) (*Pipeline, error) { return core.New(cfg) }
 
-// Stage graph (DESIGN.md §7).
+// Attention-span analyzer output (StageAttention).
 type (
-	// Stage is one unit of pipeline work over the shared artifact
-	// stores; register custom stages via Registry.
-	Stage = core.Stage
-	// StageRegistry resolves stage names (Config.Registry).
-	StageRegistry = core.Registry
-	// StageFactory builds a fresh Stage instance for one run.
-	StageFactory = core.StageFactory
-	// StageBuild is the build context handed to stage factories.
-	StageBuild = core.StageBuild
-	// StageEnv is the per-run state handed to stage callbacks.
-	StageEnv = core.Env
-	// ArtifactKey names one per-(camera, frame) artifact.
-	ArtifactKey = core.ArtifactKey
-	// Artifacts is the per-(camera, frame) artifact store.
-	Artifacts = core.Artifacts
-	// FrameArtifacts is the merged per-frame artifact store.
-	FrameArtifacts = core.FrameArtifacts
 	// AttentionResult is the attention-span analyzer's derived layer.
 	AttentionResult = core.AttentionResult
 	// AttentionSpan is one contiguous gaze fixation.
 	AttentionSpan = core.AttentionSpan
 	// AttentionStat summarises one participant's gaze persistence.
 	AttentionStat = core.AttentionStat
-	// StageFailure reports one stage quarantined during a degraded run
-	// (Config.Degraded): the stage, why it was isolated, and the
-	// downstream stages disabled with it (Result.Quarantined).
-	StageFailure = core.StageFailure
 )
-
-// NewStageRegistry returns a registry seeded with every built-in
-// stage; Register additions and pass it as Config.Registry.
-func NewStageRegistry() *StageRegistry { return core.NewRegistry() }
 
 // StageAttention is the built-in per-person attention-span analyzer,
 // enabled via Config.Stages.
@@ -168,10 +167,8 @@ const (
 
 // Streaming execution (DESIGN.md §10). RunStream drives the pipeline as
 // an online process over a finite or cycled-unbounded frame stream; Run
-// is RunStream with the zero options. Custom windowed stages set
-// Stage.Emit and Stage.RunEmit and keep whatever trailing frames' worth
-// of state they need themselves — the engine retains no frame once its
-// frame-phase stages have run.
+// is RunStream with the zero options. The engine retains no frame once
+// its frame-phase stages have run.
 //
 //	repo := dievent.NewMemRepository()
 //	go pipe.RunStream(dievent.StreamOptions{

@@ -64,7 +64,7 @@ func TestProjectBehind(t *testing.T) {
 	if _, err := c.Project(geom.V3(-1, 0, 0)); !errors.Is(err, ErrBehindCamera) {
 		t.Errorf("behind-camera projection error = %v", err)
 	}
-	if _, err := c.Project(geom.Zero3); !errors.Is(err, ErrBehindCamera) {
+	if _, err := c.Project(geom.Vec3{}); !errors.Is(err, ErrBehindCamera) {
 		t.Error("point at camera centre should be ErrBehindCamera")
 	}
 }

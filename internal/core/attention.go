@@ -206,7 +206,7 @@ func attentionStage(b *stageBuild) (*Stage, error) {
 			fresh := an.drainClosed(env.opts.Bounded)
 			if env.opts.Live {
 				for _, s := range fresh {
-					env.QueueDerived(attentionSpanRecord(s))
+					env.queueDerived(attentionSpanRecord(s))
 				}
 			}
 			return nil

@@ -13,7 +13,7 @@
 // and parameter sweeps. Both modes share the gaze math, multilayer
 // analysis, metadata store and summariser.
 //
-// The pipeline itself is a registry-driven stage graph (DESIGN.md §7):
+// The pipeline itself is a stage graph (DESIGN.md §7):
 // both visions, the frame-serial analysis chain and the end-of-run
 // passes are named Stages declaring the per-(camera, frame) artifacts
 // they consume and produce. The graph is dependency-ordered and
@@ -27,7 +27,7 @@
 // (oracle_test.go) proves the graph equivalent to the pre-refactor
 // pipeline.
 //
-// Config.Stages plugs additional registered analyzers into the graph
+// Config.Stages adds the optional built-in analyzers to the graph
 // (e.g. "attention-span"), and Config.Incremental persists a run
 // manifest through the metadata repository so RunIncremental can
 // re-run only stale stages — re-deriving one layer without re-decoding
@@ -50,10 +50,8 @@ import (
 	"repro/internal/img"
 	"repro/internal/layers"
 	"repro/internal/metadata"
-	"repro/internal/parsing"
 	"repro/internal/scene"
 	"repro/internal/summarize"
-	"repro/internal/video"
 )
 
 // VisionMode selects the feature-extraction implementation.
@@ -82,21 +80,14 @@ func (m VisionMode) String() string {
 
 // Config assembles a pipeline run.
 type Config struct {
-	// Scenario is the scripted event to analyse (required).
+	// Scenario is the scripted event to analyse (required). It is
+	// watched by the prototype four-corner rig of §III, which requires
+	// positive scenario room dimensions.
 	Scenario scene.Scenario
-	// Rig is the camera platform; nil selects the prototype four-corner
-	// rig of §III (which requires positive scenario room dimensions).
-	Rig *camera.Rig
 	// Mode selects the vision path.
 	Mode VisionMode
-	// Render tunes the synthetic sensor (PixelVision and ParseVideo).
-	Render video.RenderOptions
 	// Gaze tunes the gaze estimator.
 	Gaze gaze.EstimatorOptions
-	// Layers tunes the multilayer analysis.
-	Layers layers.Options
-	// Summarize tunes the digest.
-	Summarize summarize.Options
 	// Classifier recognises emotions in PixelVision; nil trains a small
 	// classifier on synthetic faces at startup.
 	Classifier *emotion.Classifier
@@ -109,9 +100,6 @@ type Config struct {
 	// RepoOptions tune the persistent repository's storage engine
 	// (segment size, sync policy); ignored when RepoDir is empty.
 	RepoOptions []metadata.Option
-	// ParseVideo additionally runs video-composition analysis over the
-	// primary camera's rendered footage.
-	ParseVideo bool
 	// DetectEvery is the PixelVision detector cadence in frames;
 	// tracking bridges the gaps (default 3).
 	DetectEvery int
@@ -127,22 +115,20 @@ type Config struct {
 	// forces the plain sequential loop). Results are byte-identical for
 	// every worker count — the engine reassembles frames in order.
 	Workers int
-	// Stages names additional registered analyzer stages to plug into
-	// the graph (e.g. "attention-span"); see Registry.
+	// Stages names the optional built-in analyzer stages to add to the
+	// graph (StageAttention, StageDiningPhase, StageLiveSummary).
 	Stages []string
-	// Registry resolves stage names; nil uses the built-in set.
-	Registry *Registry
 	// Incremental persists the run manifest and the raw look-at layer
 	// through the repository, enabling RunIncremental re-runs against
 	// this run's output. Off by default: the extra records make the
 	// log a superset of a plain run's.
 	Incremental bool
-	// Degraded keeps the run alive when a stage panics: the stage and
-	// every stage consuming its artifacts are quarantined for the rest
-	// of the run and reported in Result.Quarantined, while the
-	// surviving stages complete. Off by default — a stage panic fails
-	// fast, and healthy runs are byte-identical either way.
-	Degraded bool
+
+	// rig replaces the prototype rig, and registry resolves stage names
+	// in place of the built-in set: test seams (nil in every product
+	// run).
+	rig      *camera.Rig
+	registry *registry
 }
 
 // StageTiming reports time spent in one pipeline stage. Serial stages
@@ -161,8 +147,6 @@ type Result struct {
 	Context layers.Context
 	// Layers is the multilayer analysis output.
 	Layers *layers.Result
-	// Parse is the composition hierarchy (nil unless ParseVideo).
-	Parse *parsing.Parse
 	// Summary is the event digest.
 	Summary *summarize.Summary
 	// Attention is the attention-span analyzer's derived layer (nil
@@ -185,11 +169,6 @@ type Result struct {
 	// mid-stream: the result covers the FramesAnalyzed frames consumed
 	// before cancellation, finalized normally.
 	Interrupted bool
-	// Quarantined reports the stages disabled mid-run after a panic
-	// (Config.Degraded only); empty on healthy and strict runs. Fields
-	// a quarantined stage would have filled (Layers, Summary,
-	// Attention, …) may be nil — consumers must check.
-	Quarantined []StageFailure
 }
 
 // ErrBadConfig reports an unusable configuration.
@@ -200,7 +179,7 @@ type Pipeline struct {
 	cfg        Config
 	sim        *scene.Simulator
 	rig        *camera.Rig
-	reg        *Registry
+	reg        *registry
 	stageNames []string
 }
 
@@ -214,10 +193,10 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("core: unknown vision mode %d (have %v, %v): %w",
 			cfg.Mode, GeometricVision, PixelVision, ErrBadConfig)
 	}
-	rig := cfg.Rig
+	rig := cfg.rig
 	if rig == nil {
 		if cfg.Scenario.RoomW <= 0 || cfg.Scenario.RoomD <= 0 {
-			return nil, fmt.Errorf("core: nil rig needs the default prototype rig, which requires positive scenario room dimensions (got %v x %v); pass Config.Rig explicitly: %w",
+			return nil, fmt.Errorf("core: the prototype rig requires positive scenario room dimensions (got %v x %v): %w",
 				cfg.Scenario.RoomW, cfg.Scenario.RoomD, ErrBadConfig)
 		}
 		rig, err = camera.PrototypeRig(cfg.Scenario.RoomW, cfg.Scenario.RoomD)
@@ -251,9 +230,9 @@ func New(cfg Config) (*Pipeline, error) {
 			}
 		}
 	}
-	reg := cfg.Registry
+	reg := cfg.registry
 	if reg == nil {
-		reg = NewRegistry()
+		reg = newRegistry()
 	}
 	names, err := resolveStageNames(cfg, reg)
 	if err != nil {
@@ -277,7 +256,7 @@ func pixelCamCount(cfg Config, rig *camera.Rig) int {
 // resolveStageNames assembles the run's stage list: the mode's
 // extraction set, the frame-serial analysis chain, the requested
 // extras, and the end-of-run stages.
-func resolveStageNames(cfg Config, reg *Registry) ([]string, error) {
+func resolveStageNames(cfg Config, reg *registry) ([]string, error) {
 	var names []string
 	switch cfg.Mode {
 	case GeometricVision:
@@ -285,11 +264,7 @@ func resolveStageNames(cfg Config, reg *Registry) ([]string, error) {
 	case PixelVision:
 		names = append(names, StageRender, StageDetect, StageTrack, StageClassify, StageFuseEmotions, StagePxGaze)
 	}
-	names = append(names, StageGazeAnalysis, StageMultilayer, StageObservations)
-	if cfg.ParseVideo {
-		names = append(names, StageVideoParsing)
-	}
-	names = append(names, StageDerived)
+	names = append(names, StageGazeAnalysis, StageMultilayer, StageObservations, StageDerived)
 	if cfg.Incremental {
 		names = append(names, StageManifest)
 	}
@@ -299,8 +274,8 @@ func resolveStageNames(cfg Config, reg *Registry) ([]string, error) {
 	// against the complete base set so naming a built-in end-of-run
 	// stage fails here, at New, not mid-run.
 	for _, extra := range cfg.Stages {
-		if !reg.Has(extra) {
-			return nil, fmt.Errorf("core: unknown stage %q in Config.Stages (registered: %v): %w", extra, reg.Names(), ErrBadConfig)
+		if reg.factories[extra] == nil {
+			return nil, fmt.Errorf("core: unknown stage %q in Config.Stages (registered: %v): %w", extra, reg.order, ErrBadConfig)
 		}
 		for _, have := range names {
 			if have == extra {
@@ -341,8 +316,7 @@ func contextOf(sim *scene.Simulator, cfg Config) layers.Context {
 const metadataBatch = 256
 
 // runEnv is one run's shared mutable state, threaded through every
-// stage callback. Custom stages reach it through the exported Env
-// alias and its accessors.
+// stage callback.
 type runEnv struct {
 	graph     *stageGraph
 	res       *Result
@@ -353,54 +327,28 @@ type runEnv struct {
 	// opts is the run's streaming drive (the zero value on plain and
 	// incremental runs).
 	opts StreamOptions
-	// quar is the degraded-mode quarantine table; nil on strict runs
-	// (stages are then invoked directly, with no recover).
-	quar *stageQuarantine
-	// pending is the raw-layer record batch queue (see Queue).
+	// pending is the raw-layer record batch queue (see queue).
 	pending []metadata.Record
 	// framesDone counts frames fully through the frame phase, so an
 	// interrupted stream reports exactly what it consumed.
 	framesDone int
 }
 
-// Env is one run's shared state as seen by stage callbacks.
-type Env = runEnv
-
-// Queue buffers a raw-layer record for the next batched append (paid
+// queue buffers a raw-layer record for the next batched append (paid
 // once per metadataBatch records). End-of-run stages writing derived
-// layers should append through Repository directly instead.
-func (env *runEnv) Queue(recs ...metadata.Record) {
-	if env.opts.DiscardRecords {
+// layers append through the repository directly instead.
+func (env *runEnv) queue(recs ...metadata.Record) {
+	if env.opts.discardRaw {
 		return
 	}
 	env.pending = append(env.pending, recs...)
 }
 
-// QueueDerived buffers a live derived record from a RunEmit tick. Like
-// Queue but exempt from DiscardRecords: a monitoring-only stream drops
-// the raw per-frame layer yet keeps its live derived output.
-func (env *runEnv) QueueDerived(recs ...metadata.Record) {
+// queueDerived buffers a live derived record from a RunEmit tick. Like
+// queue, but it keeps the record on a discardRaw stream.
+func (env *runEnv) queueDerived(recs ...metadata.Record) {
 	env.pending = append(env.pending, recs...)
 }
-
-// Live reports whether the run is a live stream: windowed stages emit
-// live- records from RunEmit only when set.
-func (env *runEnv) Live() bool { return env.opts.Live }
-
-// Bounded reports whether the run must hold memory steady on unbounded
-// streams: windowed stages drain and trim accumulated derived state at
-// their Emit ticks when set.
-func (env *runEnv) Bounded() bool { return env.opts.Bounded }
-
-// Result is the run's accumulating result (Layers is nil until the
-// multilayer stage finalizes).
-func (env *runEnv) Result() *Result { return env.res }
-
-// Repository is the run's metadata repository.
-func (env *runEnv) Repository() *metadata.Repository { return env.repo }
-
-// Frames is the number of frames this run analyses.
-func (env *runEnv) Frames() int { return env.numFrames }
 
 // flush appends the pending raw-record batch, under the metadata timer.
 func (env *runEnv) flush() error {
@@ -532,9 +480,6 @@ func (p *Pipeline) newEnv(graph *stageGraph, b *stageBuild, repo *metadata.Repos
 		numFrames: b.numFrames, identity: p.runIdentity(b.numFrames, b.nCams),
 		pending: make([]metadata.Record, 0, metadataBatch),
 	}
-	if b.cfg.Degraded {
-		env.quar = newStageQuarantine(graph)
-	}
 	// Pre-register the timing entries in graph order so Timings stays
 	// deterministic even when workers race to report first.
 	if b.numFrames > 0 {
@@ -588,7 +533,7 @@ func (env *runEnv) sink(i int, _ scene.FrameState, out any) error {
 	stages := env.graph.byPhase[PhaseFrame]
 	for _, st := range stages {
 		env.timer.start(st.Name)
-		err := env.invoke(st, func() error { return st.RunFrame(env, fa) })
+		err := st.RunFrame(env, fa)
 		env.timer.stop(st.Name)
 		if err != nil {
 			return fmt.Errorf("core: frame %d: stage %s: %w", i, st.Name, err)
@@ -602,7 +547,7 @@ func (env *runEnv) sink(i int, _ scene.FrameState, out any) error {
 				continue
 			}
 			env.timer.start(st.Name)
-			err := env.invoke(st, func() error { return st.RunEmit(env, fa) })
+			err := st.RunEmit(env, fa)
 			env.timer.stop(st.Name)
 			if err != nil {
 				return fmt.Errorf("core: frame %d: stage %s emit: %w", i, st.Name, err)
@@ -633,7 +578,7 @@ func (env *runEnv) finalize() error {
 			continue
 		}
 		timer.start(st.Name)
-		err := env.invoke(st, func() error { return st.RunFinal(env) })
+		err := st.RunFinal(env)
 		timer.stop(st.Name)
 		if err != nil {
 			return fmt.Errorf("core: stage %s: %w", st.Name, err)
@@ -645,7 +590,7 @@ func (env *runEnv) finalize() error {
 			name = "metadata"
 		}
 		timer.start(name)
-		err := env.invoke(st, func() error { return st.RunFinal(env) })
+		err := st.RunFinal(env)
 		timer.stop(name)
 		if err != nil {
 			return fmt.Errorf("core: stage %s: %w", st.Name, err)
@@ -658,9 +603,6 @@ func (env *runEnv) finalize() error {
 	timer.stop("metadata")
 
 	res.Timings = timer.report()
-	if env.quar != nil {
-		res.Quarantined = env.quar.failures()
-	}
 	return nil
 }
 
@@ -685,7 +627,6 @@ func writeContext(repo *metadata.Repository, ctx layers.Context) error {
 	return nil
 }
 
-// writeDerived stores events, alerts, summary counts, shots and scenes.
 // ecEventRecord is the eye-contact event's record schema, shared by the
 // live (RunEmit) and end-of-run emission paths.
 func ecEventRecord(e layers.ECEvent) metadata.Record {
@@ -706,6 +647,7 @@ func alertRecord(a layers.Alert) metadata.Record {
 	}
 }
 
+// writeDerived stores events, alerts and summary counts.
 func writeDerived(repo *metadata.Repository, res *Result) error {
 	var recs []metadata.Record
 	// Fresh* excludes events and alerts already drained live by the
@@ -726,21 +668,6 @@ func writeDerived(repo *metadata.Repository, res *Result) error {
 				Kind: metadata.KindEvent, Frame: 0, FrameEnd: res.FramesAnalyzed,
 				Person: from, Other: to, Label: "lookat-count",
 				Value: float64(sum.Counts[i][j]),
-			})
-		}
-	}
-	if res.Parse != nil {
-		for _, b := range res.Parse.Boundaries {
-			recs = append(recs, metadata.Record{
-				Kind: metadata.KindEvent, Frame: b.Frame, FrameEnd: b.Frame + 1,
-				Person: -1, Other: -1, Label: "shot-boundary", Value: b.Score,
-			})
-		}
-		for si, s := range res.Parse.Shots {
-			recs = append(recs, metadata.Record{
-				Kind: metadata.KindEvent, Frame: s.Start, FrameEnd: s.End,
-				Person: -1, Other: -1, Label: "shot", Value: float64(si),
-				Tags: map[string]string{"keyframe": fmt.Sprint(s.KeyFrame)},
 			})
 		}
 	}

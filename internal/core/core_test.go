@@ -79,11 +79,11 @@ func TestNewValidationPixelRigIntrinsics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Scenario: scene.PrototypeScenario(), Rig: rig, Mode: PixelVision}); !errors.Is(err, ErrBadConfig) {
+	if _, err := New(Config{Scenario: scene.PrototypeScenario(), rig: rig, Mode: PixelVision}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("pixel mode with intrinsics-less camera: err = %v, want ErrBadConfig", err)
 	}
 	// Geometric vision never renders: the same rig is fine there.
-	if _, err := New(Config{Scenario: scene.PrototypeScenario(), Rig: rig, Mode: GeometricVision}); err != nil {
+	if _, err := New(Config{Scenario: scene.PrototypeScenario(), rig: rig, Mode: GeometricVision}); err != nil {
 		t.Errorf("geometric mode should accept the rig: %v", err)
 	}
 }
@@ -324,38 +324,6 @@ func TestDefaultClassifierFingerprintGolden(t *testing.T) {
 	}
 }
 
-func TestPipelineWithVideoParsing(t *testing.T) {
-	p, err := New(Config{
-		Scenario:   scene.PrototypeScenario(),
-		Mode:       GeometricVision,
-		MaxFrames:  120,
-		ParseVideo: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Repo.Close()
-	if res.Parse == nil {
-		t.Fatal("expected a parse")
-	}
-	// Single fixed camera: exactly one shot.
-	if len(res.Parse.Shots) != 1 {
-		t.Errorf("static footage parsed into %d shots", len(res.Parse.Shots))
-	}
-	// Shot records written.
-	got, err := res.Repo.Query("label = 'shot'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Errorf("%d shot records", len(got))
-	}
-}
-
 func TestGeometricEmotionNoiseDeterministic(t *testing.T) {
 	run := func() float64 {
 		p, err := New(Config{
@@ -405,7 +373,7 @@ func TestPipelineWithPaperRig(t *testing.T) {
 	}
 	p, err := New(Config{
 		Scenario: scene.PrototypeScenario(),
-		Rig:      rig,
+		rig:      rig,
 		Mode:     GeometricVision,
 		Gaze:     gaze.EstimatorOptions{Seed: 6},
 	})
@@ -440,7 +408,7 @@ func TestPipelineSingleCameraDegradesGracefully(t *testing.T) {
 	}
 	p, err := New(Config{
 		Scenario:  scene.PrototypeScenario(),
-		Rig:       single,
+		rig:       single,
 		Mode:      GeometricVision,
 		Gaze:      gaze.EstimatorOptions{Seed: 7},
 		MaxFrames: 200,

@@ -101,7 +101,7 @@ func diningPhaseStage(b *stageBuild) (*Stage, error) {
 				return fmt.Errorf("decoding phase window: %w", err)
 			}
 			ph := scene.Phase(states[len(states)-1])
-			env.QueueDerived(metadata.Record{
+			env.queueDerived(metadata.Record{
 				Kind: metadata.KindEvent, Frame: fa.Index, FrameEnd: fa.Index + 1,
 				Time: fa.FS.Time, Person: -1, Other: -1,
 				Label: "live-phase", Value: float64(ph),
@@ -191,7 +191,7 @@ func liveSummaryStage(b *stageBuild) (*Stage, error) {
 			for _, v := range ohWin {
 				s += v
 			}
-			env.QueueDerived(metadata.Record{
+			env.queueDerived(metadata.Record{
 				Kind: metadata.KindEvent, Frame: fa.Index, FrameEnd: fa.Index + 1,
 				Time: fa.FS.Time, Person: sum.Dominant(), Other: -1,
 				Label: "live-summary", Value: s / float64(len(ohWin)),

@@ -212,10 +212,7 @@ func loadReplay(prev *metadata.Repository, numFrames int, ids []int) (*replayDat
 // observations) are replayed from prev's records instead of
 // re-extracted, so a stale-emotion re-run skips the gaze chain
 // entirely and the vision layers never re-render; derived stages
-// always re-run. (Exception: ParseVideo's composition analysis is an
-// end-of-run pass over rendered footage and still re-renders the
-// primary camera when enabled — leave it off for re-derivation
-// workloads that must not touch video.) The output is a complete,
+// always re-run. The output is a complete,
 // self-contained result — records are byte-identical to a full run of
 // the same configuration — written to a fresh repository per
 // Config.RepoDir, which must not be the directory prev holds open

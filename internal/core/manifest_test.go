@@ -384,20 +384,18 @@ func TestIncrementalLatestRunWithoutManifest(t *testing.T) {
 }
 
 // TestIncrementalCustomReplayableStage: a registered Replayable
-// prepare stage re-runs inside the replay loop with the same scratch
-// contract full runs give it; a stage whose Needs reach a
-// non-replayable provider pulls the run back to full extraction.
+// prepare stage re-runs inside the replay loop; a stage whose Needs
+// reach a non-replayable provider pulls the run back to full
+// extraction.
 func TestIncrementalCustomReplayableStage(t *testing.T) {
-	reg := NewRegistry()
-	var scratchCalls, runCalls int
-	if err := reg.Register("jitter", func(*stageBuild) (*Stage, error) {
+	reg := newRegistry()
+	var runCalls int
+	if err := reg.register("jitter", func(*stageBuild) (*Stage, error) {
 		return &Stage{
 			Name: "jitter", Version: 1, Phase: PhasePrepare,
 			Provides:   []ArtifactKey{"jitter"},
 			Replayable: true,
-			NewScratch: func() any { scratchCalls++; return &struct{ n int }{} },
-			RunCam: func(_ *runEnv, _ *Artifacts, sc any) error {
-				sc.(*struct{ n int }).n++ // panics if the engine hands nil scratch
+			RunCam: func(*runEnv, *Artifacts) error {
 				runCalls++
 				return nil
 			},
@@ -406,7 +404,7 @@ func TestIncrementalCustomReplayableStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := baseIncrementalConfig()
-	cfg.Registry = reg
+	cfg.registry = reg
 	cfg.Stages = []string{"jitter"}
 	cfg.Workers = 1
 	prev := mustRun(t, cfg)
@@ -435,14 +433,14 @@ func TestIncrementalCustomStageNeedingPixelsFallsBack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pixel vision is expensive")
 	}
-	reg := NewRegistry()
-	if err := reg.Register("gray-peek", func(*stageBuild) (*Stage, error) {
+	reg := newRegistry()
+	if err := reg.register("gray-peek", func(*stageBuild) (*Stage, error) {
 		return &Stage{
 			Name: "gray-peek", Version: 1, Phase: PhasePrepare,
 			Needs:      []ArtifactKey{ArtGray},
 			Provides:   []ArtifactKey{"gray-peek"},
 			Replayable: true, // a lie: it reads rendered pixels
-			RunCam: func(_ *runEnv, a *Artifacts, _ any) error {
+			RunCam: func(_ *runEnv, a *Artifacts) error {
 				if a.Gray == nil {
 					return errors.New("gray plane missing")
 				}
@@ -461,7 +459,7 @@ func TestIncrementalCustomStageNeedingPixelsFallsBack(t *testing.T) {
 		DetectEvery:  3,
 		PixelCameras: 1,
 		Incremental:  true,
-		Registry:     reg,
+		registry:     reg,
 		Stages:       []string{"gray-peek"},
 	}
 	prev := mustRun(t, cfg)
@@ -527,4 +525,71 @@ func TestIncrementalReusedRepoDirTakesLatestRun(t *testing.T) {
 		t.Errorf("nothing stale vs the latest manifest, got %v", res.StaleStages)
 	}
 	assertRunsEqual(t, captureResult(t, full), captureResult(t, res), "reused-dir")
+}
+
+// TestStageConfigHashGolden pins what a run manifest records for the
+// default geometric and pixel configurations: the run identity and the
+// config hash of every built-in stage. A change here re-keys every
+// existing repository, so RunIncremental would re-run stages that did
+// not change.
+func TestStageConfigHashGolden(t *testing.T) {
+	const scenario = "scenario=f59ca1a0da62c4a2"
+	shared := map[string]string{
+		StageFuseEmotions: "cbf29ce484222325",
+		StageGazeAnalysis: "bb48d094ecdf40bf",
+		StageMultilayer:   "fa5a7449b6c803e4",
+		StageObservations: "0a2b0b6152207fb6",
+		StageDerived:      "cbf29ce484222325",
+		StageManifest:     "cbf29ce484222325",
+		StageSummarize:    "6928726d2a21ca08",
+		StageAttention:    "07f89407b4ba0c0a",
+		StageDiningPhase:  "db9a0b9be1aa2c05",
+		StageLiveSummary:  "a4910e64e5984eda",
+	}
+	for _, c := range []struct {
+		mode     VisionMode
+		identity string
+		stages   map[string]string
+	}{
+		{GeometricVision, "mode=geometric frames=610 cams=4 lanes=1 " + scenario, map[string]string{
+			StageGeoGaze:     "93690996ac75fcc3",
+			StageGeoEmotion:  "fc1070d3010c44d7",
+			StageCollectGaze: "cbf29ce484222325",
+		}},
+		{PixelVision, "mode=pixel frames=610 cams=4 lanes=1 " + scenario, map[string]string{
+			StageRender:   "129f20c182b2def3",
+			StageDetect:   "058dd1bc1ad4d398",
+			StageTrack:    "058dd1bc1ad4d398",
+			StageClassify: "f19136cdfaa64db1",
+			StagePxGaze:   "93690996ac75fcc3",
+		}},
+	} {
+		p, err := New(Config{
+			Scenario: scene.PrototypeScenario(), Mode: c.mode, Incremental: true,
+			Stages: []string{StageAttention, StageDiningPhase, StageLiveSummary},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := p.scenarioFrames()
+		g, b, err := p.buildStages(true, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.runIdentity(n, b.nCams); got != c.identity {
+			t.Errorf("%v: run identity %q, want %q", c.mode, got, c.identity)
+		}
+		if len(g.stages) != len(c.stages)+len(shared) {
+			t.Errorf("%v: %d stages, want %d", c.mode, len(g.stages), len(c.stages)+len(shared))
+		}
+		for _, st := range g.stages {
+			want, ok := c.stages[st.Name]
+			if !ok {
+				want = shared[st.Name]
+			}
+			if got := configHash(st.Config); got != want {
+				t.Errorf("%v: stage %s config %q hashes to %s, want %s", c.mode, st.Name, st.Config, got, want)
+			}
+		}
+	}
 }

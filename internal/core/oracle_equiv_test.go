@@ -72,12 +72,6 @@ func TestStageGraphMatchesOracleGeometric(t *testing.T) {
 			EmotionNoise: 0.2,
 			MaxFrames:    200,
 		},
-		"parse-video": {
-			Scenario:   scene.PrototypeScenario(),
-			Mode:       GeometricVision,
-			MaxFrames:  120,
-			ParseVideo: true,
-		},
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {

@@ -24,7 +24,6 @@ import (
 	"repro/internal/img"
 	"repro/internal/layers"
 	"repro/internal/metadata"
-	"repro/internal/parsing"
 	"repro/internal/scene"
 	"repro/internal/summarize"
 	"repro/internal/video"
@@ -71,7 +70,7 @@ func (p *Pipeline) runOracle() (*Result, error) {
 		return nil, err
 	}
 
-	analyzer, err := layers.NewAnalyzer(ctx, cfg.Layers)
+	analyzer, err := layers.NewAnalyzer(ctx, layers.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -162,19 +161,6 @@ func (p *Pipeline) runOracle() (*Result, error) {
 	timer.stop("multilayer")
 	res.FramesAnalyzed = numFrames
 
-	if cfg.ParseVideo {
-		timer.start("video-parsing")
-		renderer := video.NewRenderer(p.sim, p.rig.Cameras[0], cfg.Render)
-		src, err := video.NewSourceRange(renderer, 0, numFrames)
-		if err == nil {
-			res.Parse, err = parsing.NewAnalyzer(parsing.Options{}).Analyze(src)
-		}
-		timer.stop("video-parsing")
-		if err != nil {
-			return nil, fmt.Errorf("core: parsing video: %w", err)
-		}
-	}
-
 	timer.start("metadata")
 	if err := oracleWriteDerived(repo, res); err != nil {
 		return nil, err
@@ -185,7 +171,7 @@ func (p *Pipeline) runOracle() (*Result, error) {
 	timer.stop("metadata")
 
 	timer.start("summarize")
-	res.Summary, err = summarize.Summarize(res.Layers, res.Parse, cfg.Summarize)
+	res.Summary, err = summarize.Summarize(res.Layers)
 	timer.stop("summarize")
 	if err != nil {
 		return nil, fmt.Errorf("core: summarizing: %w", err)
@@ -246,21 +232,6 @@ func oracleWriteDerived(repo *metadata.Repository, res *Result) error {
 				Kind: metadata.KindEvent, Frame: 0, FrameEnd: res.FramesAnalyzed,
 				Person: from, Other: to, Label: "lookat-count",
 				Value: float64(sum.Counts[i][j]),
-			})
-		}
-	}
-	if res.Parse != nil {
-		for _, b := range res.Parse.Boundaries {
-			recs = append(recs, metadata.Record{
-				Kind: metadata.KindEvent, Frame: b.Frame, FrameEnd: b.Frame + 1,
-				Person: -1, Other: -1, Label: "shot-boundary", Value: b.Score,
-			})
-		}
-		for si, s := range res.Parse.Shots {
-			recs = append(recs, metadata.Record{
-				Kind: metadata.KindEvent, Frame: s.Start, FrameEnd: s.End,
-				Person: -1, Other: -1, Label: "shot", Value: float64(si),
-				Tags: map[string]string{"keyframe": fmt.Sprint(s.KeyFrame)},
 			})
 		}
 	}
@@ -398,7 +369,7 @@ func newOraclePixelVision(cfg Config, sim *scene.Simulator, rig *camera.Rig) (*o
 	}
 	for c := 0; c < nCams; c++ {
 		pv.cams = append(pv.cams, oraclePixelCam{
-			renderer: video.NewRenderer(sim, rig.Cameras[c], cfg.Render),
+			renderer: video.NewRenderer(sim, rig.Cameras[c], video.RenderOptions{}),
 			tracker:  face.NewTracker(face.TrackerOptions{}),
 		})
 	}

@@ -2,10 +2,11 @@ package core
 
 // Stage graph (DESIGN.md §7): the pipeline's extraction and analysis
 // work is expressed as named stages over a typed per-(camera, frame)
-// artifact store, resolved from a registry, dependency-ordered, and
-// scheduled onto the concurrent engine. Adding an analyzer means
-// registering a Stage and naming it in Config.Stages — the engine,
-// the metadata layout and the other stages are untouched.
+// artifact store, resolved by name from the built-in set,
+// dependency-ordered, and scheduled onto the concurrent engine. Adding
+// an analyzer means adding a built-in Stage and naming it in
+// Config.Stages — the engine, the metadata layout and the other stages
+// are untouched.
 
 import (
 	"fmt"
@@ -68,8 +69,8 @@ const (
 	// order, on the serial analysis goroutine (gaze analysis,
 	// multilayer, raw-record emission).
 	PhaseFrame
-	// PhaseFinal stages run once after the frame loop (video parsing,
-	// derived records, summarize).
+	// PhaseFinal stages run once after the frame loop (derived records,
+	// summarize).
 	PhaseFinal
 
 	numPhases
@@ -98,8 +99,8 @@ func (p StagePhase) String() string {
 // PhaseFrame stages may additionally set RunFinal for end-of-run
 // flushing (the multilayer finalize, analyzer summaries).
 type Stage struct {
-	// Name identifies the stage in the registry, the run manifest, the
-	// timing table and Config.Stages.
+	// Name identifies the stage in the run manifest, the timing table
+	// and Config.Stages.
 	Name string
 	// Version is bumped when the stage's algorithm changes; the run
 	// manifest records it so incremental runs re-derive stale output.
@@ -121,11 +122,8 @@ type Stage struct {
 	// without re-decoding video. Stages of PhaseFrame/PhaseFinal need
 	// no flag: they always re-derive.
 	Replayable bool
-	// NewScratch allocates one worker's reusable scratch for this stage
-	// (PhasePrepare only; nil when the stage keeps no scratch).
-	NewScratch func() any
 	// RunCam executes the stage for one (camera, frame).
-	RunCam func(env *runEnv, a *Artifacts, scratch any) error
+	RunCam func(env *runEnv, a *Artifacts) error
 	// RunFrame executes the stage for one merged frame.
 	RunFrame func(env *runEnv, fa *FrameArtifacts) error
 	// RunFinal executes once after the frame loop.
@@ -147,14 +145,12 @@ type Stage struct {
 	RunEmit func(env *runEnv, fa *FrameArtifacts) error
 }
 
-// StageFactory builds a fresh Stage instance for one run. Factories own
+// stageFactory builds a fresh Stage instance for one run. Factories own
 // all per-run state (renderers, trackers, analyzers) via the returned
 // stage's closures, so a Pipeline stays reusable.
-type StageFactory func(b *stageBuild) (*Stage, error)
+type stageFactory func(b *stageBuild) (*Stage, error)
 
 // stageBuild is everything a factory may consult while building.
-// Custom factories reach it through the exported StageBuild alias and
-// its accessors.
 type stageBuild struct {
 	cfg       Config
 	sim       *scene.Simulator
@@ -164,44 +160,21 @@ type stageBuild struct {
 	numFrames int
 }
 
-// StageBuild is the build context handed to stage factories.
-type StageBuild = stageBuild
-
-// Config is the run's full configuration.
-func (b *stageBuild) Config() Config { return b.cfg }
-
-// Rig is the run's camera platform.
-func (b *stageBuild) Rig() *camera.Rig { return b.rig }
-
-// Simulator evaluates the run's scenario frame by frame.
-func (b *stageBuild) Simulator() *scene.Simulator { return b.sim }
-
-// IDs lists the participant IDs in declaration order.
-func (b *stageBuild) IDs() []int { return append([]int(nil), b.ids...) }
-
-// Cameras is the number of extraction lanes (pixel cameras, or 1).
-func (b *stageBuild) Cameras() int { return b.nCams }
-
-// NumFrames is the number of frames the run analyses.
-func (b *stageBuild) NumFrames() int { return b.numFrames }
-
-// Registry maps stage names to factories. The zero value is unusable;
-// use NewRegistry (which seeds the built-in stages) and Register
-// additions on top.
-type Registry struct {
+// registry maps stage names to factories, in registration order.
+type registry struct {
 	order     []string
-	factories map[string]StageFactory
+	factories map[string]stageFactory
 }
 
-// NewRegistry returns a registry seeded with every built-in stage.
-func NewRegistry() *Registry {
-	r := &Registry{factories: make(map[string]StageFactory)}
+// newRegistry returns a registry of every built-in stage.
+func newRegistry() *registry {
+	r := &registry{factories: make(map[string]stageFactory)}
 	registerBuiltins(r)
 	return r
 }
 
-// Register adds a stage factory under a unique name.
-func (r *Registry) Register(name string, f StageFactory) error {
+// register adds a stage factory under a unique name.
+func (r *registry) register(name string, f stageFactory) error {
 	if name == "" || f == nil {
 		return fmt.Errorf("core: registering stage %q: empty name or nil factory: %w", name, ErrBadConfig)
 	}
@@ -211,17 +184,6 @@ func (r *Registry) Register(name string, f StageFactory) error {
 	r.order = append(r.order, name)
 	r.factories[name] = f
 	return nil
-}
-
-// Names lists the registered stage names in registration order.
-func (r *Registry) Names() []string {
-	return append([]string(nil), r.order...)
-}
-
-// Has reports whether a stage name is registered.
-func (r *Registry) Has(name string) bool {
-	_, ok := r.factories[name]
-	return ok
 }
 
 // stageGraph is a resolved, validated, dependency-ordered stage set.
@@ -234,7 +196,7 @@ type stageGraph struct {
 // buildGraph resolves names through the registry, builds the stages
 // and orders each phase topologically by Needs/Provides (stable: ties
 // keep request order, so runs are deterministic).
-func buildGraph(reg *Registry, names []string, b *stageBuild) (*stageGraph, error) {
+func buildGraph(reg *registry, names []string, b *stageBuild) (*stageGraph, error) {
 	g := &stageGraph{}
 	seen := make(map[string]bool, len(names))
 	providers := make(map[ArtifactKey]*Stage)
@@ -245,7 +207,7 @@ func buildGraph(reg *Registry, names []string, b *stageBuild) (*stageGraph, erro
 		seen[name] = true
 		f, ok := reg.factories[name]
 		if !ok {
-			return nil, fmt.Errorf("core: unknown stage %q (registered: %v): %w", name, reg.Names(), ErrBadConfig)
+			return nil, fmt.Errorf("core: unknown stage %q (registered: %v): %w", name, reg.order, ErrBadConfig)
 		}
 		st, err := f(b)
 		if err != nil {
@@ -335,9 +297,6 @@ func checkStageShape(st *Stage) error {
 		}
 	default:
 		return bad("unknown phase")
-	}
-	if st.NewScratch != nil && st.Phase != PhasePrepare {
-		return bad("worker scratch is prepare-only")
 	}
 	if st.Emit < 0 {
 		return bad("negative Emit")

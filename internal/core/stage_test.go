@@ -41,8 +41,8 @@ func TestConfigRejectsDuplicateStage(t *testing.T) {
 }
 
 func TestGraphRejectsMissingProvider(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.Register("needs-ghost", func(*stageBuild) (*Stage, error) {
+	reg := newRegistry()
+	if err := reg.register("needs-ghost", func(*stageBuild) (*Stage, error) {
 		return &Stage{
 			Name: "needs-ghost", Version: 1, Phase: PhaseFrame,
 			Needs:    []ArtifactKey{"ghost"},
@@ -53,7 +53,7 @@ func TestGraphRejectsMissingProvider(t *testing.T) {
 	}
 	p, err := New(Config{
 		Scenario:  scene.PrototypeScenario(),
-		Registry:  reg,
+		registry:  reg,
 		Stages:    []string{"needs-ghost"},
 		MaxFrames: 10,
 	})
@@ -66,13 +66,13 @@ func TestGraphRejectsMissingProvider(t *testing.T) {
 }
 
 func TestGraphRejectsDependencyCycle(t *testing.T) {
-	reg := NewRegistry()
+	reg := newRegistry()
 	mk := func(name string, needs, provides ArtifactKey) {
-		if err := reg.Register(name, func(*stageBuild) (*Stage, error) {
+		if err := reg.register(name, func(*stageBuild) (*Stage, error) {
 			return &Stage{
 				Name: name, Version: 1, Phase: PhasePrepare,
 				Needs: []ArtifactKey{needs}, Provides: []ArtifactKey{provides},
-				RunCam: func(*runEnv, *Artifacts, any) error { return nil },
+				RunCam: func(*runEnv, *Artifacts) error { return nil },
 			}, nil
 		}); err != nil {
 			t.Fatal(err)
@@ -82,7 +82,7 @@ func TestGraphRejectsDependencyCycle(t *testing.T) {
 	mk("cyc-b", "key-a", "key-b")
 	p, err := New(Config{
 		Scenario:  scene.PrototypeScenario(),
-		Registry:  reg,
+		registry:  reg,
 		Stages:    []string{"cyc-a", "cyc-b"},
 		MaxFrames: 10,
 	})
@@ -95,7 +95,7 @@ func TestGraphRejectsDependencyCycle(t *testing.T) {
 }
 
 func TestGraphOrdersProviderBeforeConsumer(t *testing.T) {
-	reg := NewRegistry()
+	reg := newRegistry()
 	var order []string
 	var mu sync.Mutex
 	record := func(name string) {
@@ -105,27 +105,27 @@ func TestGraphOrdersProviderBeforeConsumer(t *testing.T) {
 	}
 	// Requested consumer-first: the topological sort must still run the
 	// provider first.
-	if err := reg.Register("t-consumer", func(*stageBuild) (*Stage, error) {
+	if err := reg.register("t-consumer", func(*stageBuild) (*Stage, error) {
 		return &Stage{
 			Name: "t-consumer", Version: 1, Phase: PhasePrepare,
 			Needs:  []ArtifactKey{"t-key"},
-			RunCam: func(_ *runEnv, _ *Artifacts, _ any) error { record("t-consumer"); return nil },
+			RunCam: func(_ *runEnv, _ *Artifacts) error { record("t-consumer"); return nil },
 		}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register("t-provider", func(*stageBuild) (*Stage, error) {
+	if err := reg.register("t-provider", func(*stageBuild) (*Stage, error) {
 		return &Stage{
 			Name: "t-provider", Version: 1, Phase: PhasePrepare,
 			Provides: []ArtifactKey{"t-key"},
-			RunCam:   func(_ *runEnv, _ *Artifacts, _ any) error { record("t-provider"); return nil },
+			RunCam:   func(_ *runEnv, _ *Artifacts) error { record("t-provider"); return nil },
 		}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	p, err := New(Config{
 		Scenario:  scene.PrototypeScenario(),
-		Registry:  reg,
+		registry:  reg,
 		Stages:    []string{"t-consumer", "t-provider"},
 		MaxFrames: 1,
 		Workers:   1,
@@ -158,9 +158,9 @@ func TestGraphRejectsExpiredArtifacts(t *testing.T) {
 		{"tracks-at-frame", PhaseFrame, ArtTracks},
 	}
 	for _, c := range cases {
-		reg := NewRegistry()
+		reg := newRegistry()
 		c := c
-		if err := reg.Register(c.name, func(*stageBuild) (*Stage, error) {
+		if err := reg.register(c.name, func(*stageBuild) (*Stage, error) {
 			return &Stage{
 				Name: c.name, Version: 1, Phase: c.phase,
 				Needs:    []ArtifactKey{c.key},
@@ -174,7 +174,7 @@ func TestGraphRejectsExpiredArtifacts(t *testing.T) {
 			Mode:       PixelVision,
 			Classifier: engineTestClassifier(t),
 			MaxFrames:  3,
-			Registry:   reg,
+			registry:   reg,
 			Stages:     []string{c.name},
 		})
 		if err != nil {
@@ -187,8 +187,8 @@ func TestGraphRejectsExpiredArtifacts(t *testing.T) {
 }
 
 func TestRegistryRejectsDuplicates(t *testing.T) {
-	reg := NewRegistry()
-	err := reg.Register(StageRender, func(*stageBuild) (*Stage, error) { return nil, nil })
+	reg := newRegistry()
+	err := reg.register(StageRender, func(*stageBuild) (*Stage, error) { return nil, nil })
 	if !errors.Is(err, ErrBadConfig) {
 		t.Errorf("duplicate registration: err = %v, want ErrBadConfig", err)
 	}
@@ -204,15 +204,15 @@ func TestIntegralsBuiltOncePerCameraFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pixel vision is expensive")
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	for _, name := range []string{"emotion-integrals", "gaze-integrals"} {
 		name := name
-		if err := reg.Register(name, func(*stageBuild) (*Stage, error) {
+		if err := reg.register(name, func(*stageBuild) (*Stage, error) {
 			return &Stage{
 				Name: name, Version: 1, Phase: PhasePrepare,
 				Needs:    []ArtifactKey{ArtGray, ArtIntegrals},
 				Provides: []ArtifactKey{ArtifactKey(name)},
-				RunCam: func(_ *runEnv, a *Artifacts, _ any) error {
+				RunCam: func(_ *runEnv, a *Artifacts) error {
 					in, sq := a.Integrals()
 					if in == nil || sq == nil {
 						t.Error("nil integral tables")
@@ -244,7 +244,7 @@ func TestIntegralsBuiltOncePerCameraFrame(t *testing.T) {
 		DetectEvery:  1, // every frame on cadence: all three stages consume
 		PixelCameras: cams,
 		Workers:      4,
-		Registry:     reg,
+		registry:     reg,
 		Stages:       []string{"emotion-integrals", "gaze-integrals"},
 	})
 	if err != nil {
@@ -437,12 +437,12 @@ func TestRunStreamedStepFailurePropagates(t *testing.T) {
 		MaxFrames: 100,
 		Workers:   4,
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	boom := errors.New("stage exploded")
-	if err := reg.Register("exploding", func(*stageBuild) (*Stage, error) {
+	if err := reg.register("exploding", func(*stageBuild) (*Stage, error) {
 		return &Stage{
 			Name: "exploding", Version: 1, Phase: PhasePrepare,
-			RunCam: func(_ *runEnv, a *Artifacts, _ any) error {
+			RunCam: func(_ *runEnv, a *Artifacts) error {
 				if a.FS.Index == 60 {
 					return boom
 				}
@@ -452,7 +452,7 @@ func TestRunStreamedStepFailurePropagates(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Registry = reg
+	cfg.registry = reg
 	cfg.Stages = []string{"exploding"}
 	p, err := New(cfg)
 	if err != nil {
@@ -461,4 +461,41 @@ func TestRunStreamedStepFailurePropagates(t *testing.T) {
 	if _, err := p.Run(); !errors.Is(err, boom) {
 		t.Errorf("err = %v, want the stage error", err)
 	}
+}
+
+// TestStrictRunPanicPropagates: a stage panic fails the run fast —
+// stage callbacks run with no recover.
+func TestStrictRunPanicPropagates(t *testing.T) {
+	reg := newRegistry()
+	if err := reg.register("boom", func(*stageBuild) (*Stage, error) {
+		return &Stage{
+			Name: "boom", Version: 1, Phase: PhaseFrame,
+			RunFrame: func(_ *runEnv, fa *FrameArtifacts) error {
+				if fa.Index == 3 {
+					panic("boom exploded at frame 3")
+				}
+				return nil
+			},
+		}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{
+		Scenario:  scene.PrototypeScenario(),
+		Mode:      GeometricVision,
+		Gaze:      gaze.EstimatorOptions{Seed: 21},
+		MaxFrames: 120,
+		Workers:   1,
+		Stages:    []string{"boom"},
+		registry:  reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a run absorbed a stage panic, want propagation")
+		}
+	}()
+	p.Run()
 }

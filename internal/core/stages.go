@@ -18,7 +18,6 @@ import (
 	"repro/internal/img"
 	"repro/internal/layers"
 	"repro/internal/metadata"
-	"repro/internal/parsing"
 	"repro/internal/scene"
 	"repro/internal/summarize"
 	"repro/internal/video"
@@ -39,17 +38,16 @@ const (
 	StageMultilayer   = "multilayer"
 	StageObservations = "observations"
 	StageAttention    = "attention-span"
-	StageVideoParsing = "video-parsing"
 	StageDerived      = "derived-records"
 	StageManifest     = "manifest"
 	StageSummarize    = "summarize"
 )
 
 // registerBuiltins seeds a registry with every built-in stage.
-func registerBuiltins(r *Registry) {
+func registerBuiltins(r *registry) {
 	builtins := []struct {
 		name string
-		f    StageFactory
+		f    stageFactory
 	}{
 		{StageRender, renderStage},
 		{StageDetect, detectStage},
@@ -66,13 +64,12 @@ func registerBuiltins(r *Registry) {
 		{StageAttention, attentionStage},
 		{StageDiningPhase, diningPhaseStage},
 		{StageLiveSummary, liveSummaryStage},
-		{StageVideoParsing, videoParsingStage},
 		{StageDerived, derivedRecordsStage},
 		{StageManifest, manifestStage},
 		{StageSummarize, summarizeStage},
 	}
 	for _, b := range builtins {
-		if err := r.Register(b.name, b.f); err != nil {
+		if err := r.register(b.name, b.f); err != nil {
 			// Registration of the built-in set over a fresh registry
 			// cannot collide; a failure here is a programming error.
 			panic(err)
@@ -86,15 +83,17 @@ func registerBuiltins(r *Registry) {
 func renderStage(b *stageBuild) (*Stage, error) {
 	rends := make([]*video.Renderer, b.nCams)
 	for c := 0; c < b.nCams; c++ {
-		rends[c] = video.NewRenderer(b.sim, b.rig.Cameras[c], b.cfg.Render)
+		rends[c] = video.NewRenderer(b.sim, b.rig.Cameras[c], video.RenderOptions{})
 	}
 	return &Stage{
 		Name:     StageRender,
 		Version:  1,
 		Phase:    PhasePrepare,
 		Provides: []ArtifactKey{ArtGray, ArtIntegrals},
-		Config:   fmt.Sprintf("render=%+v cams=%d", b.cfg.Render, b.nCams),
-		RunCam: func(_ *runEnv, a *Artifacts, _ any) error {
+		// The text the run manifest has always hashed for the default
+		// sensor.
+		Config: fmt.Sprintf("render={NoiseSigma:0 LightDrift:0 LightPeriod:0 Background:0 TableTone:0} cams=%d", b.nCams),
+		RunCam: func(_ *runEnv, a *Artifacts) error {
 			r := rends[a.Cam]
 			a.Gray = r.RenderStateInto(a.FS, r.AcquireFrame())
 			a.release = r.ReleaseFrame
@@ -123,7 +122,7 @@ func detectStage(b *stageBuild) (*Stage, error) {
 		Needs:    []ArtifactKey{ArtGray, ArtIntegrals},
 		Provides: []ArtifactKey{ArtDetections},
 		Config:   fmt.Sprintf("every=%d", every),
-		RunCam: func(_ *runEnv, a *Artifacts, _ any) error {
+		RunCam: func(_ *runEnv, a *Artifacts) error {
 			if onCadence(a.FS.Index, a.Cam, every) {
 				in, sq := a.Integrals()
 				a.Dets = det.DetectIntegrals(a.Gray, in, sq)
@@ -152,7 +151,7 @@ func trackStage(b *stageBuild) (*Stage, error) {
 		Needs:    []ArtifactKey{ArtDetections},
 		Provides: []ArtifactKey{ArtTracks},
 		Config:   fmt.Sprintf("every=%d", every),
-		RunCam: func(_ *runEnv, a *Artifacts, _ any) error {
+		RunCam: func(_ *runEnv, a *Artifacts) error {
 			if onCadence(a.FS.Index, a.Cam, every) {
 				trackers[a.Cam].Step(a.Dets)
 			} else {
@@ -202,7 +201,7 @@ func classifyStage(b *stageBuild) (*Stage, error) {
 		Needs:    []ArtifactKey{ArtGray, ArtTracks},
 		Provides: []ArtifactKey{ArtCamEmotions},
 		Config:   fmt.Sprintf("classifier=%016x", clf.Fingerprint()),
-		RunCam: func(_ *runEnv, a *Artifacts, _ any) error {
+		RunCam: func(_ *runEnv, a *Artifacts) error {
 			emotions := make(map[int]layers.EmotionObs)
 			sc := &scr[a.Cam]
 			sc.reset()
@@ -309,7 +308,7 @@ func geoGazeStage(b *stageBuild) (*Stage, error) {
 		Provides:   []ArtifactKey{ArtCamGaze},
 		Config:     fmt.Sprintf("gaze=%+v", b.cfg.Gaze),
 		Replayable: true,
-		RunCam: func(_ *runEnv, a *Artifacts, _ any) error {
+		RunCam: func(_ *runEnv, a *Artifacts) error {
 			a.CamGaze = est.Observe(a.FS, rig)
 			return nil
 		},
@@ -331,7 +330,7 @@ func geoEmotionStage(b *stageBuild) (*Stage, error) {
 		Provides:   []ArtifactKey{ArtCamEmotions},
 		Config:     fmt.Sprintf("noise=%v seed=%d", noise, seed),
 		Replayable: true,
-		RunCam: func(_ *runEnv, a *Artifacts, _ any) error {
+		RunCam: func(_ *runEnv, a *Artifacts) error {
 			emotions := make(map[int]layers.EmotionObs, len(a.FS.Persons))
 			for _, p := range a.FS.Persons {
 				r := emoRand(seed, a.FS.Index, p.ID)
@@ -446,7 +445,7 @@ const (
 // aggregates (MeanOH, SatisfactionScore) are carried by counters.
 func multilayerStage(b *stageBuild) (*Stage, error) {
 	ctx := contextOf(b.sim, b.cfg)
-	analyzer, err := layers.NewAnalyzer(ctx, b.cfg.Layers)
+	analyzer, err := layers.NewAnalyzer(ctx, layers.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -455,7 +454,7 @@ func multilayerStage(b *stageBuild) (*Stage, error) {
 		Version: 1,
 		Phase:   PhaseFrame,
 		Needs:   []ArtifactKey{ArtLookAt, ArtEmotions},
-		Config:  fmt.Sprintf("layers=%+v", b.cfg.Layers),
+		Config:  "layers={SmoothWindow:0 MinECFrames:0 EmotionHold:0}", // the manifest's text for the default options
 		Emit:    multilayerEmitEvery,
 		RunFrame: func(_ *runEnv, fa *FrameArtifacts) error {
 			return analyzer.Push(layers.FrameInput{
@@ -467,10 +466,10 @@ func multilayerStage(b *stageBuild) (*Stage, error) {
 			ev, al := analyzer.DrainDerived(env.opts.Bounded)
 			if env.opts.Live {
 				for _, e := range ev {
-					env.QueueDerived(ecEventRecord(e))
+					env.queueDerived(ecEventRecord(e))
 				}
 				for _, a := range al {
-					env.QueueDerived(alertRecord(a))
+					env.queueDerived(alertRecord(a))
 				}
 			}
 			if env.opts.Bounded {
@@ -507,7 +506,7 @@ func observationsStage(b *stageBuild) (*Stage, error) {
 			sort.Ints(pids)
 			for _, id := range pids {
 				e := fa.Emotions[id]
-				env.Queue(metadata.Record{
+				env.queue(metadata.Record{
 					Kind: metadata.KindObservation, Frame: fa.Index, FrameEnd: fa.Index + 1,
 					Time: fa.FS.Time, Person: id, Other: -1,
 					Label: e.Label.String(), Value: e.Confidence,
@@ -518,7 +517,7 @@ func observationsStage(b *stageBuild) (*Stage, error) {
 				for i := range m.IDs {
 					for j := range m.IDs {
 						if m.M[i][j] == 1 {
-							env.Queue(metadata.Record{
+							env.queue(metadata.Record{
 								Kind: metadata.KindObservation, Frame: fa.Index, FrameEnd: fa.Index + 1,
 								Time: fa.FS.Time, Person: m.IDs[i], Other: m.IDs[j],
 								Label: lookatLabel, Value: 1,
@@ -534,31 +533,8 @@ func observationsStage(b *stageBuild) (*Stage, error) {
 
 // --- end-of-run stages ---
 
-// videoParsingStage runs composition analysis over the primary
-// camera's rendered footage.
-func videoParsingStage(b *stageBuild) (*Stage, error) {
-	sim, rig, opts, numFrames := b.sim, b.rig, b.cfg.Render, b.numFrames
-	return &Stage{
-		Name:    StageVideoParsing,
-		Version: 1,
-		Phase:   PhaseFinal,
-		Config:  fmt.Sprintf("render=%+v", opts),
-		RunFinal: func(env *runEnv) error {
-			renderer := video.NewRenderer(sim, rig.Cameras[0], opts)
-			src, err := video.NewSourceRange(renderer, 0, numFrames)
-			if err == nil {
-				env.res.Parse, err = parsing.NewAnalyzer(parsing.Options{}).Analyze(src)
-			}
-			if err != nil {
-				return fmt.Errorf("parsing video: %w", err)
-			}
-			return nil
-		},
-	}, nil
-}
-
-// derivedRecordsStage stores events, alerts, summary counts, shots and
-// scenes — the derived metadata layer.
+// derivedRecordsStage stores events, alerts and summary counts — the
+// derived metadata layer.
 func derivedRecordsStage(*stageBuild) (*Stage, error) {
 	return &Stage{
 		Name:    StageDerived,
@@ -571,15 +547,14 @@ func derivedRecordsStage(*stageBuild) (*Stage, error) {
 }
 
 // summarizeStage produces the event digest.
-func summarizeStage(b *stageBuild) (*Stage, error) {
-	opt := b.cfg.Summarize
+func summarizeStage(*stageBuild) (*Stage, error) {
 	return &Stage{
 		Name:    StageSummarize,
 		Version: 1,
 		Phase:   PhaseFinal,
-		Config:  fmt.Sprintf("summarize=%+v", opt),
+		Config:  "summarize={TopK:0 WindowLen:0 MinGap:0}", // the manifest's text for the defaults
 		RunFinal: func(env *runEnv) error {
-			s, err := summarize.Summarize(env.res.Layers, env.res.Parse, opt)
+			s, err := summarize.Summarize(env.res.Layers)
 			if err != nil {
 				return fmt.Errorf("summarizing: %w", err)
 			}
@@ -599,44 +574,28 @@ type graphVision struct {
 	g     *stageGraph
 	env   *runEnv
 	nCams int
-	seq   *graphScratch // sequential path's worker scratch
-}
-
-// graphScratch is one worker's scratch: the shared integral tables
-// plus per-prepare-stage scratch.
-type graphScratch struct {
-	integ    integralScratch
-	perStage []any
+	seq   *integralScratch // sequential path's worker scratch
 }
 
 func newGraphVision(g *stageGraph, env *runEnv, nCams int) *graphVision {
 	v := &graphVision{g: g, env: env, nCams: nCams}
-	v.seq = v.newScratch().(*graphScratch)
+	v.seq = new(integralScratch)
 	return v
 }
 
 func (v *graphVision) streams() int { return v.nCams }
 
-func (v *graphVision) newScratch() any {
-	prep := v.g.byPhase[PhasePrepare]
-	ws := &graphScratch{perStage: make([]any, len(prep))}
-	for i, st := range prep {
-		if st.NewScratch != nil {
-			ws.perStage[i] = st.NewScratch()
-		}
-	}
-	return ws
-}
+// newScratch allocates one worker's integral tables.
+func (v *graphVision) newScratch() any { return new(integralScratch) }
 
 // prepare runs the stateless stages for one (camera, frame) with
 // exclusive use of the calling worker's scratch, timing each stage
 // under its own name (chained timestamps: one clock read per stage).
 func (v *graphVision) prepare(stream int, fs scene.FrameState, scratch any) any {
-	ws := scratch.(*graphScratch)
-	a := &Artifacts{Cam: stream, FS: fs, scratch: &ws.integ}
+	a := &Artifacts{Cam: stream, FS: fs, scratch: scratch.(*integralScratch)}
 	t := time.Now()
-	for i, st := range v.g.byPhase[PhasePrepare] {
-		if err := v.env.invoke(st, func() error { return st.RunCam(v.env, a, ws.perStage[i]) }); err != nil {
+	for _, st := range v.g.byPhase[PhasePrepare] {
+		if err := st.RunCam(v.env, a); err != nil {
 			a.err = fmt.Errorf("stage %s: %w", st.Name, err)
 			break
 		}
@@ -654,7 +613,7 @@ func (v *graphVision) step(_ int, _ scene.FrameState, prep any) (any, error) {
 	if a.err == nil {
 		t := time.Now()
 		for _, st := range v.g.byPhase[PhaseOrdered] {
-			if err := v.env.invoke(st, func() error { return st.RunCam(v.env, a, nil) }); err != nil {
+			if err := st.RunCam(v.env, a); err != nil {
 				a.err = fmt.Errorf("stage %s: %w", st.Name, err)
 				break
 			}
@@ -680,7 +639,7 @@ func (v *graphVision) finish(fs scene.FrameState, perStream []any) (any, error) 
 	}
 	t := time.Now()
 	for _, st := range v.g.byPhase[PhaseMerge] {
-		if err := v.env.invoke(st, func() error { return st.RunFrame(v.env, fa) }); err != nil {
+		if err := st.RunFrame(v.env, fa); err != nil {
 			return nil, fmt.Errorf("stage %s: %w", st.Name, err)
 		}
 		now := time.Now()

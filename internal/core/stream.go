@@ -39,11 +39,6 @@ type StreamOptions struct {
 	// series to their windows. The final Result is then partial —
 	// exact aggregates, truncated series.
 	Bounded bool
-	// DiscardRecords drops queued raw per-frame records instead of
-	// appending them (monitoring-only streams where only live derived
-	// output matters). Context and end-of-run derived records still
-	// write.
-	DiscardRecords bool
 	// FlushEvery forces the raw-record batch out every N frames so
 	// followers see observations with bounded latency (0 = flush only
 	// at the usual batch size).
@@ -56,6 +51,12 @@ type StreamOptions struct {
 	// Monitor, when non-nil, observes the stream after every completed
 	// frame (the bounded-memory gate's probe; also a progress hook).
 	Monitor func(frame int)
+
+	// discardRaw drops queued raw per-frame records instead of
+	// appending them; live derived, context and end-of-run records
+	// still write. A test seam: the bounded-memory test measures the
+	// pipeline's own heap, not the store's growth.
+	discardRaw bool
 }
 
 // PhaseSpan is one contiguous run of a decoded dining phase.

@@ -193,7 +193,7 @@ func TestStreamBoundedMemory(t *testing.T) {
 	var early, late uint64
 	res, err := p.RunStream(StreamOptions{
 		Frames: frames, Cycle: true,
-		Bounded: true, DiscardRecords: true,
+		Bounded: true, discardRaw: true,
 		Monitor: func(frame int) {
 			switch frame {
 			case 8000 - 1:

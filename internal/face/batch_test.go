@@ -150,9 +150,9 @@ func TestCellSkipContract(t *testing.T) {
 	in, sq := img.BuildIntegrals(g, nil, nil)
 
 	sc := &detScratch{}
-	minVar := det.opt.MinVariance
+	minVar := det.opt.minVariance
 	totalSkipped := 0
-	for _, h := range det.opt.Scales {
+	for _, h := range det.opt.scales {
 		m := det.matchers[h]
 		w := m.W
 		if w > g.W || h > g.H {

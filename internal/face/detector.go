@@ -22,46 +22,48 @@ type Detection struct {
 	Score float64
 }
 
-// DetectorOptions tune the sliding-window detector.
+// DetectorOptions tune the sliding-window detector. Callers pass the
+// zero value, which selects the calibrated defaults; the fields are
+// seams for the package's tests.
 type DetectorOptions struct {
-	// Scales are the window heights (pixels) to scan (default
+	// scales are the window heights (pixels) to scan (default
 	// 24, 34, 48, 68, 96 — a √2 pyramid).
-	Scales []int
-	// StrideFrac is the scan stride as a fraction of window size
+	scales []int
+	// strideFrac is the scan stride as a fraction of window size
 	// (default 0.25).
-	StrideFrac float64
-	// MinScore is the NCC acceptance threshold after refinement
+	strideFrac float64
+	// minScore is the NCC acceptance threshold after refinement
 	// (default 0.55).
-	MinScore float64
-	// CoarseScore is the lower threshold that promotes a coarse-grid
+	minScore float64
+	// coarseScore is the lower threshold that promotes a coarse-grid
 	// window to sub-stride refinement (default 0.33).
-	CoarseScore float64
-	// MinVariance skips windows flatter than this (default 100) —
+	coarseScore float64
+	// minVariance skips windows flatter than this (default 100) —
 	// cheap integral-image pre-filter.
-	MinVariance float64
-	// NMSIoU is the overlap above which weaker detections are
+	minVariance float64
+	// nmsIoU is the overlap above which weaker detections are
 	// suppressed (default 0.3).
-	NMSIoU float64
+	nmsIoU float64
 }
 
 func (o DetectorOptions) withDefaults() DetectorOptions {
-	if len(o.Scales) == 0 {
-		o.Scales = []int{24, 34, 48, 68, 96}
+	if len(o.scales) == 0 {
+		o.scales = []int{24, 34, 48, 68, 96}
 	}
-	if o.StrideFrac == 0 {
-		o.StrideFrac = 0.25
+	if o.strideFrac == 0 {
+		o.strideFrac = 0.25
 	}
-	if o.MinScore == 0 {
-		o.MinScore = 0.55
+	if o.minScore == 0 {
+		o.minScore = 0.55
 	}
-	if o.CoarseScore == 0 {
-		o.CoarseScore = 0.33
+	if o.coarseScore == 0 {
+		o.coarseScore = 0.33
 	}
-	if o.MinVariance == 0 {
-		o.MinVariance = 100
+	if o.minVariance == 0 {
+		o.minVariance = 100
 	}
-	if o.NMSIoU == 0 {
-		o.NMSIoU = 0.3
+	if o.nmsIoU == 0 {
+		o.nmsIoU = 0.3
 	}
 	return o
 }
@@ -127,22 +129,22 @@ func memoKey(x, y int) uint32 { return uint32(y)<<16 | uint32(x) }
 // NewDetector builds a detector.
 func NewDetector(opt DetectorOptions) (*Detector, error) {
 	opt = opt.withDefaults()
-	for _, s := range opt.Scales {
+	for _, s := range opt.scales {
 		if s < 8 {
 			return nil, fmt.Errorf("face: scale %d too small: %w", s, ErrBadOptions)
 		}
 	}
-	if opt.StrideFrac <= 0 || opt.StrideFrac > 1 {
-		return nil, fmt.Errorf("face: stride %v outside (0,1]: %w", opt.StrideFrac, ErrBadOptions)
+	if opt.strideFrac <= 0 || opt.strideFrac > 1 {
+		return nil, fmt.Errorf("face: stride %v outside (0,1]: %w", opt.strideFrac, ErrBadOptions)
 	}
 	// Canonical neutral face, mid tone, no jitter.
 	base := emotion.GenerateFace(emotion.Neutral, 0, 180)
 	d := &Detector{
 		opt:       opt,
-		templates: make(map[int]*img.Gray, len(opt.Scales)),
-		matchers:  make(map[int]*img.TemplateMatcher, len(opt.Scales)),
+		templates: make(map[int]*img.Gray, len(opt.scales)),
+		matchers:  make(map[int]*img.TemplateMatcher, len(opt.scales)),
 	}
-	for _, h := range opt.Scales {
+	for _, h := range opt.scales {
 		w := h * 5 / 6 // renderer draws faces slightly taller than wide
 		tpl := base.Resize(w, h)
 		d.templates[h] = tpl
@@ -153,9 +155,9 @@ func NewDetector(opt DetectorOptions) (*Detector, error) {
 
 // Detect scans the frame and returns non-overlapping face detections,
 // strongest first. Scanning is coarse-to-fine: a strided grid pass
-// promotes promising windows (score ≥ CoarseScore) to a local
+// promotes promising windows (score ≥ coarseScore) to a local
 // sub-stride refinement, and only refined scores are thresholded at
-// MinScore. Both passes run on the fused matching kernel over
+// minScore. Both passes run on the fused matching kernel over
 // frame-wide summed-area tables built here; callers that already hold
 // the tables (the extraction engine builds them once per
 // (camera, frame)) should use DetectIntegrals.
@@ -189,7 +191,7 @@ func (d *Detector) DetectIntegrals(g *img.Gray, in *img.Integral, sq *img.Integr
 	}
 	img.BuildPyramid(g, in, &sc.pyr)
 	var raw []Detection
-	for _, h := range d.opt.Scales {
+	for _, h := range d.opt.scales {
 		m := d.matchers[h]
 		w := m.W
 		if w > g.W || h > g.H {
@@ -198,7 +200,7 @@ func (d *Detector) DetectIntegrals(g *img.Gray, in *img.Integral, sq *img.Integr
 		stride := d.scanStride(h)
 		nax := (g.W-w)/stride + 1
 		nay := (g.H-h)/stride + 1
-		sc.buildCellSkip(in, sq, nax, nay, stride, w, h, d.opt.MinVariance)
+		sc.buildCellSkip(in, sq, nax, nay, stride, w, h, d.opt.minVariance)
 		clear(sc.memo)
 		for ay := 0; ay < nay; ay++ {
 			y := ay * stride
@@ -218,13 +220,13 @@ func (d *Detector) DetectIntegrals(g *img.Gray, in *img.Integral, sq *img.Integr
 				if diff < 0 {
 					diff = -diff
 				}
-				if diff*diff < d.opt.MinVariance/4 {
+				if diff*diff < d.opt.minVariance/4 {
 					continue
 				}
 				// Variance gate + coarse score behind the pyramid
 				// tier: full-resolution kernel work only for windows
 				// the block-level bound cannot reject.
-				score, ok := m.ScoreCascade(g, in, sq, &sc.pyr, x, y, d.opt.CoarseScore, d.opt.MinVariance)
+				score, ok := m.ScoreCascade(g, in, sq, &sc.pyr, x, y, d.opt.coarseScore, d.opt.minVariance)
 				if ok {
 					// Exact scores seed the refinement memo — climbs
 					// from neighbouring promotions revisit grid
@@ -233,7 +235,7 @@ func (d *Detector) DetectIntegrals(g *img.Gray, in *img.Integral, sq *img.Integr
 					// nothing about the score.
 					sc.memo[memoKey(x, y)] = memoEntry{v: score, exact: true}
 				}
-				if !ok || score < d.opt.CoarseScore {
+				if !ok || score < d.opt.coarseScore {
 					continue
 				}
 				var best Detection
@@ -244,7 +246,7 @@ func (d *Detector) DetectIntegrals(g *img.Gray, in *img.Integral, sq *img.Integr
 		}
 	}
 	d.scratch.Put(sc)
-	return nms(raw, d.opt.NMSIoU)
+	return nms(raw, d.opt.nmsIoU)
 }
 
 // buildCellSkip fills sc.skip (one flag per scan anchor) by probing
@@ -253,7 +255,7 @@ func (d *Detector) DetectIntegrals(g *img.Gray, in *img.Integral, sq *img.Integr
 // window inside the region has variance da ≤ dev, and the contrast
 // pre-filter's |centre−border| is at most 2√(da/n) (the centre rect is
 // a quarter of the window, and centre−border averages f−border over
-// it). So dev < n·MinVariance/16 proves all four windows fail the
+// it). So dev < n·minVariance/16 proves all four windows fail the
 // pre-filter, and one 8-load probe replaces four. Cells are decided in
 // a separate pass so the scan loop's window order — and therefore the
 // NMS input order — is untouched.
@@ -288,7 +290,7 @@ func (sc *detScratch) buildCellSkip(in *img.Integral, sq *img.IntegralSq, nax, n
 
 // refine hill-climbs the window position at progressively finer steps
 // to undo the coarse grid's localisation loss, returning the best
-// detection if it clears MinScore. Candidates score through the reject
+// detection if it clears minScore. Candidates score through the reject
 // cascade with the current best as the early-out bound (no variance
 // gate — the oracle refine scores every candidate), and every scored
 // position lands in the per-scale memo shared across climbs: an exact
@@ -333,7 +335,7 @@ func (d *Detector) refine(g *img.Gray, m *img.TemplateMatcher, in *img.Integral,
 			}
 		}
 	}
-	if best.Score < d.opt.MinScore {
+	if best.Score < d.opt.minScore {
 		return Detection{}, false
 	}
 	return best, true
@@ -342,7 +344,7 @@ func (d *Detector) refine(g *img.Gray, m *img.TemplateMatcher, in *img.Integral,
 // scanStride is the coarse-grid step for one scale — shared by the
 // scan loops and GridWindows so the two can't drift.
 func (d *Detector) scanStride(h int) int {
-	stride := int(float64(h) * d.opt.StrideFrac)
+	stride := int(float64(h) * d.opt.strideFrac)
 	if stride < 1 {
 		stride = 1
 	}
@@ -355,7 +357,7 @@ func (d *Detector) scanStride(h int) int {
 // from the built matchers, so it always matches the scan.
 func (d *Detector) GridWindows(w, h int) int {
 	var total int
-	for _, sh := range d.opt.Scales {
+	for _, sh := range d.opt.scales {
 		sw := d.matchers[sh].W
 		if sw > w || sh > h {
 			continue

@@ -56,10 +56,10 @@ func TestDetectorEmptyFrame(t *testing.T) {
 }
 
 func TestDetectorValidation(t *testing.T) {
-	if _, err := NewDetector(DetectorOptions{Scales: []int{2}}); !errors.Is(err, ErrBadOptions) {
+	if _, err := NewDetector(DetectorOptions{scales: []int{2}}); !errors.Is(err, ErrBadOptions) {
 		t.Error("tiny scale should fail")
 	}
-	if _, err := NewDetector(DetectorOptions{StrideFrac: 2}); !errors.Is(err, ErrBadOptions) {
+	if _, err := NewDetector(DetectorOptions{strideFrac: 2}); !errors.Is(err, ErrBadOptions) {
 		t.Error("stride > 1 should fail")
 	}
 }
@@ -299,7 +299,7 @@ func bruteForceAssign(cost [][]float64) float64 {
 }
 
 func TestTrackerLifecycle(t *testing.T) {
-	tr := NewTracker(TrackerOptions{ConfirmHits: 3, MaxMisses: 2})
+	tr := NewTracker(TrackerOptions{confirmHits: 3, maxMisses: 2})
 	det := func(x int) []Detection {
 		return []Detection{{Box: img.Rect{X: x, Y: 100, W: 40, H: 48}, Score: 0.9}}
 	}
@@ -318,7 +318,7 @@ func TestTrackerLifecycle(t *testing.T) {
 	if got[0].State != Confirmed {
 		t.Errorf("state after 3 hits = %v, want confirmed", got[0].State)
 	}
-	// Miss 3 frames: track dies (MaxMisses 2).
+	// Miss 3 frames: track dies (maxMisses 2).
 	tr.Step(nil)
 	tr.Step(nil)
 	tr.Step(nil)
@@ -360,7 +360,7 @@ func TestTrackerCoastCountsNoMiss(t *testing.T) {
 }
 
 func TestTrackerKeepsIdentitiesApart(t *testing.T) {
-	tr := NewTracker(TrackerOptions{ConfirmHits: 2})
+	tr := NewTracker(TrackerOptions{confirmHits: 2})
 	mk := func(x1, x2 int) []Detection {
 		return []Detection{
 			{Box: img.Rect{X: x1, Y: 100, W: 40, H: 48}, Score: 0.9},
@@ -382,7 +382,7 @@ func TestTrackerKeepsIdentitiesApart(t *testing.T) {
 }
 
 func TestTrackerSurvivesShortOcclusion(t *testing.T) {
-	tr := NewTracker(TrackerOptions{ConfirmHits: 2, MaxMisses: 8})
+	tr := NewTracker(TrackerOptions{confirmHits: 2, maxMisses: 8})
 	det := func(x int) []Detection {
 		return []Detection{{Box: img.Rect{X: x, Y: 100, W: 40, H: 48}, Score: 0.9}}
 	}
@@ -403,7 +403,7 @@ func TestTrackerSurvivesShortOcclusion(t *testing.T) {
 }
 
 func TestTrackerGatingRejectsFarMatches(t *testing.T) {
-	tr := NewTracker(TrackerOptions{ConfirmHits: 2, MaxDist: 30})
+	tr := NewTracker(TrackerOptions{confirmHits: 2, maxDist: 30})
 	got := tr.Step([]Detection{{Box: img.Rect{X: 100, Y: 100, W: 40, H: 48}}})
 	id := got[0].ID
 	// A detection 300px away must start a new track, not steal the old.

@@ -14,13 +14,13 @@ func (d *Detector) detectOracle(g *img.Gray) []Detection {
 	var raw []Detection
 	// One crop buffer serves every candidate window of the scan.
 	var crop *img.Gray
-	for _, h := range d.opt.Scales {
+	for _, h := range d.opt.scales {
 		tpl := d.templates[h]
 		w := tpl.W
 		if w > g.W || h > g.H {
 			continue
 		}
-		stride := int(float64(h) * d.opt.StrideFrac)
+		stride := int(float64(h) * d.opt.strideFrac)
 		if stride < 1 {
 			stride = 1
 		}
@@ -33,7 +33,7 @@ func (d *Detector) detectOracle(g *img.Gray) []Detection {
 				if diff < 0 {
 					diff = -diff
 				}
-				if diff*diff < d.opt.MinVariance/4 {
+				if diff*diff < d.opt.minVariance/4 {
 					continue
 				}
 				c, err := g.CropInto(win, crop)
@@ -41,11 +41,11 @@ func (d *Detector) detectOracle(g *img.Gray) []Detection {
 					continue
 				}
 				crop = c
-				if crop.Variance() < d.opt.MinVariance {
+				if crop.Variance() < d.opt.minVariance {
 					continue
 				}
 				score := img.NCC(crop, tpl)
-				if score < d.opt.CoarseScore {
+				if score < d.opt.coarseScore {
 					continue
 				}
 				var best Detection
@@ -56,7 +56,7 @@ func (d *Detector) detectOracle(g *img.Gray) []Detection {
 			}
 		}
 	}
-	return nms(raw, d.opt.NMSIoU)
+	return nms(raw, d.opt.nmsIoU)
 }
 
 // refineOracle is the exhaustive crop-based refine: every candidate is
@@ -81,7 +81,7 @@ func (d *Detector) refineOracle(g *img.Gray, tpl *img.Gray, win img.Rect, stride
 			}
 		}
 	}
-	if best.Score < d.opt.MinScore {
+	if best.Score < d.opt.minScore {
 		return Detection{}, false, crop
 	}
 	return best, true, crop

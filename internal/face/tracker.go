@@ -14,9 +14,9 @@ type TrackState uint8
 const (
 	// Tentative tracks have too few hits to be trusted yet.
 	Tentative TrackState = iota
-	// Confirmed tracks have been matched ConfirmHits times.
+	// Confirmed tracks have been matched confirmHits times.
 	Confirmed
-	// Lost tracks have missed more than MaxMisses consecutive Steps
+	// Lost tracks have missed more than maxMisses consecutive Steps
 	// and are about to be removed.
 	Lost
 )
@@ -42,9 +42,6 @@ type Track struct {
 	Box img.Rect
 	// State is the lifecycle state.
 	State TrackState
-	// Identity is the recognized person label, empty until a
-	// recognizer labels the track.
-	Identity string
 	// Hits and Misses count consecutive association outcomes.
 	Hits, Misses int
 	// Age is the number of frames since creation.
@@ -53,37 +50,39 @@ type Track struct {
 	kf *kalman
 }
 
-// TrackerOptions tune the tracker.
+// TrackerOptions tune the tracker. Callers pass the zero value, which
+// selects the calibrated defaults; the fields are seams for the
+// package's tests.
 type TrackerOptions struct {
-	// MaxDist is the gating distance in pixels: detections farther
+	// maxDist is the gating distance in pixels: detections farther
 	// than this from a track prediction can never match it (default 60).
-	MaxDist float64
-	// ConfirmHits promotes a tentative track after this many total
+	maxDist float64
+	// confirmHits promotes a tentative track after this many total
 	// hits (default 3).
-	ConfirmHits int
-	// MaxMisses drops a track after this many consecutive Steps that
+	confirmHits int
+	// maxMisses drops a track after this many consecutive Steps that
 	// matched it no detection (default 10); Coasted frames do not count.
-	MaxMisses int
-	// ProcessNoise and MeasNoise parameterise the Kalman filters
+	maxMisses int
+	// processNoise and measNoise parameterise the Kalman filters
 	// (defaults 1.0 and 4.0).
-	ProcessNoise, MeasNoise float64
+	processNoise, measNoise float64
 }
 
 func (o TrackerOptions) withDefaults() TrackerOptions {
-	if o.MaxDist == 0 {
-		o.MaxDist = 60
+	if o.maxDist == 0 {
+		o.maxDist = 60
 	}
-	if o.ConfirmHits == 0 {
-		o.ConfirmHits = 3
+	if o.confirmHits == 0 {
+		o.confirmHits = 3
 	}
-	if o.MaxMisses == 0 {
-		o.MaxMisses = 10
+	if o.maxMisses == 0 {
+		o.maxMisses = 10
 	}
-	if o.ProcessNoise == 0 {
-		o.ProcessNoise = 1
+	if o.processNoise == 0 {
+		o.processNoise = 1
 	}
-	if o.MeasNoise == 0 {
-		o.MeasNoise = 4
+	if o.measNoise == 0 {
+		o.measNoise = 4
 	}
 	return o
 }
@@ -159,7 +158,7 @@ func (tr *Tracker) Step(dets []Detection) []*Track {
 			for j, d := range dets {
 				cx, cy := d.Box.Center()
 				dist := math.Hypot(cx-px, cy-py)
-				if dist > tr.opt.MaxDist {
+				if dist > tr.opt.maxDist {
 					cost[i][j] = forbidden
 				} else {
 					cost[i][j] = dist
@@ -178,7 +177,7 @@ func (tr *Tracker) Step(dets []Detection) []*Track {
 			t.Box = d.Box
 			t.Hits++
 			t.Misses = 0
-			if t.State == Tentative && t.Hits >= tr.opt.ConfirmHits {
+			if t.State == Tentative && t.Hits >= tr.opt.confirmHits {
 				t.State = Confirmed
 			}
 			assigned[j] = t
@@ -197,7 +196,7 @@ func (tr *Tracker) Step(dets []Detection) []*Track {
 		if !matched[t] {
 			t.Misses++
 			t.recentre()
-			if t.Misses > tr.opt.MaxMisses ||
+			if t.Misses > tr.opt.maxMisses ||
 				(t.State == Tentative && t.Misses > 1) {
 				t.State = Lost
 				continue // dropped
@@ -218,7 +217,7 @@ func (tr *Tracker) Step(dets []Detection) []*Track {
 			Box:   d.Box,
 			State: Tentative,
 			Hits:  1,
-			kf:    newKalman(cx, cy, tr.opt.ProcessNoise, tr.opt.MeasNoise),
+			kf:    newKalman(cx, cy, tr.opt.processNoise, tr.opt.measNoise),
 		}
 		tr.nextID++
 		tr.tracks = append(tr.tracks, t)

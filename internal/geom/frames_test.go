@@ -101,7 +101,7 @@ func TestFrameGraphConcurrent(t *testing.T) {
 		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
-			g.Set("A", "B", Transform{R: RotZ(float64(i)), T: Zero3})
+			g.Set("A", "B", Transform{R: RotZ(float64(i)), T: Vec3{}})
 		}(i)
 		go func() {
 			defer wg.Done()

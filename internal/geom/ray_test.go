@@ -9,7 +9,7 @@ import (
 
 func TestIntersectSphereHeadOn(t *testing.T) {
 	// Ray from origin along +X at a unit sphere centred 5 away: hits at 4 and 6.
-	r := NewRay(Zero3, V3(1, 0, 0))
+	r := NewRay(Vec3{}, V3(1, 0, 0))
 	hit := r.IntersectSphere(NewSphere(V3(5, 0, 0), 1))
 	if !hit.Hit {
 		t.Fatal("expected hit")
@@ -23,7 +23,7 @@ func TestIntersectSphereHeadOn(t *testing.T) {
 }
 
 func TestIntersectSphereMiss(t *testing.T) {
-	r := NewRay(Zero3, V3(1, 0, 0))
+	r := NewRay(Vec3{}, V3(1, 0, 0))
 	hit := r.IntersectSphere(NewSphere(V3(5, 3, 0), 1))
 	if hit.Hit {
 		t.Fatal("should miss")
@@ -36,7 +36,7 @@ func TestIntersectSphereMiss(t *testing.T) {
 func TestIntersectSphereTangent(t *testing.T) {
 	// Tangent: w == 0 exactly — the paper counts this as NOT looking
 	// (requires w ∈ ℝ⁺, i.e. two crossing points).
-	r := NewRay(Zero3, V3(1, 0, 0))
+	r := NewRay(Vec3{}, V3(1, 0, 0))
 	hit := r.IntersectSphere(NewSphere(V3(5, 1, 0), 1))
 	if hit.Hit {
 		t.Error("tangent should not count as a hit")
@@ -49,7 +49,7 @@ func TestIntersectSphereTangent(t *testing.T) {
 func TestIntersectSphereBehind(t *testing.T) {
 	// Sphere entirely behind the ray origin: geometric line crosses, but
 	// the forward ray does not.
-	r := NewRay(Zero3, V3(1, 0, 0))
+	r := NewRay(Vec3{}, V3(1, 0, 0))
 	hit := r.IntersectSphere(NewSphere(V3(-5, 0, 0), 1))
 	if hit.Hit {
 		t.Error("sphere behind the gaze should not be eye contact")
@@ -58,7 +58,7 @@ func TestIntersectSphereBehind(t *testing.T) {
 
 func TestIntersectSphereOriginInside(t *testing.T) {
 	// Origin inside the sphere: one forward intersection — counts as a hit.
-	r := NewRay(Zero3, V3(1, 0, 0))
+	r := NewRay(Vec3{}, V3(1, 0, 0))
 	hit := r.IntersectSphere(NewSphere(V3(0.1, 0, 0), 1))
 	if !hit.Hit {
 		t.Error("ray from inside should hit")
@@ -69,7 +69,7 @@ func TestIntersectSphereOriginInside(t *testing.T) {
 }
 
 func TestIntersectSphereZeroDir(t *testing.T) {
-	r := NewRay(Zero3, Zero3)
+	r := NewRay(Vec3{}, Vec3{})
 	if r.IntersectSphere(NewSphere(V3(1, 0, 0), 5)).Hit {
 		t.Error("zero-direction ray cannot hit")
 	}

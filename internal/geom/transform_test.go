@@ -139,7 +139,7 @@ func TestPoseTransformRoundTrip(t *testing.T) {
 	p := LookAt(V3(1, 2, 3), V3(4, 5, 6))
 	tr := p.Transform()
 	// Local origin maps to the pose position.
-	if !tr.ApplyPoint(Zero3).ApproxEq(p.Position, 1e-12) {
+	if !tr.ApplyPoint(Vec3{}).ApproxEq(p.Position, 1e-12) {
 		t.Error("local origin should map to pose position")
 	}
 	// Local +X maps to Forward.

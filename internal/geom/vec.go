@@ -25,9 +25,6 @@ type Vec3 struct {
 // V3 constructs a Vec3.
 func V3(x, y, z float64) Vec3 { return Vec3{X: x, Y: y, Z: z} }
 
-// Zero3 is the zero vector.
-var Zero3 = Vec3{}
-
 // Add returns v + w.
 func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
 

@@ -55,7 +55,7 @@ func TestVec3UnitNorm(t *testing.T) {
 	if math.Abs(u.Norm()-1) > Epsilon {
 		t.Errorf("Unit norm = %v", u.Norm())
 	}
-	if !Zero3.Unit().IsZero() {
+	if !(Vec3{}).Unit().IsZero() {
 		t.Error("zero Unit should stay zero")
 	}
 }

@@ -94,20 +94,6 @@ func (g *Gray) AddNoise(sigma float64, nextGauss func() float64) {
 	}
 }
 
-// AdjustBrightness adds delta to every pixel, clamping to [0,255] — models
-// global lighting drift.
-func (g *Gray) AdjustBrightness(delta int) {
-	for i, p := range g.Pix {
-		v := int(p) + delta
-		if v < 0 {
-			v = 0
-		} else if v > 255 {
-			v = 255
-		}
-		g.Pix[i] = uint8(v)
-	}
-}
-
 func abs(a int) int {
 	if a < 0 {
 		return -a

@@ -88,16 +88,3 @@ func TestAddNoiseDeterministic(t *testing.T) {
 		t.Error("zero sigma should not change pixels")
 	}
 }
-
-func TestAdjustBrightnessClamps(t *testing.T) {
-	g := New(2, 1)
-	g.Pix = []uint8{250, 5}
-	g.AdjustBrightness(10)
-	if g.Pix[0] != 255 {
-		t.Error("should clamp high")
-	}
-	g.AdjustBrightness(-300)
-	if g.Pix[0] != 0 || g.Pix[1] != 0 {
-		t.Error("should clamp low")
-	}
-}

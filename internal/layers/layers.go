@@ -22,28 +22,16 @@ type Participant struct {
 	ID    int
 	Name  string
 	Color string
-	// Role is free-form social information ("host", "guest", …).
-	Role string
-}
-
-// Relation is a declared social relationship between two participants.
-type Relation struct {
-	A, B int
-	// Kind is free-form ("couple", "colleagues", "family", …).
-	Kind string
 }
 
 // Context is the time-invariant layer (paper: "location, menu, date,
 // occasion type, number of participants and their social information and
-// relationships").
+// relationships"): the location and occasion of the scripted event and
+// its participants.
 type Context struct {
 	Location     string
 	Occasion     string
-	Menu         string
-	Date         time.Time
-	Temperature  float64
 	Participants []Participant
-	Relations    []Relation
 }
 
 // IDs returns the participant IDs in declaration order.
@@ -191,29 +179,31 @@ func (r *Result) FreshEvents() []ECEvent { return r.Events[r.emittedEvents:] }
 // FreshAlerts is FreshEvents for alerts.
 func (r *Result) FreshAlerts() []Alert { return r.Alerts[r.emittedAlerts:] }
 
-// Options tune the analyzer.
+// Options tune the analyzer. Callers pass the zero value, which selects
+// the calibrated defaults; the fields are seams for the package's tests
+// and benchmarks.
 type Options struct {
-	// SmoothWindow is the trailing majority-vote window (frames) for
+	// smoothWindow is the trailing majority-vote window (frames) for
 	// the gaze layer; it absorbs per-frame detector flicker (default 9).
-	SmoothWindow int
-	// MinECFrames is the minimum smoothed run length to report an
+	smoothWindow int
+	// minECFrames is the minimum smoothed run length to report an
 	// eye-contact event (default 12 ≈ 0.5 s at 25 fps, matching how
 	// briefly humans must lock eyes for "contact").
-	MinECFrames int
-	// EmotionHold is how many consecutive frames a new emotion must
+	minECFrames int
+	// emotionHold is how many consecutive frames a new emotion must
 	// persist before an emotion-change alert fires (default 5).
-	EmotionHold int
+	emotionHold int
 }
 
 func (o Options) withDefaults() Options {
-	if o.SmoothWindow == 0 {
-		o.SmoothWindow = 9
+	if o.smoothWindow == 0 {
+		o.smoothWindow = 9
 	}
-	if o.MinECFrames == 0 {
-		o.MinECFrames = 12
+	if o.minECFrames == 0 {
+		o.minECFrames = 12
 	}
-	if o.EmotionHold == 0 {
-		o.EmotionHold = 5
+	if o.emotionHold == 0 {
+		o.emotionHold = 5
 	}
 	return o
 }
@@ -288,7 +278,7 @@ func (a *Analyzer) Push(in FrameInput) error {
 
 	// Temporal smoothing: trailing majority over the window.
 	a.window = append(a.window, in.LookAt)
-	if len(a.window) > a.opt.SmoothWindow {
+	if len(a.window) > a.opt.smoothWindow {
 		a.window = a.window[1:]
 	}
 	smoothed := a.majority()
@@ -355,9 +345,9 @@ func (a *Analyzer) updateECRuns(m gaze.Matrix, in FrameInput) {
 // closeRun finalises an EC run if it is long enough.
 func (a *Analyzer) closeRun(p [2]int, start, end int, now time.Duration) {
 	delete(a.openRuns, p)
-	// Runs shorter than MinECFrames are dropped: alerts are a live
+	// Runs shorter than minECFrames are dropped: alerts are a live
 	// feed, but the event list is the curated record.
-	if end-start < a.opt.MinECFrames {
+	if end-start < a.opt.minECFrames {
 		return
 	}
 	a.result.Events = append(a.result.Events, ECEvent{
@@ -417,7 +407,7 @@ func (a *Analyzer) overall(in FrameInput) OverallEmotion {
 }
 
 // updateEmotionAlerts fires a change alert when a participant's emotion
-// switches and holds for EmotionHold frames.
+// switches and holds for emotionHold frames.
 func (a *Analyzer) updateEmotionAlerts(in FrameInput) {
 	for _, id := range a.ids {
 		obs, ok := in.Emotions[id]
@@ -439,7 +429,7 @@ func (a *Analyzer) updateEmotionAlerts(in FrameInput) {
 			a.candEmotion[id] = obs.Label
 			a.candCount[id] = 1
 		}
-		if a.candCount[id] >= a.opt.EmotionHold {
+		if a.candCount[id] >= a.opt.emotionHold {
 			a.result.Alerts = append(a.result.Alerts, Alert{
 				Kind: AlertEmotionChange, Frame: in.Index, Time: in.Time,
 				Person: id, Other: -1,

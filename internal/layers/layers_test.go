@@ -20,7 +20,6 @@ func testContext() Context {
 			{ID: 2, Name: "P3", Color: "green"},
 			{ID: 3, Name: "P4", Color: "black"},
 		},
-		Relations: []Relation{{A: 0, B: 2, Kind: "colleagues"}},
 	}
 }
 
@@ -82,7 +81,7 @@ func TestPushOrderEnforced(t *testing.T) {
 func TestECEventDetection(t *testing.T) {
 	ctx := testContext()
 	ids := ctx.IDs()
-	a, _ := NewAnalyzer(ctx, Options{SmoothWindow: 3, MinECFrames: 10})
+	a, _ := NewAnalyzer(ctx, Options{smoothWindow: 3, minECFrames: 10})
 	// 30 frames of P1↔P3 contact, then 30 empty frames.
 	for i := 0; i < 30; i++ {
 		if err := a.Push(frameWithEC(i, ids, 0, 2)); err != nil {
@@ -122,7 +121,7 @@ func TestECEventDetection(t *testing.T) {
 func TestSmoothingAbsorbsFlicker(t *testing.T) {
 	ctx := testContext()
 	ids := ctx.IDs()
-	a, _ := NewAnalyzer(ctx, Options{SmoothWindow: 9, MinECFrames: 10})
+	a, _ := NewAnalyzer(ctx, Options{smoothWindow: 9, minECFrames: 10})
 	// P1↔P3 contact for 40 frames with every 5th frame dropped (the
 	// detector flicker measured in the gaze tests).
 	for i := 0; i < 40; i++ {
@@ -151,7 +150,7 @@ func TestSmoothingAbsorbsFlicker(t *testing.T) {
 func TestShortContactSuppressed(t *testing.T) {
 	ctx := testContext()
 	ids := ctx.IDs()
-	a, _ := NewAnalyzer(ctx, Options{SmoothWindow: 1, MinECFrames: 12})
+	a, _ := NewAnalyzer(ctx, Options{smoothWindow: 1, minECFrames: 12})
 	for i := 0; i < 5; i++ {
 		if err := a.Push(frameWithEC(i, ids, 0, 1)); err != nil {
 			t.Fatal(err)
@@ -216,7 +215,7 @@ func TestOverallEmotionConfidenceWeighting(t *testing.T) {
 func TestEmotionChangeAlert(t *testing.T) {
 	ctx := testContext()
 	ids := ctx.IDs()
-	a, _ := NewAnalyzer(ctx, Options{EmotionHold: 3})
+	a, _ := NewAnalyzer(ctx, Options{emotionHold: 3})
 	push := func(idx int, l emotion.Label) {
 		in := emptyFrame(idx, ids)
 		in.Emotions = map[int]EmotionObs{0: {Label: l, Confidence: 1}}
@@ -340,7 +339,7 @@ func TestContextAccessors(t *testing.T) {
 func TestFinalizeClosesOpenRuns(t *testing.T) {
 	ctx := testContext()
 	ids := ctx.IDs()
-	a, _ := NewAnalyzer(ctx, Options{SmoothWindow: 1, MinECFrames: 10})
+	a, _ := NewAnalyzer(ctx, Options{smoothWindow: 1, minECFrames: 10})
 	for i := 0; i < 20; i++ {
 		if err := a.Push(frameWithEC(i, ids, 1, 3)); err != nil {
 			t.Fatal(err)
@@ -396,7 +395,7 @@ func TestInferSpeaker(t *testing.T) {
 func TestInferredSpeakersSeries(t *testing.T) {
 	ctx := testContext()
 	ids := ctx.IDs()
-	a, _ := NewAnalyzer(ctx, Options{SmoothWindow: 1})
+	a, _ := NewAnalyzer(ctx, Options{smoothWindow: 1})
 	for i := 0; i < 10; i++ {
 		m := gaze.NewMatrix(ids)
 		target := 0

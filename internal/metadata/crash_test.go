@@ -3,6 +3,7 @@ package metadata
 import (
 	"fmt"
 	"reflect"
+	"syscall"
 	"testing"
 
 	"repro/internal/vfs"
@@ -175,7 +176,7 @@ func runTransientWorkload(t *testing.T, fsys *vfs.FaultFS, failAt int) {
 	t.Helper()
 	ctx := fmt.Sprintf("failAt=%d", failAt)
 	if failAt > 0 {
-		fsys.FailOp(failAt, vfs.ErrNoSpace)
+		fsys.FailOp(failAt, syscall.ENOSPC)
 	}
 	// The fault may land inside Open itself; Open must then fail cleanly
 	// (lease released, directory consistent) and a retry must succeed.

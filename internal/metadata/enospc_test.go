@@ -41,7 +41,7 @@ func TestENOSPCAppendRecovers(t *testing.T) {
 	// Disk full: every write to a segment file fails.
 	fsys.Inject = func(n int, op vfs.Op, path string) error {
 		if op == vfs.OpWrite && strings.HasSuffix(path, segSuffix) {
-			return vfs.ErrNoSpace
+			return syscall.ENOSPC
 		}
 		return nil
 	}
@@ -118,7 +118,7 @@ func TestShortWriteDuringAppend(t *testing.T) {
 	fsys.Inject = func(n int, op vfs.Op, path string) error {
 		if armed && op == vfs.OpWrite && strings.HasSuffix(path, segSuffix) {
 			armed = false
-			return errors.Join(io.ErrShortWrite, vfs.ErrNoSpace)
+			return errors.Join(io.ErrShortWrite, syscall.ENOSPC)
 		}
 		return nil
 	}
@@ -192,7 +192,7 @@ func TestENOSPCDuringManifestSwap(t *testing.T) {
 	// Next roll's manifest write hits a full disk.
 	fsys.Inject = func(n int, op vfs.Op, path string) error {
 		if op == vfs.OpWrite && strings.HasSuffix(path, manifestTmp) {
-			return vfs.ErrNoSpace
+			return syscall.ENOSPC
 		}
 		return nil
 	}

@@ -162,7 +162,7 @@ func TestSentinelChains(t *testing.T) {
 			t.Cleanup(func() { r.Close() })
 			fsys.Inject = func(n int, op vfs.Op, path string) error {
 				if op == vfs.OpWrite && strings.HasSuffix(path, segSuffix) {
-					return vfs.ErrNoSpace
+					return syscall.ENOSPC
 				}
 				return nil
 			}

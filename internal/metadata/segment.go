@@ -331,10 +331,13 @@ func decodeEntries(r io.Reader, size int64, count int) (recs []Record, validByte
 			}
 			return recs, validBytes, fmt.Errorf("metadata: entry header: %w", ErrCorrupt)
 		}
-		n := int(binary.LittleEndian.Uint32(hdr))
-		if n == 0 || n > maxEntry {
-			return recs, validBytes, fmt.Errorf("metadata: entry length %d: %w", n, ErrCorrupt)
+		// Check the length as stored: on a 32-bit build int() of a
+		// length ≥ 2³¹ goes negative and would pass a check on the int.
+		u := binary.LittleEndian.Uint32(hdr)
+		if u == 0 || u > maxEntry {
+			return recs, validBytes, fmt.Errorf("metadata: entry length %d: %w", u, ErrCorrupt)
 		}
+		n := int(u)
 		total := 4 + n + 4
 		var entry []byte
 		if total <= segReadBuf {

@@ -1,6 +1,7 @@
 package metadata
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -632,6 +633,20 @@ func TestSyncPolicies(t *testing.T) {
 // TestDecodeRefusesFrameBeyondInt: a stored frame reopens as itself or
 // is refused as corrupt, never truncated. On a 32-bit build a frame of
 // 2^40 does not fit in int, so the entry must be refused there.
+// TestDecodeEntriesRefusesLengthBeyondInt: an entry length prefix of
+// 2³¹ and up is corrupt on every build. A 32-bit build used to convert
+// it to a negative int before the bound check and panic on the slice.
+func TestDecodeEntriesRefusesLengthBeyondInt(t *testing.T) {
+	for _, n := range []uint32{1 << 31, 1<<32 - 1} {
+		seg := binary.LittleEndian.AppendUint32(nil, n)
+		seg = append(seg, make([]byte, 64)...)
+		recs, valid, err := decodeEntries(bytes.NewReader(seg), int64(len(seg)), 0)
+		if !errors.Is(err, ErrCorrupt) || len(recs) != 0 || valid != 0 {
+			t.Errorf("length %#x: %d records, %d valid bytes, err %v; want ErrCorrupt at 0", n, len(recs), valid, err)
+		}
+	}
+}
+
 func TestDecodeRefusesFrameBeyondInt(t *testing.T) {
 	const frame = int64(1) << 40
 	entry := appendRecord(nil, Record{ID: 1, Kind: KindObservation, Label: "x"})

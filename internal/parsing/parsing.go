@@ -19,68 +19,36 @@ import (
 	"repro/internal/video"
 )
 
-// Options tune the analyzer. Zero values select calibrated defaults.
-// The thresholds are relative to a trailing-window baseline so the
-// detector adapts to each stream's noise floor.
-type Options struct {
-	// CutChiRel declares a hard-cut candidate when the χ² distance
-	// exceeds CutChiRel × the window mean (default 3).
-	CutChiRel float64
-	// CutMadRel additionally requires the pixel difference to exceed
-	// CutMadRel × the window mean MAD — the second opinion that keeps
-	// global lighting flicker from registering as cuts (default 1.5).
-	CutMadRel float64
-	// ChiFloor and MadFloor are absolute minimums for the two cut
-	// signals (defaults 5e-4 and 0.004) so near-zero baselines on
-	// clean synthetic footage don't make the relative test hair-
-	// triggered.
-	ChiFloor, MadFloor float64
-	// Window is the sliding window length in frames for the adaptive
-	// baseline (default 24).
-	Window int
-	// MinShotLen suppresses boundaries closer than this to the
-	// previous one (default 8 frames).
-	MinShotLen int
-	// GradualRel starts a gradual-transition candidate while χ² stays
-	// above GradualRel × the window mean (default 8, with a 0.002
-	// absolute floor); GradualHigh confirms the transition once the
-	// accumulated χ² exceeds it across ≥3 frames (default 0.12).
-	GradualRel, GradualHigh float64
-	// SceneSim is the histogram-intersection similarity above which
-	// two adjacent shots belong to the same scene (default 0.55).
-	SceneSim float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.CutChiRel == 0 {
-		o.CutChiRel = 3
-	}
-	if o.CutMadRel == 0 {
-		o.CutMadRel = 1.5
-	}
-	if o.ChiFloor == 0 {
-		o.ChiFloor = 5e-4
-	}
-	if o.MadFloor == 0 {
-		o.MadFloor = 0.004
-	}
-	if o.Window == 0 {
-		o.Window = 24
-	}
-	if o.MinShotLen == 0 {
-		o.MinShotLen = 8
-	}
-	if o.GradualRel == 0 {
-		o.GradualRel = 8
-	}
-	if o.GradualHigh == 0 {
-		o.GradualHigh = 0.12
-	}
-	if o.SceneSim == 0 {
-		o.SceneSim = 0.55
-	}
-	return o
-}
+// Detector thresholds. The cut and gradual thresholds are relative to
+// a trailing window's baseline, so the detector adapts to each stream's
+// noise floor.
+const (
+	// cutChiRel declares a hard-cut candidate when the χ² distance
+	// exceeds cutChiRel × the window mean.
+	cutChiRel = 3
+	// cutMadRel additionally requires the pixel difference to exceed
+	// cutMadRel × the window mean MAD — the second opinion that keeps
+	// global lighting flicker from registering as cuts.
+	cutMadRel = 1.5
+	// chiFloor and madFloor are absolute minimums for the two cut
+	// signals, so near-zero baselines on clean synthetic footage don't
+	// make the relative test hair-triggered.
+	chiFloor, madFloor = 5e-4, 0.004
+	// window is the sliding window length in frames for the adaptive
+	// baseline.
+	window = 24
+	// minShotLen suppresses boundaries closer than this to the previous
+	// one.
+	minShotLen = 8
+	// gradualRel starts a gradual-transition candidate while χ² stays
+	// above gradualRel × the window mean (with a 0.002 absolute floor);
+	// gradualHigh confirms the transition once the accumulated χ²
+	// exceeds it across ≥3 frames.
+	gradualRel, gradualHigh = 8, 0.12
+	// sceneSim is the histogram-intersection similarity above which two
+	// adjacent shots belong to the same scene.
+	sceneSim = 0.55
+)
 
 // Boundary is a detected shot boundary.
 type Boundary struct {
@@ -127,27 +95,17 @@ type Parse struct {
 // ErrEmptyStream is returned when the source has no frames.
 var ErrEmptyStream = errors.New("parsing: empty stream")
 
-// Analyzer decomposes a video stream.
-type Analyzer struct {
-	opt Options
-}
-
-// NewAnalyzer returns an analyzer with the given options.
-func NewAnalyzer(opt Options) *Analyzer {
-	return &Analyzer{opt: opt.withDefaults()}
-}
-
 // Analyze consumes the source and produces the composition hierarchy.
-func (a *Analyzer) Analyze(src video.Source) (*Parse, error) {
+func Analyze(src video.Source) (*Parse, error) {
 	frames, err := video.Collect(src)
 	if err != nil {
 		return nil, fmt.Errorf("parsing: draining source: %w", err)
 	}
-	return a.AnalyzeFrames(frames)
+	return AnalyzeFrames(frames)
 }
 
 // AnalyzeFrames is Analyze over pre-collected frames.
-func (a *Analyzer) AnalyzeFrames(frames []video.Frame) (*Parse, error) {
+func AnalyzeFrames(frames []video.Frame) (*Parse, error) {
 	if len(frames) == 0 {
 		return nil, ErrEmptyStream
 	}
@@ -164,9 +122,9 @@ func (a *Analyzer) AnalyzeFrames(frames []video.Frame) (*Parse, error) {
 		mad[i] = img.MeanAbsDiff(frames[i-1].Pixels, frames[i].Pixels) / 255
 	}
 
-	boundaries := a.detectBoundaries(chi, mad)
-	shots := a.buildShots(len(frames), boundaries, hists)
-	scenes := a.groupScenes(shots, hists)
+	boundaries := detectBoundaries(chi, mad)
+	shots := buildShots(len(frames), boundaries, hists)
+	scenes := groupScenes(shots, hists)
 
 	return &Parse{
 		NumFrames:  len(frames),
@@ -178,10 +136,10 @@ func (a *Analyzer) AnalyzeFrames(frames []video.Frame) (*Parse, error) {
 
 // detectBoundaries runs the cut detector and the gradual detector and
 // merges their findings.
-func (a *Analyzer) detectBoundaries(chi, mad []float64) []Boundary {
+func detectBoundaries(chi, mad []float64) []Boundary {
 	n := len(chi)
 	var out []Boundary
-	lastBoundary := -a.opt.MinShotLen
+	lastBoundary := -minShotLen
 
 	// State for the gradual (twin-threshold) detector.
 	gradStart := -1
@@ -191,17 +149,17 @@ func (a *Analyzer) detectBoundaries(chi, mad []float64) []Boundary {
 		// Baseline from the trailing window, excluding i. The window
 		// deliberately includes past boundary frames: one outlier among
 		// Window samples barely moves the mean.
-		lo := i - a.opt.Window
+		lo := i - window
 		if lo < 1 {
 			lo = 1
 		}
 		meanChi, _ := meanStd(chi[lo:i])
 		meanMad, _ := meanStd(mad[lo:i])
-		chiThresh := math.Max(a.opt.CutChiRel*meanChi, a.opt.ChiFloor)
-		madThresh := math.Max(a.opt.CutMadRel*meanMad, a.opt.MadFloor)
+		chiThresh := math.Max(cutChiRel*meanChi, chiFloor)
+		madThresh := math.Max(cutMadRel*meanMad, madFloor)
 
 		isCut := chi[i] > chiThresh && mad[i] > madThresh
-		if isCut && i-lastBoundary >= a.opt.MinShotLen {
+		if isCut && i-lastBoundary >= minShotLen {
 			out = append(out, Boundary{Frame: i, Score: chi[i]})
 			lastBoundary = i
 			gradStart, gradAccum = -1, 0
@@ -211,15 +169,15 @@ func (a *Analyzer) detectBoundaries(chi, mad []float64) []Boundary {
 		// Gradual: sustained moderate χ² elevation accumulating to a
 		// large total change (dissolves move the histogram steadily
 		// without big per-frame pixel jumps).
-		gradLow := math.Max(a.opt.GradualRel*meanChi, 0.002)
+		gradLow := math.Max(gradualRel*meanChi, 0.002)
 		if chi[i] > gradLow {
 			if gradStart < 0 {
 				gradStart = i
 				gradAccum = 0
 			}
 			gradAccum += chi[i]
-			if gradAccum > a.opt.GradualHigh && i-gradStart >= 2 &&
-				gradStart-lastBoundary >= a.opt.MinShotLen {
+			if gradAccum > gradualHigh && i-gradStart >= 2 &&
+				gradStart-lastBoundary >= minShotLen {
 				out = append(out, Boundary{Frame: gradStart, Gradual: true, Score: gradAccum})
 				lastBoundary = gradStart
 				gradStart, gradAccum = -1, 0
@@ -234,7 +192,7 @@ func (a *Analyzer) detectBoundaries(chi, mad []float64) []Boundary {
 
 // buildShots partitions the stream at the boundaries and picks key
 // frames.
-func (a *Analyzer) buildShots(n int, bs []Boundary, hists []img.Histogram) []Shot {
+func buildShots(n int, bs []Boundary, hists []img.Histogram) []Shot {
 	starts := []int{0}
 	for _, b := range bs {
 		if b.Frame > starts[len(starts)-1] {
@@ -297,7 +255,7 @@ func keyFrame(hists []img.Histogram, start, end int) int {
 
 // groupScenes merges consecutive shots whose key-frame histograms are
 // similar (histogram intersection above SceneSim).
-func (a *Analyzer) groupScenes(shots []Shot, hists []img.Histogram) []Scene {
+func groupScenes(shots []Shot, hists []img.Histogram) []Scene {
 	if len(shots) == 0 {
 		return nil
 	}
@@ -306,7 +264,7 @@ func (a *Analyzer) groupScenes(shots []Shot, hists []img.Histogram) []Scene {
 		cur := &scenes[len(scenes)-1]
 		prevKey := hists[shots[i-1].KeyFrame]
 		curKey := hists[shots[i].KeyFrame]
-		if prevKey.Intersection(curKey) >= a.opt.SceneSim {
+		if prevKey.Intersection(curKey) >= sceneSim {
 			cur.Shots = append(cur.Shots, i)
 			cur.End = shots[i].End
 		} else {

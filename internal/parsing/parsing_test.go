@@ -2,6 +2,7 @@ package parsing
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/camera"
@@ -11,6 +12,66 @@ import (
 )
 
 var compCache = map[float64]*video.Composition{}
+
+// relit hands every frame of a source to light before it is read: the
+// lighting of a different sensor or location.
+type relit struct {
+	video.Source
+	light func(f video.Frame)
+}
+
+func (s relit) Next() (video.Frame, error) {
+	f, err := s.Source.Next()
+	if err == nil {
+		s.light(f)
+	}
+	return f, err
+}
+
+// drifting lights a noiseless render as a sensor whose global lighting
+// drifts by up to amp levels over a 500-frame period, then adds the
+// renderer's σ-level sensor noise, seeded per (frame, camera) as the
+// renderer seeds it.
+func drifting(amp, sigma float64) func(video.Frame) {
+	return func(f video.Frame) {
+		delta := int(amp * math.Sin(2*math.Pi*float64(f.Index)/500))
+		for i, p := range f.Pixels.Pix {
+			f.Pixels.Pix[i] = uint8(min(max(int(p)+delta, 0), 255))
+		}
+		h := uint64(14695981039346656037)
+		for _, b := range []byte(f.Camera) {
+			h = (h ^ uint64(b)) * 1099511628211
+		}
+		state := h ^ uint64(f.Index)*0x9E3779B97F4A7C15
+		f.Pixels.AddNoise(sigma, func() float64 {
+			var s float64
+			for i := 0; i < 12; i++ {
+				state += 0x9E3779B97F4A7C15
+				z := state
+				z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+				z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+				s += float64((z^(z>>31))>>11) / (1 << 53)
+			}
+			return s - 6
+		})
+	}
+}
+
+// repainted lights a noiseless render with the wall (gray 45) and the
+// table (gray 95) painted in other tones: the same diners in another
+// room.
+func repainted(wall, table uint8) func(video.Frame) {
+	return func(f video.Frame) {
+		for i, p := range f.Pixels.Pix {
+			switch p {
+			case 45:
+				f.Pixels.Pix[i] = wall
+			case 95:
+				f.Pixels.Pix[i] = table
+			}
+		}
+	}
+}
 
 // buildComposition renders a multi-shot edit from two very different
 // camera angles with known boundaries. Compositions are cached per noise
@@ -53,7 +114,7 @@ func buildComposition(t testing.TB, noise float64) *video.Composition {
 
 func TestDetectHardCuts(t *testing.T) {
 	comp := buildComposition(t, 1.5)
-	p, err := NewAnalyzer(Options{}).Analyze(comp.Source())
+	p, err := Analyze(comp.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +130,7 @@ func TestDetectHardCuts(t *testing.T) {
 
 func TestShotsPartitionStream(t *testing.T) {
 	comp := buildComposition(t, 1)
-	p, err := NewAnalyzer(Options{}).Analyze(comp.Source())
+	p, err := Analyze(comp.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +154,7 @@ func TestShotsPartitionStream(t *testing.T) {
 
 func TestScenesCoverShots(t *testing.T) {
 	comp := buildComposition(t, 1)
-	p, err := NewAnalyzer(Options{}).Analyze(comp.Source())
+	p, err := Analyze(comp.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +185,8 @@ func TestStaticVideoHasOneShot(t *testing.T) {
 	// positives from sensor noise alone.
 	sim, _ := scene.NewSimulator(scene.PrototypeScenario())
 	rig, _ := camera.PrototypeRig(6, 5)
-	src, _ := video.NewSourceRange(
-		video.NewRenderer(sim, rig.Cameras[0], video.RenderOptions{NoiseSigma: 2, LightDrift: 4}),
-		0, 180)
-	p, err := NewAnalyzer(Options{}).Analyze(src)
+	src, _ := video.NewSourceRange(video.NewRenderer(sim, rig.Cameras[0], video.RenderOptions{}), 0, 180)
+	p, err := Analyze(relit{src, drifting(4, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +196,7 @@ func TestStaticVideoHasOneShot(t *testing.T) {
 }
 
 func TestAnalyzeEmpty(t *testing.T) {
-	_, err := NewAnalyzer(Options{}).AnalyzeFrames(nil)
+	_, err := AnalyzeFrames(nil)
 	if !errors.Is(err, ErrEmptyStream) {
 		t.Errorf("err = %v", err)
 	}
@@ -145,7 +204,7 @@ func TestAnalyzeEmpty(t *testing.T) {
 
 func TestSingleFrame(t *testing.T) {
 	f := video.Frame{Pixels: img.New(16, 16)}
-	p, err := NewAnalyzer(Options{}).AnalyzeFrames([]video.Frame{f})
+	p, err := AnalyzeFrames([]video.Frame{f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +238,7 @@ func TestEvaluateMetrics(t *testing.T) {
 
 func TestGradualDetection(t *testing.T) {
 	comp := buildComposition(t, 1)
-	p, err := NewAnalyzer(Options{}).Analyze(comp.Source())
+	p, err := Analyze(comp.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +258,13 @@ func TestGradualDetection(t *testing.T) {
 
 func TestMinShotLenRespected(t *testing.T) {
 	comp := buildComposition(t, 1)
-	p, err := NewAnalyzer(Options{MinShotLen: 8}).Analyze(comp.Source())
+	p, err := Analyze(comp.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(p.Boundaries); i++ {
 		if p.Boundaries[i].Frame-p.Boundaries[i-1].Frame < 8 {
-			t.Errorf("boundaries %d and %d closer than MinShotLen",
+			t.Errorf("boundaries %d and %d closer than minShotLen",
 				p.Boundaries[i-1].Frame, p.Boundaries[i].Frame)
 		}
 	}
@@ -224,15 +283,15 @@ func TestSceneSegmentationSplitsDistinctSettings(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Source A: normal room. Source B: much brighter "second location".
-	mk := func(opt video.RenderOptions, to int) video.Source {
-		s, err := video.NewSourceRange(video.NewRenderer(sim, rig.Cameras[0], opt), 0, to)
+	mk := func(light func(video.Frame), to int) video.Source {
+		s, err := video.NewSourceRange(video.NewRenderer(sim, rig.Cameras[0], video.RenderOptions{}), 0, to)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return relit{s, light}
 	}
-	dark := video.RenderOptions{Background: 40, TableTone: 90}
-	bright := video.RenderOptions{Background: 190, TableTone: 230}
+	dark := repainted(40, 90)
+	bright := repainted(190, 230)
 	comp, err := video.Compose(
 		[]video.Source{mk(dark, 120), mk(bright, 60)},
 		[]video.Shot{
@@ -243,7 +302,7 @@ func TestSceneSegmentationSplitsDistinctSettings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewAnalyzer(Options{}).Analyze(comp.Source())
+	p, err := Analyze(comp.Source())
 	if err != nil {
 		t.Fatal(err)
 	}

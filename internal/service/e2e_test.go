@@ -110,7 +110,7 @@ func TestDieventdEndToEnd(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := c.Query(ctx, "label = 'e2e'", client.QueryOpts{Limit: 20, Timeout: 10 * time.Second}); err != nil {
+			if _, err := c.Query(ctx, "label = 'e2e'", client.QueryOpts{Limit: 20}); err != nil {
 				// Once SIGTERM is out, a query may meet the drained
 				// process's closed socket (connection refused, reset):
 				// a legitimate post-drain outcome, not a failure.

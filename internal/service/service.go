@@ -55,10 +55,9 @@ type Config struct {
 
 	// IdleClose releases a tenant's writer lease after this much idle
 	// time so out-of-band WithReadOnly tools can attach (0 = never
-	// close). LockWait bounds how long a request waits to take the
-	// lease back from such a tool (default 5s).
+	// close). A request waits up to lockWait to take the lease back
+	// from such a tool.
 	IdleClose time.Duration
-	LockWait  time.Duration
 
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
@@ -104,9 +103,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxFollowers == 0 {
 		cfg.MaxFollowers = 64
-	}
-	if cfg.LockWait <= 0 {
-		cfg.LockWait = 5 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -102,7 +103,7 @@ func TestIngestQueryFollowRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := c.Query(ctx, "label = 'smile'", client.QueryOpts{Order: "id"})
+	recs, err := c.Query(ctx, "label = 'smile'", client.QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestENOSPCDegradesNotWedges(t *testing.T) {
 	var fail atomic.Bool
 	ffs.Inject = func(n int, op vfs.Op, path string) error {
 		if fail.Load() && (op == vfs.OpWrite || op == vfs.OpSync || op == vfs.OpCreate) {
-			return vfs.ErrNoSpace
+			return syscall.ENOSPC
 		}
 		return nil
 	}
@@ -383,9 +384,18 @@ func TestQueryTimeoutPropagates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err := c.Query(ctx, "label = 'x'", client.QueryOpts{Timeout: time.Nanosecond})
-	if err == nil {
-		t.Fatal("1ns-deadline query succeeded; deadline did not propagate")
+	resp, err := http.Get(ts.http.URL + "/v1/tenants/rig-1/query?q=label+%3D+%27x%27&timeout=1ns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	if last := lines[len(lines)-1]; resp.StatusCode != http.StatusOK || !strings.Contains(last, `"error"`) {
+		t.Fatalf("1ns-deadline query: HTTP %d, last line %.200q; deadline did not propagate", resp.StatusCode, last)
 	}
 }
 
@@ -467,7 +477,7 @@ func TestDrainGraceful(t *testing.T) {
 // departs instead of failing.
 func TestIdleCloseReadOnlyCoexistence(t *testing.T) {
 	root := t.TempDir()
-	ts := newTestServer(t, service.Config{Root: root, IdleClose: 50 * time.Millisecond, LockWait: 10 * time.Second})
+	ts := newTestServer(t, service.Config{Root: root, IdleClose: 50 * time.Millisecond})
 	ctx := context.Background()
 	c := ts.client(t, "rig-1", client.Config{MaxRetries: -1})
 	if err := c.Append(ctx, batch(0, 10, "x")); err != nil {
@@ -706,7 +716,7 @@ func TestUnencodableRecordEndsStreamLoudly(t *testing.T) {
 	defer cancel()
 	c := ts.client(t, "rig-1", client.Config{MaxRetries: -1})
 
-	recs, err := c.Query(ctx, "label = 'legacy'", client.QueryOpts{Order: "id"})
+	recs, err := c.Query(ctx, "label = 'legacy'", client.QueryOpts{})
 	if err == nil || !strings.Contains(err.Error(), "record 2 cannot be encoded") {
 		t.Fatalf("query over a NaN record: %d records, err %v; want a mid-stream error naming record 2", len(recs), err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -99,13 +100,11 @@ func TestServiceSoak(t *testing.T) {
 			c := ts.client(t, tenant, client.Config{MaxRetries: 6, Backoff: 5 * time.Millisecond})
 			for n := 0; queryCtx.Err() == nil; n++ {
 				q := "label = 'soak' AND value >= 100"
-				opts := client.QueryOpts{Limit: 20, Order: "id"}
 				if n%16 == 15 {
 					lo := (i*7919 + n*997) % (nIngest * perIngest)
 					q = fmt.Sprintf("label = 'soak' AND frame >= %d AND frame < %d", lo, lo+2000)
-					opts = client.QueryOpts{Limit: 20, Order: "frame"}
 				}
-				_, err := c.Query(queryCtx, q, opts)
+				_, err := c.Query(queryCtx, q, client.QueryOpts{Limit: 20})
 				if err != nil && queryCtx.Err() == nil {
 					errCh <- fmt.Errorf("query %d: %w", i, err)
 					return
@@ -236,7 +235,7 @@ func TestServiceSoakUnderFaults(t *testing.T) {
 	var failing atomic.Bool
 	ffs.Inject = func(n int, op vfs.Op, path string) error {
 		if failing.Load() && (op == vfs.OpWrite || op == vfs.OpSync || op == vfs.OpCreate) {
-			return vfs.ErrNoSpace
+			return syscall.ENOSPC
 		}
 		return nil
 	}

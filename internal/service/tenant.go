@@ -87,6 +87,10 @@ type tenant struct {
 	degradedWhy string
 }
 
+// lockWait bounds how long a request waits for an out-of-band reader to
+// release a tenant's lease.
+const lockWait = 5 * time.Second
+
 // acquire opens (or re-opens) the tenant's repository and pins it for
 // the duration of a request. Callers must release. The open waits on
 // the directory lease so a transient out-of-band reader (WithReadOnly
@@ -99,7 +103,7 @@ func (t *tenant) acquire(ctx context.Context, s *Server) (*metadata.Repository, 
 		if s.cfg.FS != nil {
 			opts = append(opts, metadata.WithFS(s.cfg.FS))
 		}
-		opts = append(opts, metadata.WithLockWait(ctx, s.cfg.LockWait))
+		opts = append(opts, metadata.WithLockWait(ctx, lockWait))
 		repo, err := metadata.Open(t.dir, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("service: opening tenant %s: %w", t.name, err)
@@ -206,8 +210,8 @@ func (t *tenant) status() TenantStatus {
 	return st
 }
 
-// isNoSpace reports an ENOSPC-chained error (vfs.ErrNoSpace is
-// syscall.ENOSPC; FaultFS injects exactly that).
+// isNoSpace reports an ENOSPC-chained error (a full disk, or a
+// FaultFS injecting syscall.ENOSPC).
 func isNoSpace(err error) bool {
 	return errors.Is(err, syscall.ENOSPC)
 }

@@ -4,8 +4,8 @@
 // analyzing a video by sociologists"). Importance is scored from the
 // fused multilayer evidence — eye-contact events, emotion dynamics and
 // overall-emotion swings — then the top non-overlapping highlight
-// windows and per-shot key frames form the digest, alongside the Fig. 9
-// look-at summary and dominance analysis.
+// windows form the digest, alongside the Fig. 9 look-at summary and
+// dominance analysis.
 package summarize
 
 import (
@@ -16,33 +16,14 @@ import (
 	"strings"
 
 	"repro/internal/layers"
-	"repro/internal/parsing"
 )
 
-// Options tune the summariser.
-type Options struct {
-	// TopK is the number of highlight windows to report (default 5).
-	TopK int
-	// WindowLen is the highlight window length in frames (default 50,
-	// two seconds at 25 fps).
-	WindowLen int
-	// MinGap is the minimum spacing between chosen windows (default
-	// WindowLen).
-	MinGap int
-}
-
-func (o Options) withDefaults() Options {
-	if o.TopK == 0 {
-		o.TopK = 5
-	}
-	if o.WindowLen == 0 {
-		o.WindowLen = 50
-	}
-	if o.MinGap == 0 {
-		o.MinGap = o.WindowLen
-	}
-	return o
-}
+// The digest reports the topK best highlight windows of windowLen
+// frames (two seconds at 25 fps), at least windowLen frames apart.
+const (
+	topK      = 5
+	windowLen = 50
+)
 
 // Highlight is one selected important window.
 type Highlight struct {
@@ -58,9 +39,6 @@ type Highlight struct {
 type Summary struct {
 	// Highlights are the top windows, best first.
 	Highlights []Highlight
-	// KeyFrames are representative frames, one per detected shot (empty
-	// when no parse was supplied).
-	KeyFrames []int
 	// Dominant is the participant ID with the maximal look-at column
 	// sum (the paper's dominance rule), -1 when nothing was observed.
 	Dominant int
@@ -74,24 +52,16 @@ type Summary struct {
 // ErrNoData is returned when the analysis result is empty.
 var ErrNoData = errors.New("summarize: no analysis data")
 
-// Summarize builds the digest from a multilayer result and (optionally)
-// a composition parse.
-func Summarize(res *layers.Result, parse *parsing.Parse, opt Options) (*Summary, error) {
+// Summarize builds the digest from a multilayer result.
+func Summarize(res *layers.Result) (*Summary, error) {
 	if res == nil || res.Frames == 0 {
 		return nil, ErrNoData
 	}
-	opt = opt.withDefaults()
 
 	importance, reasons := scoreFrames(res)
 
 	s := &Summary{Dominant: -1}
-	s.Highlights = pickWindows(importance, reasons, opt)
-
-	if parse != nil {
-		for _, shot := range parse.Shots {
-			s.KeyFrames = append(s.KeyFrames, shot.KeyFrame)
-		}
-	}
+	s.Highlights = pickWindows(importance, reasons, topK, windowLen, windowLen)
 
 	// Dominance from the raw (unsmoothed) summary, matching Fig. 9.
 	cols := res.Summary.ColumnSums()
@@ -156,13 +126,13 @@ func scoreFrames(res *layers.Result) ([]float64, []map[string]bool) {
 	return imp, why
 }
 
-// pickWindows selects the TopK highest-scoring non-overlapping windows.
-func pickWindows(imp []float64, why []map[string]bool, opt Options) []Highlight {
+// pickWindows selects the k highest-scoring windows of w frames that
+// keep at least minGap frames between each other.
+func pickWindows(imp []float64, why []map[string]bool, k, w, minGap int) []Highlight {
 	n := len(imp)
 	if n == 0 {
 		return nil
 	}
-	w := opt.WindowLen
 	if w > n {
 		w = n
 	}
@@ -189,13 +159,13 @@ func pickWindows(imp []float64, why []map[string]bool, opt Options) []Highlight 
 
 	var out []Highlight
 	for _, c := range cands {
-		if len(out) >= opt.TopK || c.score <= 0 {
+		if len(out) >= k || c.score <= 0 {
 			break
 		}
 		clash := false
 		for _, h := range out {
-			// Windows must not overlap and must keep MinGap spacing.
-			if c.start < h.End+opt.MinGap && h.Start < c.start+w+opt.MinGap {
+			// Windows must not overlap and must keep minGap spacing.
+			if c.start < h.End+minGap && h.Start < c.start+w+minGap {
 				clash = true
 				break
 			}

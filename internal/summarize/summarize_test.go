@@ -9,7 +9,6 @@ import (
 	"repro/internal/emotion"
 	"repro/internal/gaze"
 	"repro/internal/layers"
-	"repro/internal/parsing"
 )
 
 // buildResult fabricates a multilayer result with one strong EC episode
@@ -24,7 +23,7 @@ func buildResult(t *testing.T) *layers.Result {
 			{ID: 2, Name: "P3", Color: "green"},
 		},
 	}
-	a, err := layers.NewAnalyzer(ctx, layers.Options{SmoothWindow: 3, MinECFrames: 10})
+	a, err := layers.NewAnalyzer(ctx, layers.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func buildResult(t *testing.T) *layers.Result {
 
 func TestSummarizeBasics(t *testing.T) {
 	res := buildResult(t)
-	s, err := Summarize(res, nil, Options{TopK: 3, WindowLen: 40})
+	s, err := Summarize(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,49 +87,29 @@ func TestSummarizeBasics(t *testing.T) {
 
 func TestSummarizeWindowsDisjoint(t *testing.T) {
 	res := buildResult(t)
-	s, err := Summarize(res, nil, Options{TopK: 5, WindowLen: 30, MinGap: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(s.Highlights); i++ {
-		for j := i + 1; j < len(s.Highlights); j++ {
-			a, b := s.Highlights[i], s.Highlights[j]
+	imp, why := scoreFrames(res)
+	hs := pickWindows(imp, why, 5, 30, 10)
+	for i := 0; i < len(hs); i++ {
+		for j := i + 1; j < len(hs); j++ {
+			a, b := hs[i], hs[j]
 			if a.Start < b.End+10 && b.Start < a.End+10 {
 				t.Errorf("highlights %v and %v violate spacing", a, b)
 			}
 		}
 	}
 	// Ordered by score.
-	for i := 1; i < len(s.Highlights); i++ {
-		if s.Highlights[i].Score > s.Highlights[i-1].Score {
+	for i := 1; i < len(hs); i++ {
+		if hs[i].Score > hs[i-1].Score {
 			t.Error("highlights not score-ordered")
 		}
 	}
 }
 
-func TestSummarizeWithParse(t *testing.T) {
-	res := buildResult(t)
-	parse := &parsing.Parse{
-		NumFrames: 300,
-		Shots: []parsing.Shot{
-			{Start: 0, End: 150, KeyFrame: 70},
-			{Start: 150, End: 300, KeyFrame: 220},
-		},
-	}
-	s, err := Summarize(res, parse, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.KeyFrames) != 2 || s.KeyFrames[0] != 70 || s.KeyFrames[1] != 220 {
-		t.Errorf("keyframes = %v", s.KeyFrames)
-	}
-}
-
 func TestSummarizeEmpty(t *testing.T) {
-	if _, err := Summarize(nil, nil, Options{}); !errors.Is(err, ErrNoData) {
+	if _, err := Summarize(nil); !errors.Is(err, ErrNoData) {
 		t.Errorf("nil result err = %v", err)
 	}
-	if _, err := Summarize(&layers.Result{}, nil, Options{}); !errors.Is(err, ErrNoData) {
+	if _, err := Summarize(&layers.Result{}); !errors.Is(err, ErrNoData) {
 		t.Errorf("empty result err = %v", err)
 	}
 }
@@ -138,7 +117,7 @@ func TestSummarizeEmpty(t *testing.T) {
 func TestSummarizeShortEvent(t *testing.T) {
 	// Window longer than the event must clamp, not panic.
 	ctx := layers.Context{Participants: []layers.Participant{{ID: 0, Name: "P1"}, {ID: 1, Name: "P2"}}}
-	a, _ := layers.NewAnalyzer(ctx, layers.Options{SmoothWindow: 1, MinECFrames: 2})
+	a, _ := layers.NewAnalyzer(ctx, layers.Options{})
 	ids := ctx.IDs()
 	for i := 0; i < 10; i++ {
 		m := gaze.NewMatrix(ids)
@@ -148,7 +127,7 @@ func TestSummarizeShortEvent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := Summarize(a.Finalize(), nil, Options{WindowLen: 100})
+	s, err := Summarize(a.Finalize()) // a 50-frame window over 10 frames
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,14 +9,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 )
-
-// ErrNoSpace is the canonical disk-full error for Inject hooks — the
-// same ENOSPC value the real filesystem produces, so production code
-// cannot tell injected exhaustion from the real thing.
-var ErrNoSpace error = syscall.ENOSPC
 
 // Op classifies the counted (mutating or durability-relevant)
 // filesystem operations FaultFS can inject faults into. Read-only

@@ -1,7 +1,7 @@
 // Package video implements DiEvent's acquisition substrate: a synthetic
 // frame renderer that turns simulated scene states into the 640×480
 // grayscale frames the paper's surveillance cameras produced, sensor
-// noise and lighting drift, multi-camera capture, an editable multi-shot
+// noise, multi-camera capture, an editable multi-shot
 // composition for the video-parsing experiments, and a raw container
 // codec for persistence.
 package video
@@ -9,7 +9,6 @@ package video
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -50,29 +49,13 @@ type RenderOptions struct {
 	// NoiseSigma is the Gaussian sensor-noise σ in intensity levels
 	// (0 disables).
 	NoiseSigma float64
-	// LightDrift is the amplitude (levels) of slow sinusoidal global
-	// lighting variation (0 disables).
-	LightDrift float64
-	// LightPeriod is the drift period in frames (default 500).
-	LightPeriod int
-	// Background is the wall gray level (default 45).
-	Background uint8
-	// TableTone is the table-surface gray level (default 95).
-	TableTone uint8
 }
 
-func (o RenderOptions) withDefaults() RenderOptions {
-	if o.LightPeriod <= 0 {
-		o.LightPeriod = 500
-	}
-	if o.Background == 0 {
-		o.Background = 45
-	}
-	if o.TableTone == 0 {
-		o.TableTone = 95
-	}
-	return o
-}
+// The gray levels of the wall and of the table surface.
+const (
+	background = 45
+	tableTone  = 95
+)
 
 // Renderer draws simulated frame states as seen by one camera. All
 // Render methods are safe for concurrent use — rendering is a pure
@@ -90,7 +73,7 @@ type Renderer struct {
 
 // NewRenderer builds a renderer for one camera over a simulation.
 func NewRenderer(sim *scene.Simulator, cam *camera.Camera, opt RenderOptions) *Renderer {
-	return &Renderer{cam: cam, sim: sim, opt: opt.withDefaults()}
+	return &Renderer{cam: cam, sim: sim, opt: opt}
 }
 
 // AcquireFrame returns a frame-sized buffer from the renderer's pool
@@ -119,9 +102,8 @@ func (r *Renderer) RenderState(fs scene.FrameState) *img.Gray {
 // RenderStateInto is RenderState drawing into g (reused when its buffer
 // is large enough; nil allocates). It returns the rendered frame.
 func (r *Renderer) RenderStateInto(fs scene.FrameState, g *img.Gray) *img.Gray {
-	o := r.opt
 	g = img.Ensure(g, r.cam.In.W, r.cam.In.H)
-	g.Fill(o.Background)
+	g.Fill(background)
 
 	r.drawTable(g)
 
@@ -144,15 +126,11 @@ func (r *Renderer) RenderStateInto(fs scene.FrameState, g *img.Gray) *img.Gray {
 		r.drawPerson(g, p)
 	}
 
-	// Global lighting drift then sensor noise, seeded per (frame,
-	// camera) so every render of the same frame is identical.
-	if o.LightDrift > 0 {
-		phase := 2 * math.Pi * float64(fs.Index) / float64(o.LightPeriod)
-		g.AdjustBrightness(int(o.LightDrift * math.Sin(phase)))
-	}
-	if o.NoiseSigma > 0 {
+	// Sensor noise, seeded per (frame, camera) so every render of the
+	// same frame is identical.
+	if r.opt.NoiseSigma > 0 {
 		rng := newNoiseRand(fs.Index, r.cam.Name)
-		g.AddNoise(o.NoiseSigma, rng.NormFloat64)
+		g.AddNoise(r.opt.NoiseSigma, rng.NormFloat64)
 	}
 	return g
 }
@@ -188,7 +166,7 @@ func (r *Renderer) drawTable(g *img.Gray) {
 		}
 		px[i] = p
 	}
-	fillQuad(g, px[:], r.opt.TableTone)
+	fillQuad(g, px[:], tableTone)
 }
 
 // drawPerson draws a participant: a dark torso ellipse under an

@@ -2,6 +2,7 @@ package video
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/camera"
@@ -27,14 +28,28 @@ func protoRig(t testing.TB) *camera.Rig {
 	return r
 }
 
+// renderDrifting renders frame i through a sensor whose global
+// lighting drifts by up to amp levels over a 500-frame period, then
+// adds the renderer's σ-level noise: the frame a drifting camera
+// records.
+func renderDrifting(r *Renderer, i int, amp, sigma float64) *img.Gray {
+	g := r.Render(i).Pixels
+	delta := int(amp * math.Sin(2*math.Pi*float64(i)/500))
+	for j, p := range g.Pix {
+		g.Pix[j] = uint8(min(max(int(p)+delta, 0), 255))
+	}
+	g.AddNoise(sigma, newNoiseRand(i, r.cam.Name).NormFloat64)
+	return g
+}
+
 func TestRenderDeterministic(t *testing.T) {
 	sim := protoSim(t)
 	rig := protoRig(t)
-	r := NewRenderer(sim, rig.Cameras[0], RenderOptions{NoiseSigma: 2, LightDrift: 5})
-	a := r.Render(100)
-	b := r.Render(100)
-	for i := range a.Pixels.Pix {
-		if a.Pixels.Pix[i] != b.Pixels.Pix[i] {
+	r := NewRenderer(sim, rig.Cameras[0], RenderOptions{})
+	a := renderDrifting(r, 100, 5, 2)
+	b := renderDrifting(r, 100, 5, 2)
+	for i := range a.Pix {
+		if a.Pix[i] != b.Pix[i] {
 			t.Fatal("same frame rendered differently")
 		}
 	}

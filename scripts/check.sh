@@ -10,8 +10,7 @@
 # the injected-fault crash-consistency matrix (including the segment-
 # statistics sidecar matrix), the statistics-pruning soundness gates
 # (cold-open pushdown ≡ full-replay oracle, raced), the degraded-mode
-# gates (quarantine under raced load, stage panic isolation), the
-# streaming gates (finite-stream ≡ batch oracle raced on the worker
+# gate (quarantine under raced load), the streaming gates (finite-stream ≡ batch oracle raced on the worker
 # pool, tail cursors surviving segment roll + compaction under raced
 # append load and a stalled consumer across 100k appends, the
 # live-FOLLOW exactly-once contract, and the bounded-memory check on a
@@ -30,15 +29,29 @@
 # codec (record encoder, batch and envelope decoders against
 # encoding/json) so the checked-in corpora execute on every check, the
 # img/face suites and the stage-graph oracle on the generic (purego)
-# build, a 32-bit (GOARCH=386) vet of the whole tree plus the frame-
-# and stats-overflow refusal tests, and the benchmark module's own tests. The
+# build, a 32-bit (GOARCH=386) vet of the whole tree plus the short
+# test suites of every package that holds on 32 bits, and the benchmark
+# module's own tests. The
 # quick mode also races the emotion network's batch-of-one equivalence
 # and shared-scratch gates. Before the gates, both modes confirm that
 # every -run pattern below still names existing tests and run the
 # reachability probe (scripts/reach), which fails on any function only
-# tests can reach unless its allowlist gives a reason.
+# tests can reach, field only tests set, or type, constant or variable
+# only tests name, unless its allowlist gives a reason, and on any
+# difference between dievent/api.txt and the public API. Every go
+# command prints its wall time to stderr as it ends.
 set -eu
 cd "$(dirname "$0")/.."
+
+START="$(date +%s)"
+# go runs the toolchain and reports how long the step took.
+go() {
+	T0="$(date +%s)"
+	RC=0
+	command go "$@" || RC=$?
+	echo "check.sh: $(($(date +%s) - T0))s: go $*" >&2
+	return $RC
+}
 
 # Formatting gate: the tree must be gofmt-clean.
 UNFORMATTED="$(gofmt -l .)"
@@ -72,8 +85,9 @@ grep -E "^[[:space:]]*(GOARCH=[a-z0-9]+ )?go test .*-run '[^']*[A-Za-z]" scripts
 		done
 	done
 
-# Reachability: no function that only tests reach, beyond the reasoned
-# allowlist in scripts/reach/allow.txt (which must itself stay exact).
+# Reachability: nothing that only tests use, beyond the reasoned
+# allowlist in scripts/reach/allow.txt (which must itself stay exact),
+# and a public API equal to dievent/api.txt.
 go run ./scripts/reach
 
 if [ "${1:-}" = "-full" ]; then
@@ -110,10 +124,9 @@ else
 	# Pruning-soundness gate, raced: statistics pushdown and plan-time
 	# segment pruning must stay byte-identical to the naive oracle.
 	go test -race -run 'TestColdOpenEquivalenceProperty|TestPlanStatsPruning' ./internal/metadata
-	# Degraded-mode gates, raced: quarantined segments served under
-	# concurrent load, and stage panic isolation on the worker pool.
+	# Degraded-mode gate, raced: quarantined segments served under
+	# concurrent load.
 	go test -race -run 'TestQuarantineUnderConcurrentLoad' ./internal/metadata
-	go test -race -run 'TestQuarantineUnderParallelExtraction|TestDegraded' ./internal/core
 	# Compaction under load, raced: appends/cursors while segments merge.
 	go test -race -run 'TestStressConcurrentAppendQueryCompact|TestCompactUnderLoadMatchesOracle' ./internal/metadata
 	# Concurrent detection, raced: the fused matcher's thread-safety
@@ -193,15 +206,19 @@ done
 # cross-vet so the non-amd64 build keeps compiling.
 go test -tags purego ./internal/img ./internal/face
 go test -tags purego -run 'TestStageGraphMatchesOracle' ./internal/core
-GOARCH=arm64 go vet ./internal/img ./internal/face
-# 32-bit build: everything (tests included) compiles, and a stored frame,
-# count or length that does not fit a 32-bit int is refused as corrupt,
-# not truncated (the statistics fuzzer's seed corpus plants lengths and
-# counts of 2^31 and up).
-GOARCH=386 go vet ./...
-GOARCH=386 go test -run 'TestDecodeRefusesFrameBeyondInt|TestDecodeStatsRefusesCountBeyondInt|FuzzDecodeStats' ./internal/metadata
+(export GOARCH=arm64 && go vet ./internal/img ./internal/face)
+# 32-bit build: everything (tests included) compiles, and the short
+# suites pass — among them the refusals of a stored frame, count or
+# length that does not fit a 32-bit int (TestDecodeRefusesFrameBeyondInt,
+# TestDecodeStatsRefusesCountBeyondInt,
+# TestDecodeEntriesRefusesLengthBeyondInt, and the statistics fuzzer's
+# seed corpus with lengths and counts of 2^31 and up). core and emotion
+# stay out until their classifier-fingerprint goldens hold on 32 bits
+# (ROADMAP item 9); parsing passes there but takes ≈170 s (item 13).
+(export GOARCH=386 && go vet ./... &&
+	go test -short $(command go list ./... | grep -v -e '/internal/parsing$' -e '/internal/core$' -e '/internal/emotion$'))
 # The end-to-end benchmark's own guards and smoke run (its nested
 # module is outside the root `go test ./...`). Performance itself is
 # measured by `sh benchmark/run.sh`, not gated here.
 (cd benchmark && go test ./...)
-echo "check.sh: OK"
+echo "check.sh: OK in $(($(date +%s) - START))s"
