@@ -278,34 +278,38 @@ func BenchmarkNNForward(b *testing.B) {
 	}
 }
 
-// BenchmarkNNForwardBatch measures the same forward pass at a
-// realistic per-frame batch (8 faces) — per-sample cost should beat
-// BenchmarkNNForward because one weight-row walk serves the whole
-// batch.
+// BenchmarkNNForwardBatch measures the same forward pass on
+// ClassifyBatch at the batch the classify stage sends (one or two faces
+// per camera) and at an 8-face frame, reporting samples/s; per-sample
+// cost falls with the batch because one walk over each block of weight
+// rows serves every sample.
 func BenchmarkNNForwardBatch(b *testing.B) {
 	net, err := nn.New(nn.Config{Sizes: []int{944, 48, 7}, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	const batch = 8
-	xs := make([][]float64, batch)
-	for s := range xs {
-		x := make([]float64, 944)
-		for i := range x {
-			x[i] = float64((i+s)%59) / 59
-		}
-		xs[s] = x
+	for _, batch := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			xs := make([][]float64, batch)
+			for s := range xs {
+				x := make([]float64, 944)
+				for i := range x {
+					x[i] = float64((i+s)%59) / 59
+				}
+				xs[s] = x
+			}
+			var cls []int
+			var conf []float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cls, conf, err = net.ClassifyBatch(xs, cls, conf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+		})
 	}
-	var cls []int
-	var conf []float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cls, conf, err = net.ClassifyBatch(xs, cls, conf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }
 
 // BenchmarkFaceInferenceBatch measures the per-face inference path the

@@ -223,6 +223,29 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
+// TestPerFaceShapesTakeFastPaths is the non-vacuity check for the
+// per-face kernels on the pipeline's shapes. A FaceSize×FaceSize crop
+// has an LBP interior, so all but its one-pixel border ring skips
+// Code3x3's clamped reads; and the benchmark-shaped 944-48-7 network's
+// hidden width is a whole number of the forward pass's four-neuron
+// blocks, so no hidden unit runs the remainder loop.
+func TestPerFaceShapesTakeFastPaths(t *testing.T) {
+	if interior := (FaceSize - 2) * (FaceSize - 2); interior*10 < FaceSize*FaceSize*9 {
+		t.Errorf("a %d² crop has %d interior LBP pixels, under 90 %%", FaceSize, interior)
+	}
+	clf, err := NewClassifier(48, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := clf.net.Sizes()
+	if len(sizes) != 3 || sizes[0] != 944 || sizes[1] != 48 || sizes[2] != NumLabels {
+		t.Fatalf("network %v, want 944-48-%d", sizes, NumLabels)
+	}
+	if sizes[1]%4 != 0 {
+		t.Errorf("hidden width %d leaves %d units to the remainder loop", sizes[1], sizes[1]%4)
+	}
+}
+
 func TestClassifierAccuracy(t *testing.T) {
 	clf, test := sharedClassifier(t)
 	m, err := clf.Evaluate(test)

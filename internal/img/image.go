@@ -44,17 +44,7 @@ func FromPix(w, h int, pix []uint8) (*Gray, error) {
 // AtClamped returns the pixel at (x,y) with coordinates clamped to the
 // image border (replicate padding) — used by LBP and convolution.
 func (g *Gray) AtClamped(x, y int) uint8 {
-	if x < 0 {
-		x = 0
-	} else if x >= g.W {
-		x = g.W - 1
-	}
-	if y < 0 {
-		y = 0
-	} else if y >= g.H {
-		y = g.H - 1
-	}
-	return g.Pix[y*g.W+x]
+	return g.Pix[clampIndex(y, g.H)*g.W+clampIndex(x, g.W)]
 }
 
 // Set writes the pixel at (x,y); out-of-range writes are ignored.
@@ -65,10 +55,14 @@ func (g *Gray) Set(x, y int, v uint8) {
 	g.Pix[y*g.W+x] = v
 }
 
-// Fill sets every pixel to v.
+// Fill sets every pixel to v, doubling the filled prefix by copy.
 func (g *Gray) Fill(v uint8) {
-	for i := range g.Pix {
-		g.Pix[i] = v
+	if len(g.Pix) == 0 {
+		return
+	}
+	g.Pix[0] = v
+	for n := 1; n < len(g.Pix); n *= 2 {
+		copy(g.Pix[n:], g.Pix[:n])
 	}
 }
 
@@ -191,23 +185,53 @@ func (g *Gray) ResizeInto(w, h int, dst *Gray) *Gray {
 	}
 	sx := float64(g.W) / float64(w)
 	sy := float64(g.H) / float64(h)
-	for y := 0; y < h; y++ {
-		fy := (float64(y)+0.5)*sy - 0.5
-		y0 := int(math.Floor(fy))
-		dy := fy - float64(y0)
-		for x := 0; x < w; x++ {
-			fx := (float64(x)+0.5)*sx - 0.5
+	// Each output column's clamped source columns and weight, computed
+	// once per block of columns rather than once per pixel; the table
+	// stays on the stack whatever the width.
+	var cols [64]struct {
+		x0, x1 int
+		dx     float64
+	}
+	for c0 := 0; c0 < w; c0 += len(cols) {
+		tab := cols[:min(len(cols), w-c0)]
+		for i := range tab {
+			fx := (float64(c0+i)+0.5)*sx - 0.5
 			x0 := int(math.Floor(fx))
-			dx := fx - float64(x0)
-			v00 := float64(g.AtClamped(x0, y0))
-			v10 := float64(g.AtClamped(x0+1, y0))
-			v01 := float64(g.AtClamped(x0, y0+1))
-			v11 := float64(g.AtClamped(x0+1, y0+1))
-			v := v00*(1-dx)*(1-dy) + v10*dx*(1-dy) + v01*(1-dx)*dy + v11*dx*dy
-			out.Pix[y*w+x] = uint8(math.Round(math.Max(0, math.Min(255, v))))
+			tab[i].x0, tab[i].x1, tab[i].dx = clampIndex(x0, g.W), clampIndex(x0+1, g.W), fx-float64(x0)
+		}
+		for y := 0; y < h; y++ {
+			fy := (float64(y)+0.5)*sy - 0.5
+			y0 := int(math.Floor(fy))
+			dy := fy - float64(y0)
+			r0 := g.Pix[clampIndex(y0, g.H)*g.W:][:g.W]
+			r1 := g.Pix[clampIndex(y0+1, g.H)*g.W:][:g.W]
+			o := out.Pix[y*w+c0:][:len(tab)]
+			for i, c := range tab {
+				dx := c.dx
+				v00, v10 := float64(r0[c.x0]), float64(r0[c.x1])
+				v01, v11 := float64(r1[c.x0]), float64(r1[c.x1])
+				v := v00*(1-dx)*(1-dy) + v10*dx*(1-dy) + v01*(1-dx)*dy + v11*dx*dy
+				if v < 0 {
+					v = 0
+				} else if v > 255 {
+					v = 255
+				}
+				o[i] = uint8(math.Round(v))
+			}
 		}
 	}
 	return out
+}
+
+// clampIndex clamps i to [0, n).
+func clampIndex(i, n int) int {
+	if i < 0 {
+		return 0
+	}
+	if i >= n {
+		return n - 1
+	}
+	return i
 }
 
 // Mean returns the average pixel intensity.

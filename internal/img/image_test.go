@@ -3,6 +3,7 @@ package img
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -124,6 +125,89 @@ func TestResizeIdentityAndScale(t *testing.T) {
 	up := g.Resize(16, 16)
 	if up.AtClamped(1, 8) < 150 || up.AtClamped(14, 8) > 50 {
 		t.Error("upscale lost structure")
+	}
+}
+
+// resizeOracle is the reference bilinear resample: every output pixel
+// computes its own source coordinates and reads its four neighbours
+// through AtClamped.
+func resizeOracle(g *Gray, w, h int) *Gray {
+	out := New(w, h)
+	if w == g.W && h == g.H {
+		copy(out.Pix, g.Pix)
+		return out
+	}
+	sx := float64(g.W) / float64(w)
+	sy := float64(g.H) / float64(h)
+	for y := 0; y < h; y++ {
+		fy := (float64(y)+0.5)*sy - 0.5
+		y0 := int(math.Floor(fy))
+		dy := fy - float64(y0)
+		for x := 0; x < w; x++ {
+			fx := (float64(x)+0.5)*sx - 0.5
+			x0 := int(math.Floor(fx))
+			dx := fx - float64(x0)
+			v00 := float64(g.AtClamped(x0, y0))
+			v10 := float64(g.AtClamped(x0+1, y0))
+			v01 := float64(g.AtClamped(x0, y0+1))
+			v11 := float64(g.AtClamped(x0+1, y0+1))
+			v := v00*(1-dx)*(1-dy) + v10*dx*(1-dy) + v01*(1-dx)*dy + v11*dx*dy
+			out.Pix[y*w+x] = uint8(math.Round(math.Max(0, math.Min(255, v))))
+		}
+	}
+	return out
+}
+
+// TestResizeMatchesOracle checks ResizeInto bit for bit against
+// resizeOracle over up- and down-scaling on each axis, 1-pixel sources
+// and targets, and widths past the 64-column table, reusing one
+// destination buffer throughout.
+func TestResizeMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	dims := []int{1, 2, 3, 7, 16, 63, 64, 65, 100, 129, 200}
+	var dst *Gray
+	for _, sw := range dims {
+		for _, sh := range []int{1, 5, 64} {
+			g := New(sw, sh)
+			for i := range g.Pix {
+				g.Pix[i] = uint8(rng.Intn(256))
+			}
+			for _, w := range dims {
+				for _, h := range []int{1, 3, 64, 71} {
+					dst = g.ResizeInto(w, h, dst)
+					want := resizeOracle(g, w, h)
+					if !bytes.Equal(dst.Pix, want.Pix) {
+						t.Fatalf("%dx%d → %dx%d differs from the oracle", sw, sh, w, h)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFillMatchesOracle checks Fill against its per-byte definition —
+// every pixel v, nothing past the image written — for every length from
+// 0 to 4 100, powers of two and all between.
+func TestFillMatchesOracle(t *testing.T) {
+	buf := make([]uint8, 4100)
+	for n := 0; n <= len(buf); n++ {
+		g := &Gray{Pix: buf[:n]}
+		for i := range g.Pix {
+			g.Pix[i] = uint8(i)
+		}
+		v := uint8(n*7 + 1)
+		if n < len(buf) {
+			buf[n] = ^v
+		}
+		g.Fill(v)
+		for i, p := range g.Pix {
+			if p != v {
+				t.Fatalf("length %d: pixel %d = %d, want %d", n, i, p, v)
+			}
+		}
+		if n < len(buf) && buf[n] != ^v {
+			t.Fatalf("length %d: Fill wrote past the image", n)
+		}
 	}
 }
 

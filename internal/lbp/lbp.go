@@ -78,14 +78,42 @@ func UniformBin(code uint8) int { return int(uniformMap[code]) }
 
 // ImageInto computes the LBP code image of g (same dimensions), reusing
 // dst's buffer when possible (nil dst allocates). dst must not alias g.
+// Every code equals Code3x3's: the interior reads its three rows
+// directly, and only the one-pixel border ring needs clamped reads.
 func ImageInto(g *img.Gray, dst *img.Gray) *img.Gray {
-	out := img.Ensure(dst, g.W, g.H)
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			out.Pix[y*g.W+x] = Code3x3(g, x, y)
+	w, h := g.W, g.H
+	out := img.Ensure(dst, w, h)
+	for y := 1; y < h-1; y++ {
+		up := g.Pix[(y-1)*w : y*w]
+		mid := g.Pix[y*w : (y+1)*w]
+		dn := g.Pix[(y+1)*w : (y+2)*w]
+		o := out.Pix[y*w : (y+1)*w]
+		for x := 1; x < w-1; x++ {
+			c := mid[x]
+			o[x] = ge(up[x-1], c) | ge(up[x], c)<<1 | ge(up[x+1], c)<<2 |
+				ge(mid[x+1], c)<<3 | ge(dn[x+1], c)<<4 | ge(dn[x], c)<<5 |
+				ge(dn[x-1], c)<<6 | ge(mid[x-1], c)<<7
+		}
+	}
+	for y := 0; y < h; y++ {
+		if y == 0 || y == h-1 {
+			for x := 0; x < w; x++ {
+				out.Pix[y*w+x] = Code3x3(g, x, y)
+			}
+		} else {
+			out.Pix[y*w] = Code3x3(g, 0, y)
+			out.Pix[y*w+w-1] = Code3x3(g, w-1, y)
 		}
 	}
 	return out
+}
+
+// ge is one LBP bit: 1 when the neighbour p is ≥ the centre c.
+func ge(p, c uint8) uint8 {
+	if p >= c {
+		return 1
+	}
+	return 0
 }
 
 // histogramInto fills h (length NumUniformBins, zeroed here) with the

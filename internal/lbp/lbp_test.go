@@ -195,3 +195,48 @@ func TestImageDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// imageOracle is the reference code image: Code3x3 at every pixel.
+func imageOracle(g *img.Gray) *img.Gray {
+	out := img.New(g.W, g.H)
+	for y := 0; y < g.H; y++ {
+		for x := 0; x < g.W; x++ {
+			out.Pix[y*g.W+x] = Code3x3(g, x, y)
+		}
+	}
+	return out
+}
+
+// TestImageIntoMatchesOracle checks ImageInto against the per-pixel
+// Code3x3 oracle on every shape from 1×1 to 64×64 — the 1- and 2-wide
+// and 1- and 2-high shapes have no interior — over few-valued images
+// (ties exercise the ≥ test), full-range noise and flat images, reusing
+// one destination buffer across shapes.
+func TestImageIntoMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	var dst *img.Gray
+	for w := 1; w <= 64; w++ {
+		for h := 1; h <= 64; h++ {
+			g := img.New(w, h)
+			flat := uint8(rng.Intn(256))
+			for i := range g.Pix {
+				switch (w + h) % 3 {
+				case 0:
+					g.Pix[i] = flat
+				case 1:
+					g.Pix[i] = uint8(rng.Intn(3)) * 100
+				default:
+					g.Pix[i] = uint8(rng.Intn(256))
+				}
+			}
+			dst = ImageInto(g, dst)
+			want := imageOracle(g)
+			for i := range want.Pix {
+				if dst.Pix[i] != want.Pix[i] {
+					t.Fatalf("%dx%d (kind %d) pixel (%d,%d): code %08b, oracle %08b",
+						w, h, (w+h)%3, i%w, i/w, dst.Pix[i], want.Pix[i])
+				}
+			}
+		}
+	}
+}

@@ -106,21 +106,48 @@ func (n *Network) forwardBatch(sc *batchActs, xs [][]float64) error {
 		in, out := n.sizes[l], n.sizes[l+1]
 		prev := sc.m[l] // nil for l == 0; xs is read directly
 		cur := sc.m[l+1]
-		// Neuron-outer, sample-inner: the weight row stays hot in cache
-		// across the whole batch. Each sample's accumulation runs bias
-		// first, then inputs in index order, independent of the batch
-		// around it, so a sample rounds identically at any batch size.
-		for j := 0; j < out; j++ {
-			row := n.w[l][j*in : (j+1)*in]
-			bj := n.b[l][j]
+		// Neuron-block-outer, sample-inner: four weight rows stay hot in
+		// cache across the whole batch, and their four independent
+		// accumulators hide the add latency a single chain would wait
+		// on. Blocking over neurons rather than samples speeds up every
+		// batch size; the pipeline sends one or two faces per camera.
+		// Each accumulation runs bias first, then inputs in index order,
+		// independent of the batch and block around it, so a sample
+		// rounds identically at any batch size. The explicit float64
+		// conversions forbid fusing a product into its add.
+		w, b := n.w[l], n.b[l]
+		j := 0
+		for ; j+4 <= out; j += 4 {
+			r0 := w[j*in : (j+1)*in]
+			r1 := w[(j+1)*in : (j+2)*in]
+			r2 := w[(j+2)*in : (j+3)*in]
+			r3 := w[(j+3)*in : (j+4)*in]
 			for s := 0; s < batch; s++ {
 				x := xs[s]
 				if l > 0 {
 					x = prev[s*in : (s+1)*in]
 				}
-				acc := bj
+				a0, a1, a2, a3 := b[j], b[j+1], b[j+2], b[j+3]
 				for i, xi := range x {
-					acc += row[i] * xi
+					a0 += float64(r0[i] * xi)
+					a1 += float64(r1[i] * xi)
+					a2 += float64(r2[i] * xi)
+					a3 += float64(r3[i] * xi)
+				}
+				c := cur[s*out+j : s*out+j+4]
+				c[0], c[1], c[2], c[3] = a0, a1, a2, a3
+			}
+		}
+		for ; j < out; j++ {
+			row := w[j*in : (j+1)*in]
+			for s := 0; s < batch; s++ {
+				x := xs[s]
+				if l > 0 {
+					x = prev[s*in : (s+1)*in]
+				}
+				acc := b[j]
+				for i, xi := range x {
+					acc += float64(row[i] * xi)
 				}
 				cur[s*out+j] = acc
 			}

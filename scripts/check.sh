@@ -136,14 +136,16 @@ else
 	# and synthetic edge cases.
 	go test -race -run 'TestDetectConcurrentSharedDetector|TestDetectMatchesOracle' ./internal/face
 	# Never-wrong-skip contracts for every reject tier (pyramid bound,
-	# full cascade, flat-cell skip) and exactness of the SIMD dot kernel
-	# and pyramid block sums.
-	go test -run 'TestScoreCascadeSkipContract|TestPyrBoundNeverBelowNumerator|TestDotRowMatchesGeneric|TestBuildPyramidMatchesNaive' ./internal/img
+	# full cascade, flat-cell skip), exactness of the SIMD dot kernel and
+	# pyramid block sums, and of the per-face kernels against their
+	# per-pixel oracles (LBP interior pass, table-driven resize).
+	go test -run 'TestScoreCascadeSkipContract|TestPyrBoundNeverBelowNumerator|TestDotRowMatchesGeneric|TestBuildPyramidMatchesNaive|TestImageIntoMatchesOracle|TestResizeMatchesOracle' ./internal/img ./internal/lbp
 	go test -run 'TestCellSkipContract' ./internal/face
 	# One forward pass, raced: the batched entry points must match their
-	# single-sample (batch-of-one) forms bit for bit, and one shared
-	# classifier/network must stay exact under concurrent callers.
-	go test -race -run 'TestClassifyBatchMatchesClassify|TestSharedClassifierConcurrentBatch|TestPredictBatchMatchesPredict|TestNetworkBatchConcurrent' ./internal/emotion ./internal/nn
+	# single-sample (batch-of-one) forms and the single-accumulator
+	# oracle bit for bit, and one shared classifier/network must stay
+	# exact under concurrent callers.
+	go test -race -run 'TestClassifyBatchMatchesClassify|TestSharedClassifierConcurrentBatch|TestPredictBatchMatchesPredict|TestForwardBatchMatchesOracle|TestNetworkBatchConcurrent' ./internal/emotion ./internal/nn
 	go test -run 'TestIdentifyBatchMatchesIdentify' ./internal/face
 	# Stage-graph equivalence vs the frozen monolithic oracle, raced
 	# with Workers > 1 (the pixel half skips under -short; run the
