@@ -329,6 +329,13 @@ type runEnv struct {
 	opts StreamOptions
 	// pending is the raw-layer record batch queue (see queue).
 	pending []metadata.Record
+	// spare is the other batch buffer: with the appender while a batch
+	// is in flight, free otherwise.
+	spare []metadata.Record
+	// appended carries the in-flight batch's append error back from the
+	// appender goroutine; inflight says a result is still owed.
+	appended chan error
+	inflight bool
 	// framesDone counts frames fully through the frame phase, so an
 	// interrupted stream reports exactly what it consumed.
 	framesDone int
@@ -350,8 +357,43 @@ func (env *runEnv) queueDerived(recs ...metadata.Record) {
 	env.pending = append(env.pending, recs...)
 }
 
-// flush appends the pending raw-record batch, under the metadata timer.
+// handoff sends the full pending batch to an appender goroutine and
+// swaps in the spare buffer, so the store's append overlaps the next
+// frames' serial stages. At most one batch is in flight, so batches land
+// in queue order; an earlier batch's append error surfaces here, and
+// this batch is then not sent.
+func (env *runEnv) handoff() error {
+	if err := env.wait(); err != nil {
+		return err
+	}
+	batch := env.pending
+	env.pending, env.spare = env.spare[:0], batch
+	env.inflight = true
+	go func() {
+		t0 := time.Now()
+		err := env.repo.AppendBatch(batch)
+		env.timer.add("metadata", time.Since(t0))
+		env.appended <- err
+	}()
+	return nil
+}
+
+// wait blocks until the in-flight batch, if any, has been appended, and
+// returns its append error.
+func (env *runEnv) wait() error {
+	if !env.inflight {
+		return nil
+	}
+	env.inflight = false
+	return flushErr(<-env.appended)
+}
+
+// flush appends the pending raw-record batch synchronously, under the
+// metadata timer, after the in-flight batch has landed.
 func (env *runEnv) flush() error {
+	if err := env.wait(); err != nil {
+		return err
+	}
 	env.timer.start("metadata")
 	defer env.timer.stop("metadata")
 	if len(env.pending) == 0 {
@@ -359,9 +401,13 @@ func (env *runEnv) flush() error {
 	}
 	err := env.repo.AppendBatch(env.pending)
 	env.pending = env.pending[:0]
+	return flushErr(err)
+}
+
+// flushErr wraps a raw-batch append error. The batch spans records from
+// up to metadataBatch earlier frames, so it blames no single frame.
+func flushErr(err error) error {
 	if err != nil {
-		// The batch spans records from up to metadataBatch earlier
-		// frames, so don't blame the frame that triggered the flush.
 		return fmt.Errorf("core: flushing observations: %w", err)
 	}
 	return nil
@@ -478,7 +524,9 @@ func (p *Pipeline) newEnv(graph *stageGraph, b *stageBuild, repo *metadata.Repos
 		graph: graph, repo: repo, timer: newStageTimer(), opts: opts,
 		res:       &Result{Context: p.Context(), Repo: repo},
 		numFrames: b.numFrames, identity: p.runIdentity(b.numFrames, b.nCams),
-		pending: make([]metadata.Record, 0, metadataBatch),
+		pending:  make([]metadata.Record, 0, metadataBatch),
+		spare:    make([]metadata.Record, 0, metadataBatch),
+		appended: make(chan error, 1),
 	}
 	// Pre-register the timing entries in graph order so Timings stays
 	// deterministic even when workers race to report first.
@@ -516,6 +564,7 @@ func (p *Pipeline) frameLoop(env *runEnv, b *stageBuild, rd *replayData) error {
 		// instead of being thrown away.
 		if ctx == nil || ctx.Err() == nil ||
 			!(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			env.wait() // no append outlives the run; err is the one to report
 			return err
 		}
 		env.res.Interrupted = true
@@ -554,11 +603,18 @@ func (env *runEnv) sink(i int, _ scene.FrameState, out any) error {
 			}
 		}
 	}
-	every := env.opts.FlushEvery
-	if n := len(env.pending); n >= metadataBatch || (n > 0 && every > 0 && (i+1)%every == 0) {
-		if err := env.flush(); err != nil {
-			return err
-		}
+	// A cadence flush is synchronous, so Monitor(i) on a cadence frame
+	// sees every record of frames ≤ i; a full batch goes to the appender.
+	var err error
+	every, n := env.opts.FlushEvery, len(env.pending)
+	switch {
+	case n > 0 && every > 0 && (i+1)%every == 0:
+		err = env.flush()
+	case n >= metadataBatch:
+		err = env.handoff()
+	}
+	if err != nil {
+		return err
 	}
 	env.framesDone = i + 1
 	if env.opts.Monitor != nil {

@@ -41,7 +41,10 @@ type StreamOptions struct {
 	Bounded bool
 	// FlushEvery forces the raw-record batch out every N frames so
 	// followers see observations with bounded latency (0 = flush only
-	// at the usual batch size).
+	// at the usual batch size). A cadence flush waits for the batch the
+	// appender goroutine may still be writing, then appends
+	// synchronously; a full batch between two cadence frames appends
+	// on the appender goroutine (DESIGN.md §2).
 	FlushEvery int
 	// Repo, when non-nil, is a caller-owned open repository the stream
 	// ingests into; the caller can Tail it concurrently (in-process
@@ -49,7 +52,10 @@ type StreamOptions struct {
 	// a repository from the pipeline Config as usual.
 	Repo *metadata.Repository
 	// Monitor, when non-nil, observes the stream after every completed
-	// frame (the bounded-memory gate's probe; also a progress hook).
+	// frame (the bounded-memory gate's probe; also a progress hook). On
+	// a FlushEvery cadence frame i the repository holds every record of
+	// frames ≤ i; on other frames the latest batches may still be
+	// appending.
 	Monitor func(frame int)
 
 	// discardRaw drops queued raw per-frame records instead of

@@ -32,7 +32,7 @@ func TestBuildPyramidMatchesNaive(t *testing.T) {
 			k      int
 			s      []uint16
 			bw, bh int
-		}{{2, p.S2, p.W2, p.H2}, {4, p.S4, p.W4, p.H4}, {8, p.S8, p.W8, p.H8}} {
+		}{{2, p.S2, p.W2, p.H2}, {4, p.S4, p.W4, p.H4}} {
 			want := naiveBlockSum(g, lv.k)
 			if lv.bw != (dims[0]+lv.k-1)/lv.k || lv.bh != (dims[1]+lv.k-1)/lv.k {
 				t.Fatalf("%dx%d k=%d: grid %dx%d", dims[0], dims[1], lv.k, lv.bw, lv.bh)
@@ -51,9 +51,9 @@ func TestBuildPyramidReuse(t *testing.T) {
 	g := scenicImage(100, 80, 3)
 	in, _ := BuildIntegrals(g, nil, nil)
 	p := BuildPyramid(g, in, nil)
-	s2, s4, s8 := &p.S2[0], &p.S4[0], &p.S8[0]
+	s2, s4 := &p.S2[0], &p.S4[0]
 	BuildPyramid(g, in, p)
-	if &p.S2[0] != s2 || &p.S4[0] != s4 || &p.S8[0] != s8 {
+	if &p.S2[0] != s2 || &p.S4[0] != s4 {
 		t.Fatal("BuildPyramid reallocated buffers it could reuse")
 	}
 }

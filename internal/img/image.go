@@ -162,9 +162,22 @@ func (g *Gray) CropClampedInto(r Rect, dst *Gray) *Gray {
 		return out
 	}
 	out := Ensure(dst, r.W, r.H)
+	// Box columns [lo, hi) lie inside the frame and copy as one span per
+	// row; those left of lo repeat the row's first pixel, those from hi
+	// on its last.
+	lo := min(max(-r.X, 0), r.W)
+	hi := max(min(g.W-r.X, r.W), lo)
 	for y := 0; y < r.H; y++ {
-		for x := 0; x < r.W; x++ {
-			out.Pix[y*r.W+x] = g.AtClamped(r.X+x, r.Y+y)
+		row := g.Pix[clampIndex(r.Y+y, g.H)*g.W:][:g.W]
+		o := out.Pix[y*r.W:][:r.W]
+		for x := range o[:lo] {
+			o[x] = row[0]
+		}
+		if hi > lo {
+			copy(o[lo:hi], row[r.X+lo:r.X+hi])
+		}
+		for x := hi; x < r.W; x++ {
+			o[x] = row[g.W-1]
 		}
 	}
 	return out

@@ -288,3 +288,59 @@ func TestWritePGM(t *testing.T) {
 		t.Fatalf("WritePGM wrote %d bytes, not a binary P5 header followed by the pixels", buf.Len())
 	}
 }
+
+// cropClampedOracle is CropClampedInto's definition: every pixel of the
+// box read through AtClamped.
+func cropClampedOracle(g *Gray, r Rect) *Gray {
+	if r.W <= 0 || r.H <= 0 {
+		return New(1, 1)
+	}
+	out := New(r.W, r.H)
+	for y := 0; y < r.H; y++ {
+		for x := 0; x < r.W; x++ {
+			out.Pix[y*r.W+x] = g.AtClamped(r.X+x, r.Y+y)
+		}
+	}
+	return out
+}
+
+// TestCropClampedMatchesOracle crops boxes that lie inside the frame,
+// straddle each edge and corner, cover it whole, or lie fully outside
+// it, on 1×1, 1-wide and 1-high frames and larger ones, into a reused
+// destination.
+func TestCropClampedMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	var dst *Gray
+	for _, dims := range [][2]int{{1, 1}, {1, 6}, {6, 1}, {9, 7}, {64, 48}} {
+		fw, fh := dims[0], dims[1]
+		g := New(fw, fh)
+		for i := range g.Pix {
+			g.Pix[i] = uint8(rng.Intn(256))
+		}
+		// Per axis: sizes and origins that put the box before, across,
+		// inside and past the frame's extent n.
+		sizes := func(n int) []int { return []int{1, 2, max(n-1, 1), n, n + 1, n + 5} }
+		origins := func(n, s int) []int {
+			return []int{-s - 2, -s, -s + 1, -1, 0, 1, n - s - 1, n - s, n - s + 1, n - 1, n, n + 3}
+		}
+		for _, w := range sizes(fw) {
+			for _, h := range sizes(fh) {
+				for _, x := range origins(fw, w) {
+					for _, y := range origins(fh, h) {
+						r := Rect{X: x, Y: y, W: w, H: h}
+						dst = g.CropClampedInto(r, dst)
+						want := cropClampedOracle(g, r)
+						if dst.W != want.W || dst.H != want.H || !bytes.Equal(dst.Pix, want.Pix) {
+							t.Fatalf("%dx%d frame, %v: differs from the oracle", fw, fh, r)
+						}
+					}
+				}
+			}
+		}
+		for _, r := range []Rect{{0, 0, 0, 3}, {2, 2, 3, -1}} {
+			if dst = g.CropClampedInto(r, dst); dst.W != 1 || dst.H != 1 || dst.Pix[0] != 0 {
+				t.Fatalf("%v: degenerate box gave %dx%d %v", r, dst.W, dst.H, dst.Pix)
+			}
+		}
+	}
+}

@@ -1,8 +1,8 @@
 package img
 
 // Pyramid holds the block-sum pyramid of one frame: per-block pixel
-// sums at 2×2, 4×4 and 8×8 granularity, row-major. It is the frame
-// half of
+// sums at 2×2 and 4×4 granularity, row-major — the two block sizes the
+// template matcher's tiers use. It is the frame half of
 // the template matcher's coarse reject tier (DESIGN.md §12): where the
 // full-resolution summed-area tables span megabytes and make every
 // corner probe a cache miss, the block arrays are compact (a 640×480
@@ -24,23 +24,15 @@ type Pyramid struct {
 	W4, H4 int
 	// S4 holds each 4×4 block's pixel sum (≤ 4080), row-major W4×H4.
 	S4 []uint16
-	// W8, H8 are the 8×8 block-grid dimensions: ⌈W/8⌉ × ⌈H/8⌉.
-	W8, H8 int
-	// S8 holds each 8×8 block's pixel sum (≤ 16320), row-major W8×H8.
-	S8 []uint16
 }
 
 // Level returns the block-sum array and grid width for block size k
-// (2, 4 or 8).
+// (2 or 4).
 func (p *Pyramid) Level(k int) ([]uint16, int) {
-	switch k {
-	case 2:
+	if k == 2 {
 		return p.S2, p.W2
-	case 4:
-		return p.S4, p.W4
-	default:
-		return p.S8, p.W8
 	}
+	return p.S4, p.W4
 }
 
 // BuildPyramid fills p (allocating when nil) with the block sums of g,
@@ -79,14 +71,11 @@ func BuildPyramid(g *Gray, in *Integral, p *Pyramid) *Pyramid {
 			out[full] = uint16(r1[w] - r0[w] - prev)
 		}
 	}
-	// Each coarser level folds 2×2 of the level below — identical
-	// sums, no second pixel pass.
+	// The 4×4 level folds 2×2 of the level below — identical sums, no
+	// second pixel pass.
 	p.W4, p.H4 = (w+3)/4, (h+3)/4
 	p.S4 = ensureU16(p.S4, p.W4*p.H4)
 	foldLevel(p.S4, p.W4, p.H4, p.S2, p.W2, p.H2)
-	p.W8, p.H8 = (w+7)/8, (h+7)/8
-	p.S8 = ensureU16(p.S8, p.W8*p.H8)
-	foldLevel(p.S8, p.W8, p.H8, p.S4, p.W4, p.H4)
 	return p
 }
 

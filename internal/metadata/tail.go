@@ -97,30 +97,45 @@ func (r *Repository) wakeTailsLocked() {
 // repository, which has no live phase), ErrClosed (repository or
 // cursor closed), or a query-evaluation error.
 func (c *TailCursor) Next(ctx context.Context) (Record, error) {
+	rec, _, err := c.next(ctx, true)
+	return rec, err
+}
+
+// TryNext is Next without parking: where Next would block until a
+// future append it returns false and no error, and the cursor stays
+// usable. A follower writes while TryNext yields and flushes once per
+// burst before it blocks in Next.
+func (c *TailCursor) TryNext(ctx context.Context) (Record, bool, error) {
+	return c.next(ctx, false)
+}
+
+// next is Next and TryNext: park says whether a caught-up cursor waits
+// for the next append or returns false.
+func (c *TailCursor) next(ctx context.Context, park bool) (Record, bool, error) {
 	if c.err != nil {
-		return Record{}, c.err
+		return Record{}, false, c.err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return Record{}, err
+		return Record{}, false, err
 	}
 	// History phase: drain the planner's snapshot in ID order.
 	if c.hist != nil {
 		if rec, ok := c.hist.Next(); ok {
-			return rec, nil
+			return rec, true, nil
 		}
 		if err := c.hist.Err(); err != nil {
 			c.err = err
-			return Record{}, err
+			return Record{}, false, err
 		}
 		c.hist.Close()
 		c.hist = nil
 	}
 	if !c.live {
 		c.err = ErrTailEnded
-		return Record{}, c.err
+		return Record{}, false, c.err
 	}
 	// Live phase: evaluate the store's records past pos in order.
 	for {
@@ -131,24 +146,27 @@ func (c *TailCursor) Next(ctx context.Context) (Record, error) {
 			ok, err := c.expr.Eval(rec)
 			if err != nil {
 				c.err = err
-				return Record{}, err
+				return Record{}, false, err
 			}
 			if ok {
-				return rec, nil
+				return rec, true, nil
 			}
 		}
 		wake, err := c.refill()
 		if err != nil {
 			c.err = err
-			return Record{}, err
+			return Record{}, false, err
 		}
 		if wake == nil {
 			continue
 		}
+		if !park {
+			return Record{}, false, nil
+		}
 		select {
 		case <-wake:
 		case <-ctx.Done():
-			return Record{}, ctx.Err()
+			return Record{}, false, ctx.Err()
 		}
 	}
 }

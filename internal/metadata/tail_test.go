@@ -455,3 +455,63 @@ func TestTailManySubscribers(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTailCursorTryNext: TryNext yields history and live matches like
+// Next, returns false without error where Next would park — the cursor
+// stays usable — and surfaces a Kill reason after the last match.
+func TestTailCursorTryNext(t *testing.T) {
+	r := NewMem()
+	defer r.Close()
+	for i := 0; i < 4; i++ {
+		if _, err := r.Append(tailRecord(i, []string{"hit", "miss"}[i%2])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expr, _, err := ParseFollow("label = 'hit' FOLLOW")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := r.Tail(expr, TailOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	ctx := context.Background()
+	drain := func() []int {
+		var frames []int
+		for {
+			rec, ok, err := cur.TryNext(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return frames
+			}
+			frames = append(frames, rec.Frame)
+		}
+	}
+	if got := drain(); fmt.Sprint(got) != "[0 2]" {
+		t.Fatalf("history burst = %v, want [0 2]", got)
+	}
+	if got := drain(); len(got) != 0 {
+		t.Fatalf("caught-up cursor yielded %v", got)
+	}
+	recs := []Record{tailRecord(4, "hit"), tailRecord(5, "miss"), tailRecord(6, "hit"), tailRecord(7, "miss")}
+	if err := r.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(); fmt.Sprint(got) != "[4 6]" {
+		t.Fatalf("live burst = %v, want [4 6]", got)
+	}
+	if _, err := r.Append(tailRecord(8, "hit")); err != nil {
+		t.Fatal(err)
+	}
+	reason := errors.New("drain")
+	cur.Kill(reason)
+	if rec, ok, err := cur.TryNext(ctx); !ok || err != nil || rec.Frame != 8 {
+		t.Fatalf("after Kill: (%d, %v, %v), want the match appended before it", rec.Frame, ok, err)
+	}
+	if _, ok, err := cur.TryNext(ctx); ok || !errors.Is(err, reason) {
+		t.Fatalf("after the last match: (%v, %v), want the Kill reason", ok, err)
+	}
+}

@@ -17,6 +17,9 @@ import (
 type Simulator struct {
 	sc      Scenario
 	persons []PersonSpec // sorted by ID
+	// states[k] is the cumulative script in force from Segments[k].Start
+	// until the next segment starts.
+	states []scriptState
 }
 
 // NewSimulator validates the scenario and returns a simulator.
@@ -27,7 +30,7 @@ func NewSimulator(sc Scenario) (*Simulator, error) {
 	ps := make([]PersonSpec, len(sc.Persons))
 	copy(ps, sc.Persons)
 	sort.Slice(ps, func(i, j int) bool { return ps[i].ID < ps[j].ID })
-	return &Simulator{sc: sc, persons: ps}, nil
+	return &Simulator{sc: sc, persons: ps, states: foldScript(sc.Segments, ps)}, nil
 }
 
 // Scenario returns the validated scenario.
@@ -43,40 +46,54 @@ func (s *Simulator) Persons() []PersonSpec {
 	return out
 }
 
-// scriptState is the cumulative script effective at one frame.
+// scriptState is the cumulative script effective at one frame; gaze
+// and emo are indexed in person (ascending ID) order.
 type scriptState struct {
-	gaze    map[int]GazeTarget
-	emo     map[int]emotion.Label
+	gaze    []GazeTarget
+	emo     []emotion.Label
 	speaker int
 	phase   Phase
 }
 
-// scriptAt folds segments up to frame i. Per-person entries persist until
-// overridden, matching how a human scripter thinks about a timeline.
-func (s *Simulator) scriptAt(i int) scriptState {
-	st := scriptState{
-		gaze:    make(map[int]GazeTarget, len(s.persons)),
-		emo:     make(map[int]emotion.Label, len(s.persons)),
-		speaker: -1,
+// foldScript folds the segments in order into the state each one leaves
+// in force. Per-person entries persist until overridden, matching how a
+// human scripter thinks about a timeline; an entry for an ID that is
+// no participant's is dropped, as no frame reads it.
+func foldScript(segs []Segment, persons []PersonSpec) []scriptState {
+	at := make(map[int]int, len(persons))
+	for k, p := range persons {
+		at[p.ID] = k
 	}
-	for _, p := range s.persons {
-		st.gaze[p.ID] = AtTable()
-		st.emo[p.ID] = emotion.Neutral
+	gaze := make([]GazeTarget, len(persons))
+	emo := make([]emotion.Label, len(persons))
+	for k := range persons {
+		gaze[k], emo[k] = AtTable(), emotion.Neutral
 	}
-	for _, seg := range s.sc.Segments {
-		if seg.Start > i {
-			break
-		}
+	states := make([]scriptState, len(segs))
+	for n, seg := range segs {
+		gaze, emo = append([]GazeTarget(nil), gaze...), append([]emotion.Label(nil), emo...)
 		for id, g := range seg.Gaze {
-			st.gaze[id] = g
+			if k, ok := at[id]; ok {
+				gaze[k] = g
+			}
 		}
 		for id, e := range seg.Emotions {
-			st.emo[id] = e
+			if k, ok := at[id]; ok {
+				emo[k] = e
+			}
 		}
-		st.speaker = seg.Speaker
-		st.phase = seg.Phase
+		states[n] = scriptState{gaze: gaze, emo: emo, speaker: seg.Speaker, phase: seg.Phase}
 	}
-	return st
+	return states
+}
+
+// scriptAt returns the script in force at frame i ≥ 0: that of the last
+// segment starting at or before i (Validate guarantees the first starts
+// at 0 and the starts ascend).
+func (s *Simulator) scriptAt(i int) *scriptState {
+	segs := s.sc.Segments
+	k := sort.Search(len(segs), func(k int) bool { return segs[k].Start > i })
+	return &s.states[k-1]
 }
 
 // FrameState returns the ground truth for frame i. Frames outside
@@ -96,8 +113,8 @@ func (s *Simulator) FrameState(i int) FrameState {
 		Phase:   st.phase,
 		Persons: make([]PersonState, 0, len(s.persons)),
 	}
-	for _, p := range s.persons {
-		target := st.gaze[p.ID]
+	for k, p := range s.persons {
+		target := st.gaze[k]
 		gazePoint := s.gazePoint(p, target)
 		head := geom.LookAt(p.Seat, gazePoint)
 
@@ -122,7 +139,7 @@ func (s *Simulator) FrameState(i int) FrameState {
 			HeadRadius: p.HeadRadius,
 			Gaze:       gazePoint.Sub(p.Seat).Unit(),
 			Target:     target,
-			Emotion:    st.emo[p.ID],
+			Emotion:    st.emo[k],
 			Speaking:   st.speaker == p.ID,
 			FaceTone:   p.FaceTone,
 		})

@@ -370,8 +370,14 @@ func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 	flusher.Flush()
 	enc := json.NewEncoder(w)
 	var line []byte
+	// Matches that are already there go out as one burst: write while
+	// TryNext yields, flush once, then park in Next.
 	for {
-		rec, err := cur.Next(ctx)
+		rec, ok, err := cur.TryNext(ctx)
+		if !ok && err == nil {
+			flusher.Flush()
+			rec, err = cur.Next(ctx)
+		}
 		if err != nil {
 			enc.Encode(Envelope{Error: err.Error(), Code: followCode(err)})
 			flusher.Flush()
@@ -385,7 +391,6 @@ func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 		if _, err := w.Write(line); err != nil {
 			return // client gone
 		}
-		flusher.Flush()
 	}
 }
 

@@ -138,8 +138,9 @@ else
 	# Never-wrong-skip contracts for every reject tier (pyramid bound,
 	# full cascade, flat-cell skip), exactness of the SIMD dot kernel and
 	# pyramid block sums, and of the per-face kernels against their
-	# per-pixel oracles (LBP interior pass, table-driven resize).
-	go test -run 'TestScoreCascadeSkipContract|TestPyrBoundNeverBelowNumerator|TestDotRowMatchesGeneric|TestBuildPyramidMatchesNaive|TestImageIntoMatchesOracle|TestResizeMatchesOracle' ./internal/img ./internal/lbp
+	# per-pixel oracles (LBP interior pass, table-driven resize, the
+	# row-copy clamped crop).
+	go test -run 'TestScoreCascadeSkipContract|TestPyrBoundNeverBelowNumerator|TestDotRowMatchesGeneric|TestBuildPyramidMatchesNaive|TestImageIntoMatchesOracle|TestResizeMatchesOracle|TestCropClampedMatchesOracle' ./internal/img ./internal/lbp
 	go test -run 'TestCellSkipContract' ./internal/face
 	# One forward pass, raced: the batched entry points must match their
 	# single-sample (batch-of-one) forms and the single-accumulator
@@ -150,8 +151,15 @@ else
 	# Stage-graph equivalence vs the frozen monolithic oracle, raced
 	# with Workers > 1 (the pixel half skips under -short; run the
 	# suite explicitly so the geometric half always executes raced),
-	# plus the engine's failing-sink goroutine-accounting gate.
-	go test -race -run 'TestStageGraphMatchesOracle|TestRunStreamedSinkFailureStopsWorkers|TestIncremental' ./internal/core
+	# plus the engine's failing-sink goroutine-accounting gate, and the
+	# raw-record appender's rules (DESIGN.md §2): an append failure on a
+	# size-triggered or cadence flush ends the run with no later batch
+	# and no goroutine left, a failing stage waits for the in-flight
+	# append, and Monitor on a cadence frame sees every earlier record.
+	go test -race -run 'TestStageGraphMatchesOracle|TestRunStreamedSinkFailureStopsWorkers|TestIncremental|TestAppendFailureEndsStream|TestStageFailureWaitsForInflightAppend|TestCadenceMonitorSeesFlushedFrames' ./internal/core
+	# The simulator's per-segment script states against the per-frame
+	# fold, on every frame of the prototype and a dinner.
+	go test -run 'TestScriptAtMatchesFold' ./internal/scene
 	# Streaming gates (DESIGN.md §10), raced: tail cursors must survive
 	# active-segment roll and incremental compaction under concurrent
 	# append load (exactly-once, in order), a cursor stalled across 100k
@@ -170,10 +178,11 @@ else
 	# consistency, the Kill drain — also for a consumer 100k records
 	# behind), then the server itself — graceful drain under active
 	# ingest, ENOSPC degrading a tenant to read-only instead of wedging
-	# it, a slow follower receiving the complete stream, and the
-	# scaled-down mixed soak.
+	# it, a slow follower receiving the complete stream, a follower
+	# flushing once per burst and before it parks, and the scaled-down
+	# mixed soak.
 	go test -race -run 'TestTailReadOnlyEndsWithSentinel|TestTailCloseContract|TestTailKillDrainContract|TestTailKillDrainsFarBehind' ./internal/metadata
-	go test -race -run 'TestDrainGraceful|TestENOSPCDegradesNotWedges|TestFollowSlowConsumerComplete|TestIdleCloseReadOnlyCoexistence' ./internal/service
+	go test -race -run 'TestDrainGraceful|TestENOSPCDegradesNotWedges|TestFollowSlowConsumerComplete|TestIdleCloseReadOnlyCoexistence|TestFollowFlushes' ./internal/service
 	go test -race -short -run 'TestServiceSoak' ./internal/service
 	# End-to-end server smoke: build the real dieventd binary, run
 	# concurrent ingest+query+FOLLOW against it, SIGTERM mid-traffic,
