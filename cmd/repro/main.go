@@ -11,7 +11,7 @@
 // Stage-graph controls (artefact "stages"):
 //
 //	repro -fig stages                         # per-stage timing table
-//	repro -fig stages -stages attention-span  # plug extra analyzers in
+//	repro -fig stages -stages attention-span  # add optional analyzers
 //	repro -fig stages -rederive geo-emotion   # incremental re-run demo:
 //	                                          # force one stage stale and
 //	                                          # re-derive only its chain
@@ -43,7 +43,7 @@ import (
 
 func main() {
 	fig := flag.String("fig", "", "artefact to regenerate (default: all)")
-	stages := flag.String("stages", "", "comma-separated extra analyzer stages to plug into the graph (e.g. attention-span)")
+	stages := flag.String("stages", "", "comma-separated optional analyzers to add to the graph: attention-span, dining-phase, live-summary")
 	rederive := flag.String("rederive", "", "stage to force stale for the incremental re-run demo (artefact \"stages\")")
 	flag.Parse()
 

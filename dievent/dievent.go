@@ -45,9 +45,10 @@
 // (DESIGN.md §5). WithSegmentSize and WithSyncPolicy tune the engine;
 // Repository.Stats and Repository.Compact expose maintenance.
 //
-// The pipeline itself is a stage graph (DESIGN.md §7): extraction,
-// analysis and derivation run as named stages over shared per-(camera,
-// frame) artifacts. Add the optional built-in analyzers by name:
+// The pipeline itself is a fixed list of stages (DESIGN.md §7):
+// extraction, analysis and derivation run as named stages over shared
+// per-(camera, frame) artifacts. Add the optional built-in analyzers by
+// name:
 //
 //	pipe, err := dievent.New(dievent.Config{
 //	    Scenario: dievent.PrototypeScenario(),
@@ -105,6 +106,13 @@
 //   - in repro/dievent/client, QueryOpts.Timeout, QueryOpts.Order and
 //     Config.MaxBackoff (5 s); the server keeps its timeout and order
 //     query parameters.
+//
+// Methods of aliased types that no command, example or benchmark
+// called are gone too: Repository.TimeHistogram, Rig.Camera,
+// Rig.TimeAt, Rig.FrameAt, Scenario.Duration, Dataset.TrueEmotion,
+// Dataset.Duration, LookAtSummary.RowSums and EmotionLabel.Valid.
+// Config.Stages takes only the optional analyzers (StageAttention,
+// StageDiningPhase, StageLiveSummary); New rejects any other stage name.
 package dievent
 
 import (

@@ -14,10 +14,11 @@ import (
 func main() {
 	// 1. Configure the pipeline over the paper's §III prototype: four
 	//    participants, four corner cameras, 610 frames at 25 fps.
-	//    The pipeline is a registry-driven stage graph — add analyzers
-	//    with Config.Stages (e.g. dievent.StageAttention) and keep a
-	//    run manifest for incremental re-runs with Config.Incremental
-	//    (see the sociology and smartrestaurant examples).
+	//    The pipeline is a fixed list of stages — add the optional
+	//    analyzers with Config.Stages (e.g. dievent.StageAttention)
+	//    and keep a run manifest for incremental re-runs with
+	//    Config.Incremental (see the sociology and smartrestaurant
+	//    examples).
 	pipe, err := dievent.New(dievent.Config{
 		Scenario: dievent.PrototypeScenario(),
 		Mode:     dievent.GeometricVision,

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/geom"
 )
@@ -26,8 +25,8 @@ type Rig struct {
 // rig's frame graph.
 const WorldFrame = "world"
 
-// ErrUnknownCamera is returned when a rig lookup names a camera that does
-// not exist.
+// ErrUnknownCamera is returned when a rig lookup finds no camera: BestView
+// over a point no camera sees.
 var ErrUnknownCamera = errors.New("camera: unknown camera")
 
 // NewRig assembles a rig from cameras, registering worldTcam edges for
@@ -52,26 +51,6 @@ func NewRig(fps float64, cams ...*Camera) (*Rig, error) {
 		g.Set(WorldFrame, c.Name, c.CamToWorld())
 	}
 	return &Rig{Cameras: cams, FPS: fps, Frames: g}, nil
-}
-
-// Camera returns the named camera.
-func (r *Rig) Camera(name string) (*Camera, error) {
-	for _, c := range r.Cameras {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return nil, fmt.Errorf("camera: %q: %w", name, ErrUnknownCamera)
-}
-
-// TimeAt returns the capture timestamp of frame index i.
-func (r *Rig) TimeAt(i int) time.Duration {
-	return time.Duration(float64(i) / r.FPS * float64(time.Second))
-}
-
-// FrameAt returns the frame index covering timestamp t.
-func (r *Rig) FrameAt(t time.Duration) int {
-	return int(t.Seconds() * r.FPS)
 }
 
 // BestView returns the camera that sees the world point with the greatest

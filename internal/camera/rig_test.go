@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/geom"
 )
@@ -28,30 +27,24 @@ func TestNewRigValidation(t *testing.T) {
 	}
 }
 
+// TestRigCameraLookup: a rig resolves each camera by name in its frame
+// graph and refuses a name it does not hold.
 func TestRigCameraLookup(t *testing.T) {
 	r, err := PaperRig(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Camera("C1"); err != nil {
-		t.Errorf("C1 lookup: %v", err)
+	for _, c := range r.Cameras {
+		tr, err := r.Transform(WorldFrame, c.Name)
+		if err != nil {
+			t.Fatalf("%s lookup: %v", c.Name, err)
+		}
+		if p := tr.ApplyPoint(geom.V3(0, 0, 0)); !p.ApproxEq(c.Pose.Position, 1e-9) {
+			t.Errorf("%s origin maps to %v, want the camera position %v", c.Name, p, c.Pose.Position)
+		}
 	}
-	if _, err := r.Camera("C9"); !errors.Is(err, ErrUnknownCamera) {
+	if _, err := r.Transform(WorldFrame, "C9"); !errors.Is(err, geom.ErrNoPath) {
 		t.Errorf("unknown lookup error = %v", err)
-	}
-}
-
-func TestRigTiming(t *testing.T) {
-	r, _ := PaperRig(4)
-	if got := r.TimeAt(25); got != time.Second {
-		t.Errorf("frame 25 at %v, want 1s", got)
-	}
-	// Paper prototype: frame 250 at 10 s means fps 25.
-	if got := r.TimeAt(250); got != 10*time.Second {
-		t.Errorf("frame 250 at %v, want 10s", got)
-	}
-	if got := r.FrameAt(10 * time.Second); got != 250 {
-		t.Errorf("FrameAt(10s) = %v, want 250", got)
 	}
 }
 
@@ -61,8 +54,7 @@ func TestPaperRigGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, _ := r.Camera("C1")
-	c2, _ := r.Camera("C2")
+	c1, c2 := r.Cameras[0], r.Cameras[1]
 	if c1.Pose.Position.Z != 2.5 || c2.Pose.Position.Z != 2.5 {
 		t.Error("cameras must be at 2.5 m height")
 	}
@@ -122,8 +114,7 @@ func TestRigTransformChain(t *testing.T) {
 	// The rig frame graph must satisfy Eq. 1: a point expressed in C2's
 	// frame re-expressed in C1's frame matches direct computation.
 	r, _ := PaperRig(4)
-	c1, _ := r.Camera("C1")
-	c2, _ := r.Camera("C2")
+	c1, c2 := r.Cameras[0], r.Cameras[1]
 	world := geom.V3(0.3, -0.2, 1.1)
 	inC2 := c2.WorldToCam().ApplyPoint(world)
 	t12, err := r.Transform("C1", "C2") // ¹T₂

@@ -184,8 +184,7 @@ func TestCadenceMonitorSeesFlushedFrames(t *testing.T) {
 func TestStageFailureWaitsForInflightAppend(t *testing.T) {
 	boom := errors.New("stage exploded")
 	for _, workers := range []int{1, 2} {
-		reg := newRegistry()
-		if err := reg.register("fail-in-flight", func(*stageBuild) (*Stage, error) {
+		failing := map[string]stageFactory{"fail-in-flight": func(*stageBuild) (*Stage, error) {
 			return &Stage{
 				Name: "fail-in-flight", Version: 1, Phase: PhaseFrame,
 				RunFrame: func(env *runEnv, _ *FrameArtifacts) error {
@@ -195,16 +194,14 @@ func TestStageFailureWaitsForInflightAppend(t *testing.T) {
 					return nil
 				},
 			}, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		}}
 		p, err := New(Config{
-			Scenario: scene.PrototypeScenario(),
-			Mode:     GeometricVision,
-			Gaze:     gaze.EstimatorOptions{Seed: 5},
-			Workers:  workers,
-			Stages:   []string{"fail-in-flight"},
-			registry: reg,
+			Scenario:   scene.PrototypeScenario(),
+			Mode:       GeometricVision,
+			Gaze:       gaze.EstimatorOptions{Seed: 5},
+			Workers:    workers,
+			Stages:     []string{"fail-in-flight"},
+			testStages: failing,
 		})
 		if err != nil {
 			t.Fatal(err)

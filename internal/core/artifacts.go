@@ -4,8 +4,8 @@ package core
 // per-(camera, frame) scratch flowing prepare → ordered; FrameArtifacts
 // is the merged per-frame view flowing merge → frame stages. Both are
 // typed structs rather than maps: consumers read fields directly, and
-// the Needs/Provides declarations on stages are what the graph builder
-// checks — the store itself stays allocation-light on the hot path.
+// the store stays allocation-light on the hot path. Which stage writes
+// a field before which reads it is fixed by the stage list's order.
 
 import (
 	"repro/internal/face"
@@ -15,11 +15,6 @@ import (
 	"repro/internal/scene"
 )
 
-// integralsHook, when set, observes every summed-area-table build —
-// tests use it to prove the tables are built exactly once per
-// (camera, frame) however many stages consume them.
-var integralsHook func(cam, frame int)
-
 // Artifacts is the typed per-(camera, frame) artifact store.
 type Artifacts struct {
 	// Cam is the camera (stream) index.
@@ -27,25 +22,27 @@ type Artifacts struct {
 	// FS is the frame's immutable simulator state.
 	FS scene.FrameState
 
-	// Gray is the rendered grayscale plane (ArtGray); pooled, released
-	// by the engine after the ordered phase.
+	// Gray is the rendered grayscale plane; pooled, released by the
+	// engine after the ordered phase.
 	Gray *img.Gray
-	// Dets is the detection output (ArtDetections); empty off-cadence.
+	// Dets is the detection output; empty off-cadence.
 	Dets []face.Detection
 	// Tracks is the camera's live track set after this frame's tracker
-	// step (ArtTracks).
+	// step. It is live tracker state: only ordered stages may read it.
 	Tracks []*face.Track
-	// CamEmotions is the camera's person → emotion map (ArtCamEmotions).
+	// CamEmotions is the camera's person → emotion map.
 	CamEmotions map[int]layers.EmotionObs
-	// CamGaze is the lane's gaze observations (ArtCamGaze).
+	// CamGaze is the lane's gaze observations (geometric vision
+	// produces all observations in its single lane).
 	CamGaze []gaze.Observation
 
 	// release returns Gray to its renderer's pool.
 	release func(*img.Gray)
-	// scratch holds the owning worker's reusable integral tables.
+	// scratch holds the owning worker's reusable integral tables; the
+	// detect stage builds them on cadence frames, and they are only
+	// valid during the prepare phase (the worker's next frame
+	// overwrites them).
 	scratch *integralScratch
-	// integralsBuilt guards the lazy one-build-per-frame contract.
-	integralsBuilt bool
 	// err is the first stage failure; later stages are skipped and the
 	// engine surfaces it from the ordered phase.
 	err error
@@ -57,22 +54,6 @@ type integralScratch struct {
 	sq *img.IntegralSq
 }
 
-// Integrals returns the frame's summed-area-table pair (ArtIntegrals),
-// building it into the worker's reusable buffers on first call and
-// sharing it with every later consumer of the same (camera, frame).
-// Only valid inside PhasePrepare stages: the buffers belong to the
-// worker and are overwritten by its next frame.
-func (a *Artifacts) Integrals() (*img.Integral, *img.IntegralSq) {
-	if !a.integralsBuilt {
-		a.scratch.in, a.scratch.sq = img.BuildIntegrals(a.Gray, a.scratch.in, a.scratch.sq)
-		a.integralsBuilt = true
-		if integralsHook != nil {
-			integralsHook(a.Cam, a.FS.Index)
-		}
-	}
-	return a.scratch.in, a.scratch.sq
-}
-
 // FrameArtifacts is the merged per-frame artifact store.
 type FrameArtifacts struct {
 	// Index is the frame index.
@@ -82,11 +63,10 @@ type FrameArtifacts struct {
 	// PerCam are the camera stores in camera order (gray planes already
 	// released).
 	PerCam []*Artifacts
-	// Emotions is the cross-camera fused person → emotion map
-	// (ArtEmotions).
+	// Emotions is the cross-camera fused person → emotion map.
 	Emotions map[int]layers.EmotionObs
-	// Obs is the frame's gaze-observation set (ArtGazeObs).
+	// Obs is the frame's gaze-observation set.
 	Obs []gaze.Observation
-	// LookAt is the frame's look-at matrix (ArtLookAt).
+	// LookAt is the frame's look-at matrix (paper Fig. 4).
 	LookAt gaze.Matrix
 }

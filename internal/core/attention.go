@@ -195,7 +195,6 @@ func attentionStage(b *stageBuild) (*Stage, error) {
 		Name:    StageAttention,
 		Version: 1,
 		Phase:   PhaseFrame,
-		Needs:   []ArtifactKey{ArtLookAt},
 		Config:  itoa(minAttentionFrames),
 		Emit:    attentionEmitEvery,
 		RunFrame: func(_ *runEnv, fa *FrameArtifacts) error {

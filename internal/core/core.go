@@ -13,25 +13,24 @@
 // and parameter sweeps. Both modes share the gaze math, multilayer
 // analysis, metadata store and summariser.
 //
-// The pipeline itself is a stage graph (DESIGN.md §7):
-// both visions, the frame-serial analysis chain and the end-of-run
-// passes are named Stages declaring the per-(camera, frame) artifacts
-// they consume and produce. The graph is dependency-ordered and
-// scheduled onto a concurrent engine (DESIGN.md §2): a worker pool
-// executes the stateless prepare stages in any order, per-camera
-// ordered lanes advance the stateful stages, and a merger reassembles
-// frames in index order for the frame-serial stages. Config.Workers
-// sets the pool size (default GOMAXPROCS; 1 selects the plain
-// sequential loop); every worker count produces byte-identical
-// results, and the monolithic oracle retained in the package's tests
-// (oracle_test.go) proves the graph equivalent to the pre-refactor
-// pipeline.
+// The pipeline itself is a fixed list of stages (DESIGN.md §7): both
+// visions, the frame-serial analysis chain and the end-of-run passes
+// are named Stages over typed per-(camera, frame) and per-frame
+// artifact stores. Each phase's stages run in list order on a
+// concurrent engine (DESIGN.md §2): a worker pool executes the
+// stateless prepare stages in any order, per-camera ordered lanes
+// advance the stateful stages, and a merger reassembles frames in index
+// order for the frame-serial stages. Config.Workers sets the pool size
+// (default GOMAXPROCS; 1 selects the plain sequential loop); every
+// worker count produces byte-identical results, and the monolithic
+// oracle retained in the package's tests (oracle_test.go) proves the
+// stage list equivalent to the pre-refactor pipeline.
 //
-// Config.Stages adds the optional built-in analyzers to the graph
-// (e.g. "attention-span"), and Config.Incremental persists a run
-// manifest through the metadata repository so RunIncremental can
-// re-run only stale stages — re-deriving one layer without re-decoding
-// video (manifest.go). Run, RunStream and RunIncremental are one driver
+// Config.Stages adds the optional built-in analyzers to the list
+// (attention-span, dining-phase, live-summary), and Config.Incremental
+// persists a run manifest through the metadata repository so
+// RunIncremental can re-run only stale stages — re-deriving one layer
+// without re-decoding video (manifest.go). Run, RunStream and RunIncremental are one driver
 // (Pipeline.run): they differ only in the options and the frame source
 // they hand it.
 package core
@@ -41,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -116,7 +116,8 @@ type Config struct {
 	// every worker count — the engine reassembles frames in order.
 	Workers int
 	// Stages names the optional built-in analyzer stages to add to the
-	// graph (StageAttention, StageDiningPhase, StageLiveSummary).
+	// graph: StageAttention, StageDiningPhase and StageLiveSummary, each
+	// at most once. New rejects any other name with ErrBadConfig.
 	Stages []string
 	// Incremental persists the run manifest and the raw look-at layer
 	// through the repository, enabling RunIncremental re-runs against
@@ -124,18 +125,21 @@ type Config struct {
 	// log a superset of a plain run's.
 	Incremental bool
 
-	// rig replaces the prototype rig, and registry resolves stage names
-	// in place of the built-in set: test seams (nil in every product
-	// run).
-	rig      *camera.Rig
-	registry *registry
+	// rig replaces the prototype rig, and testStages holds factories
+	// for stage names Stages may list besides the analyzers: test seams
+	// (nil in every product run).
+	rig        *camera.Rig
+	testStages map[string]stageFactory
 }
 
 // StageTiming reports time spent in one pipeline stage. Serial stages
-// (gaze-analysis, multilayer, metadata, summarize) report wall time;
-// under parallel extraction (Workers > 1) the feature-extraction entry
-// and the per-stage extraction entries aggregate CPU time across
-// workers and can exceed the run's wall time.
+// (gaze-analysis, multilayer, summarize) report wall time. The metadata
+// entry sums the wall time of every repository append, including the
+// raw-record batches the appender goroutine writes while the frame loop
+// goes on, so it overlaps the frame-phase entries and is not on the
+// serial path. Under parallel extraction (Workers > 1) the
+// feature-extraction entry and the per-stage extraction entries
+// aggregate CPU time across workers and can exceed the run's wall time.
 type StageTiming struct {
 	Name     string
 	Duration time.Duration
@@ -179,7 +183,6 @@ type Pipeline struct {
 	cfg        Config
 	sim        *scene.Simulator
 	rig        *camera.Rig
-	reg        *registry
 	stageNames []string
 }
 
@@ -230,15 +233,11 @@ func New(cfg Config) (*Pipeline, error) {
 			}
 		}
 	}
-	reg := cfg.registry
-	if reg == nil {
-		reg = newRegistry()
-	}
-	names, err := resolveStageNames(cfg, reg)
+	names, err := resolveStageNames(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Pipeline{cfg: cfg, sim: sim, rig: rig, reg: reg, stageNames: names}, nil
+	return &Pipeline{cfg: cfg, sim: sim, rig: rig, stageNames: names}, nil
 }
 
 // pixelCamCount is the number of rig cameras the pixel path analyses.
@@ -254,9 +253,10 @@ func pixelCamCount(cfg Config, rig *camera.Rig) int {
 }
 
 // resolveStageNames assembles the run's stage list: the mode's
-// extraction set, the frame-serial analysis chain, the requested
-// extras, and the end-of-run stages.
-func resolveStageNames(cfg Config, reg *registry) ([]string, error) {
+// extraction set, the frame-serial analysis chain, the end-of-run
+// stages, then the requested analyzers. Each phase runs its stages in
+// this order.
+func resolveStageNames(cfg Config) ([]string, error) {
 	var names []string
 	switch cfg.Mode {
 	case GeometricVision:
@@ -269,25 +269,22 @@ func resolveStageNames(cfg Config, reg *registry) ([]string, error) {
 		names = append(names, StageManifest)
 	}
 	names = append(names, StageSummarize)
-	// Extras go last in request order; scheduling is by phase, so the
-	// position in this list only breaks ties within a phase. Validate
-	// against the complete base set so naming a built-in end-of-run
-	// stage fails here, at New, not mid-run.
+	// Analyzers go last in request order: they are frame-phase stages,
+	// so they run after the analysis chain, and the end-of-run stages
+	// still run after every frame stage.
 	for _, extra := range cfg.Stages {
-		if reg.factories[extra] == nil {
-			return nil, fmt.Errorf("core: unknown stage %q in Config.Stages (registered: %v): %w", extra, reg.order, ErrBadConfig)
+		if !slices.Contains(analyzerStages, extra) && cfg.testStages[extra] == nil {
+			return nil, fmt.Errorf("core: stage %q in Config.Stages is not an optional analyzer (have %v): %w", extra, analyzerStages, ErrBadConfig)
 		}
-		for _, have := range names {
-			if have == extra {
-				return nil, fmt.Errorf("core: stage %q already part of the %v pipeline: %w", extra, cfg.Mode, ErrBadConfig)
-			}
+		if slices.Contains(names, extra) {
+			return nil, fmt.Errorf("core: stage %q requested twice in Config.Stages: %w", extra, ErrBadConfig)
 		}
 		names = append(names, extra)
 	}
 	return names, nil
 }
 
-// StageNames lists the resolved stage graph in request order.
+// StageNames lists the run's stages in list order.
 func (p *Pipeline) StageNames() []string {
 	return append([]string(nil), p.stageNames...)
 }
@@ -431,7 +428,7 @@ func (p *Pipeline) buildStages(incremental bool, numFrames int) (*stageGraph, *s
 	if incremental && !cfg.Incremental {
 		cfg.Incremental = true
 		var err error
-		if names, err = resolveStageNames(cfg, p.reg); err != nil {
+		if names, err = resolveStageNames(cfg); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -448,7 +445,7 @@ func (p *Pipeline) buildStages(incremental bool, numFrames int) (*stageGraph, *s
 		cfg: cfg, sim: p.sim, rig: p.rig,
 		ids: ids, nCams: nCams, numFrames: numFrames,
 	}
-	g, err := buildGraph(p.reg, names, b)
+	g, err := buildGraph(names, b)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -151,7 +151,6 @@ func liveSummaryStage(b *stageBuild) (*Stage, error) {
 		Name:    StageLiveSummary,
 		Version: 1,
 		Phase:   PhaseFrame,
-		Needs:   []ArtifactKey{ArtLookAt, ArtEmotions},
 		Config:  fmt.Sprintf("window=%d emit=%d", liveSummaryWindow, liveSummaryEmitEvery),
 		Emit:    liveSummaryEmitEvery,
 		RunFrame: func(_ *runEnv, fa *FrameArtifacts) error {

@@ -58,9 +58,9 @@ func (p *Pipeline) runIdentity(numFrames, nCams int) string {
 }
 
 // manifestStage persists the run manifest: the run identity plus each
-// executed stage's (name, version, config-hash) triple. It is
-// registered into the graph only on manifest-keeping runs, so default
-// runs stay byte-identical to the monolithic oracle.
+// executed stage's (name, version, config-hash) triple. It is listed
+// only on manifest-keeping runs, so default runs stay byte-identical to
+// the monolithic oracle.
 func manifestStage(b *stageBuild) (*Stage, error) {
 	numFrames := b.numFrames
 	return &Stage{
@@ -300,44 +300,6 @@ func (p *Pipeline) RunIncremental(prev *metadata.Repository, stale ...string) (*
 	} else {
 		rd.emoReplayed = true
 	}
-	// Custom stale extraction stages outside the two raw chains simply
-	// re-run (they declared themselves Replayable).
-	for _, st := range graph.stages {
-		if staleSet[st.Name] && st.Phase < PhaseFrame {
-			rd.rerun[st.Name] = true
-		}
-	}
-	// Upstream closure: a re-running stage needs its providers' output,
-	// which only a full run materialises — pull each provider into the
-	// re-run set too, or fall back when one cannot recompute without
-	// video. (The built-in chains are already closed; this guards
-	// custom registered stages.)
-	providers := make(map[ArtifactKey]*Stage)
-	for _, st := range graph.stages {
-		for _, k := range st.Provides {
-			providers[k] = st
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, st := range graph.stages {
-			if st.Phase >= PhaseFrame || !rd.rerun[st.Name] {
-				continue
-			}
-			for _, k := range st.Needs {
-				prov := providers[k]
-				if prov == nil || prov.Phase >= PhaseFrame || rd.rerun[prov.Name] {
-					continue
-				}
-				if !prov.Replayable {
-					return p.run(graph, b, StreamOptions{}, nil)
-				}
-				rd.rerun[prov.Name] = true
-				changed = true
-			}
-		}
-	}
-
 	for _, st := range graph.stages {
 		if staleSet[st.Name] {
 			rd.stale = append(rd.stale, st.Name)

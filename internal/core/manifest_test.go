@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/gaze"
@@ -383,101 +386,67 @@ func TestIncrementalLatestRunWithoutManifest(t *testing.T) {
 	}
 }
 
-// TestIncrementalCustomReplayableStage: a registered Replayable
-// prepare stage re-runs inside the replay loop; a stage whose Needs
-// reach a non-replayable provider pulls the run back to full
-// extraction.
-func TestIncrementalCustomReplayableStage(t *testing.T) {
-	reg := newRegistry()
-	var runCalls int
-	if err := reg.register("jitter", func(*stageBuild) (*Stage, error) {
-		return &Stage{
-			Name: "jitter", Version: 1, Phase: PhasePrepare,
-			Provides:   []ArtifactKey{"jitter"},
-			Replayable: true,
-			RunCam: func(*runEnv, *Artifacts) error {
-				runCalls++
-				return nil
-			},
-		}, nil
-	}); err != nil {
-		t.Fatal(err)
+// TestIncrementalEveryStalePair forces every single stage and every pair
+// of stages stale, in both modes with all three analyzers on: each
+// re-run — a replay of the fresh raw layers or, when a pixel extraction
+// stage is stale, a full run — must reproduce the full run exactly.
+func TestIncrementalEveryStalePair(t *testing.T) {
+	for _, cfg := range []Config{
+		{
+			Scenario: scene.PrototypeScenario(), Mode: GeometricVision,
+			Gaze: gaze.EstimatorOptions{Seed: 21}, MaxFrames: 120,
+		},
+		{
+			Scenario: scene.PrototypeScenario(), Mode: PixelVision,
+			Gaze: gaze.EstimatorOptions{Seed: 4}, Classifier: engineTestClassifier(t),
+			MaxFrames: 12, DetectEvery: 3,
+		},
+	} {
+		cfg.Incremental = true
+		cfg.Stages = onlineStages
+		prev := mustRun(t, cfg)
+		want := captureResult(t, prev)
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := p.StageNames()
+		var sets [][]string
+		for i, a := range names {
+			sets = append(sets, []string{a})
+			for _, b := range names[i+1:] {
+				sets = append(sets, []string{a, b})
+			}
+		}
+		for _, stale := range sets {
+			res, err := p.RunIncremental(prev.Repo, stale...)
+			if err != nil {
+				t.Fatalf("%v stale %v: %v", cfg.Mode, stale, err)
+			}
+			// Pixel extraction up to the emotion fusion needs rendered
+			// frames: staleness there falls back to a full run, which
+			// reports no diff and reuses nothing.
+			fallback := cfg.Mode == PixelVision && slices.ContainsFunc(stale, func(n string) bool {
+				return slices.Contains([]string{StageRender, StageDetect, StageTrack, StageClassify, StageFuseEmotions}, n)
+			})
+			wantStale := sortedCopy(stale)
+			if fallback {
+				wantStale = nil
+			}
+			if !reflect.DeepEqual(res.StaleStages, wantStale) || fallback && len(res.ReusedStages) != 0 {
+				t.Errorf("%v stale %v: StaleStages = %v, ReusedStages = %v", cfg.Mode, stale, res.StaleStages, res.ReusedStages)
+			}
+			assertRunsEqual(t, want, captureResult(t, res), fmt.Sprintf("%v stale %v", cfg.Mode, stale))
+			res.Repo.Close()
+		}
+		prev.Repo.Close()
 	}
-	cfg := baseIncrementalConfig()
-	cfg.registry = reg
-	cfg.Stages = []string{"jitter"}
-	cfg.Workers = 1
-	prev := mustRun(t, cfg)
-	defer prev.Repo.Close()
-
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runCalls = 0
-	res, err := p.RunIncremental(prev.Repo, "jitter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Repo.Close()
-	if runCalls != 200 {
-		t.Errorf("stale custom stage ran %d times, want one per frame (200)", runCalls)
-	}
-	assertRunsEqual(t, captureResult(t, prev), captureResult(t, res), "custom-replayable")
 }
 
-// TestIncrementalCustomStageNeedingPixelsFallsBack: a Replayable
-// claim does not extend to a stage whose inputs come from the render
-// chain — the upstream closure detects it and falls back.
-func TestIncrementalCustomStageNeedingPixelsFallsBack(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pixel vision is expensive")
-	}
-	reg := newRegistry()
-	if err := reg.register("gray-peek", func(*stageBuild) (*Stage, error) {
-		return &Stage{
-			Name: "gray-peek", Version: 1, Phase: PhasePrepare,
-			Needs:      []ArtifactKey{ArtGray},
-			Provides:   []ArtifactKey{"gray-peek"},
-			Replayable: true, // a lie: it reads rendered pixels
-			RunCam: func(_ *runEnv, a *Artifacts) error {
-				if a.Gray == nil {
-					return errors.New("gray plane missing")
-				}
-				return nil
-			},
-		}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Scenario:     scene.PrototypeScenario(),
-		Mode:         PixelVision,
-		Gaze:         gaze.EstimatorOptions{Seed: 4},
-		Classifier:   engineTestClassifier(t),
-		MaxFrames:    12,
-		DetectEvery:  3,
-		PixelCameras: 1,
-		Incremental:  true,
-		registry:     reg,
-		Stages:       []string{"gray-peek"},
-	}
-	prev := mustRun(t, cfg)
-	defer prev.Repo.Close()
-
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.RunIncremental(prev.Repo, "gray-peek")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Repo.Close()
-	if len(res.ReusedStages) != 0 {
-		t.Errorf("render-dependent stage must force a full run, reused %v", res.ReusedStages)
-	}
-	assertRunsEqual(t, captureResult(t, prev), captureResult(t, res), "gray-peek-fallback")
+func sortedCopy(s []string) []string {
+	out := append([]string(nil), s...)
+	sort.Strings(out)
+	return out
 }
 
 // TestIncrementalReusedRepoDirTakesLatestRun: an append-only

@@ -1,10 +1,11 @@
 package core
 
 // Stage graph (DESIGN.md §7): the pipeline's extraction and analysis
-// work is expressed as named stages over a typed per-(camera, frame)
-// artifact store, resolved by name from the built-in set,
-// dependency-ordered, and scheduled onto the concurrent engine. Adding
-// an analyzer means adding a built-in Stage and naming it in
+// work is a fixed list of named stages over typed per-(camera, frame)
+// and per-frame artifact stores. resolveStageNames lists a run's
+// stages; each phase runs its stages in that list's order on the
+// concurrent engine. Adding an analyzer means adding a built-in Stage,
+// listing it in builtinStages and analyzerStages, and naming it in
 // Config.Stages — the engine, the metadata layout and the other stages
 // are untouched.
 
@@ -14,41 +15,6 @@ import (
 
 	"repro/internal/camera"
 	"repro/internal/scene"
-)
-
-// ArtifactKey names one entry of the per-(camera, frame) artifact
-// store. Stages declare the keys they consume (Needs) and produce
-// (Provides); the graph builder orders stages so every key is produced
-// before it is consumed, and rejects graphs where it cannot.
-type ArtifactKey string
-
-// Built-in artifact keys.
-const (
-	// ArtGray is the rendered grayscale plane of one camera's view.
-	ArtGray ArtifactKey = "gray"
-	// ArtIntegrals is the plain + squared summed-area table pair of the
-	// gray plane. It is materialised lazily — the first consumer's
-	// Artifacts.Integrals call builds both tables into worker-owned
-	// buffers, every later consumer reuses them — and is only valid
-	// during PhasePrepare (the buffers belong to the worker).
-	ArtIntegrals ArtifactKey = "integrals"
-	// ArtDetections is the frame's face-detection output (cadence
-	// frames only; empty otherwise).
-	ArtDetections ArtifactKey = "detections"
-	// ArtTracks marks that the camera's tracker has been advanced for
-	// this frame.
-	ArtTracks ArtifactKey = "tracks"
-	// ArtCamEmotions is one camera's fused person → emotion map.
-	ArtCamEmotions ArtifactKey = "cam-emotions"
-	// ArtCamGaze is one camera lane's gaze-observation set (geometric
-	// vision produces all observations in its single lane).
-	ArtCamGaze ArtifactKey = "cam-gaze"
-	// ArtEmotions is the frame-level cross-camera fused emotion map.
-	ArtEmotions ArtifactKey = "emotions"
-	// ArtGazeObs is the frame-level gaze-observation set.
-	ArtGazeObs ArtifactKey = "gaze-obs"
-	// ArtLookAt is the frame's look-at matrix (paper Fig. 4).
-	ArtLookAt ArtifactKey = "lookat"
 )
 
 // StagePhase is where in the engine a stage executes.
@@ -107,11 +73,6 @@ type Stage struct {
 	Version int
 	// Phase is where the engine schedules the stage.
 	Phase StagePhase
-	// Needs lists artifact keys the stage consumes; every key must be
-	// Provided by an earlier stage of the resolved graph.
-	Needs []ArtifactKey
-	// Provides lists artifact keys the stage produces.
-	Provides []ArtifactKey
 	// Config is the canonical rendering of the configuration the stage
 	// read when it was built; its hash is persisted in the run manifest
 	// and compared on incremental runs.
@@ -160,220 +121,58 @@ type stageBuild struct {
 	numFrames int
 }
 
-// registry maps stage names to factories, in registration order.
-type registry struct {
-	order     []string
-	factories map[string]stageFactory
+// builtinStages maps every built-in stage name to its factory.
+var builtinStages = map[string]stageFactory{
+	StageRender:       renderStage,
+	StageDetect:       detectStage,
+	StageTrack:        trackStage,
+	StageClassify:     classifyStage,
+	StageGeoGaze:      geoGazeStage,
+	StageGeoEmotion:   geoEmotionStage,
+	StageCollectGaze:  collectGazeStage,
+	StagePxGaze:       pxGazeStage,
+	StageFuseEmotions: fuseEmotionsStage,
+	StageGazeAnalysis: gazeAnalysisStage,
+	StageMultilayer:   multilayerStage,
+	StageObservations: observationsStage,
+	StageAttention:    attentionStage,
+	StageDiningPhase:  diningPhaseStage,
+	StageLiveSummary:  liveSummaryStage,
+	StageDerived:      derivedRecordsStage,
+	StageManifest:     manifestStage,
+	StageSummarize:    summarizeStage,
 }
 
-// newRegistry returns a registry of every built-in stage.
-func newRegistry() *registry {
-	r := &registry{factories: make(map[string]stageFactory)}
-	registerBuiltins(r)
-	return r
-}
+// analyzerStages are the optional built-in stages Config.Stages may
+// name. Each is a frame-phase stage that reads only the merged frame.
+var analyzerStages = []string{StageAttention, StageDiningPhase, StageLiveSummary}
 
-// register adds a stage factory under a unique name.
-func (r *registry) register(name string, f stageFactory) error {
-	if name == "" || f == nil {
-		return fmt.Errorf("core: registering stage %q: empty name or nil factory: %w", name, ErrBadConfig)
-	}
-	if _, dup := r.factories[name]; dup {
-		return fmt.Errorf("core: stage %q already registered: %w", name, ErrBadConfig)
-	}
-	r.order = append(r.order, name)
-	r.factories[name] = f
-	return nil
-}
-
-// stageGraph is a resolved, validated, dependency-ordered stage set.
+// stageGraph is a run's built stage list.
 type stageGraph struct {
+	// stages is every stage in list order (the manifest records each).
 	stages []*Stage
 	// byPhase[p] lists the phase's stages in execution order.
 	byPhase [numPhases][]*Stage
 }
 
-// buildGraph resolves names through the registry, builds the stages
-// and orders each phase topologically by Needs/Provides (stable: ties
-// keep request order, so runs are deterministic).
-func buildGraph(reg *registry, names []string, b *stageBuild) (*stageGraph, error) {
+// buildGraph builds the named stages and files each under its phase,
+// keeping list order within a phase. Config's test seam supplies the
+// factory of a name it holds; every other name is built-in.
+func buildGraph(names []string, b *stageBuild) (*stageGraph, error) {
 	g := &stageGraph{}
-	seen := make(map[string]bool, len(names))
-	providers := make(map[ArtifactKey]*Stage)
 	for _, name := range names {
-		if seen[name] {
-			return nil, fmt.Errorf("core: stage %q requested twice: %w", name, ErrBadConfig)
-		}
-		seen[name] = true
-		f, ok := reg.factories[name]
-		if !ok {
-			return nil, fmt.Errorf("core: unknown stage %q (registered: %v): %w", name, reg.order, ErrBadConfig)
+		f := b.cfg.testStages[name]
+		if f == nil {
+			f = builtinStages[name]
 		}
 		st, err := f(b)
 		if err != nil {
 			return nil, fmt.Errorf("core: building stage %q: %w", name, err)
 		}
-		if st.Name != name {
-			return nil, fmt.Errorf("core: stage %q built under name %q: %w", name, st.Name, ErrBadConfig)
-		}
-		if err := checkStageShape(st); err != nil {
-			return nil, err
-		}
-		for _, k := range st.Provides {
-			if prev, dup := providers[k]; dup {
-				return nil, fmt.Errorf("core: artifact %q provided by both %q and %q: %w", k, prev.Name, st.Name, ErrBadConfig)
-			}
-			providers[k] = st
-		}
 		g.stages = append(g.stages, st)
-	}
-	// Dependency validation: a consumer's provider must exist and run
-	// no later than the consumer's phase; the worker-scoped integral
-	// tables are additionally prepare-only.
-	for _, st := range g.stages {
-		for _, k := range st.Needs {
-			p, ok := providers[k]
-			if !ok {
-				return nil, fmt.Errorf("core: stage %q needs artifact %q but no requested stage provides it: %w", st.Name, k, ErrBadConfig)
-			}
-			if p.Phase > st.Phase {
-				return nil, fmt.Errorf("core: stage %q (phase %v) needs %q from later-phase %q (%v): %w",
-					st.Name, st.Phase, k, p.Name, p.Phase, ErrBadConfig)
-			}
-			// Lifetime guards: some artifacts do not survive their
-			// producing phases. The integral tables live in worker
-			// scratch (overwritten by the worker's next frame), the
-			// gray plane returns to its pool after the ordered phase,
-			// and Track pointers are live tracker state the lane
-			// consumer keeps mutating on later frames — reading them
-			// from the merger on would race.
-			switch {
-			case k == ArtIntegrals && st.Phase != PhasePrepare:
-				return nil, fmt.Errorf("core: stage %q consumes %q outside the prepare phase (tables are worker-scoped): %w", st.Name, k, ErrBadConfig)
-			case k == ArtGray && st.Phase > PhaseOrdered:
-				return nil, fmt.Errorf("core: stage %q consumes %q after the ordered phase (the plane is released to its pool): %w", st.Name, k, ErrBadConfig)
-			case k == ArtTracks && st.Phase != PhaseOrdered:
-				return nil, fmt.Errorf("core: stage %q consumes %q outside the ordered phase (tracks are live per-lane state): %w", st.Name, k, ErrBadConfig)
-			}
-		}
-	}
-	for p := StagePhase(0); p < numPhases; p++ {
-		phase := make([]*Stage, 0)
-		for _, st := range g.stages {
-			if st.Phase == p {
-				phase = append(phase, st)
-			}
-		}
-		sorted, err := topoSort(phase, providers)
-		if err != nil {
-			return nil, err
-		}
-		g.byPhase[p] = sorted
+		g.byPhase[st.Phase] = append(g.byPhase[st.Phase], st)
 	}
 	return g, nil
-}
-
-// checkStageShape validates the phase ↔ callback pairing.
-func checkStageShape(st *Stage) error {
-	bad := func(why string) error {
-		return fmt.Errorf("core: stage %q (%v): %s: %w", st.Name, st.Phase, why, ErrBadConfig)
-	}
-	switch st.Phase {
-	case PhasePrepare, PhaseOrdered:
-		if st.RunCam == nil || st.RunFrame != nil || st.RunFinal != nil {
-			return bad("per-camera phases take exactly RunCam")
-		}
-	case PhaseMerge:
-		if st.RunFrame == nil || st.RunCam != nil || st.RunFinal != nil {
-			return bad("merge stages take exactly RunFrame")
-		}
-	case PhaseFrame:
-		if st.RunFrame == nil || st.RunCam != nil {
-			return bad("frame stages take RunFrame (plus optional RunFinal)")
-		}
-	case PhaseFinal:
-		if st.RunFinal == nil || st.RunCam != nil || st.RunFrame != nil {
-			return bad("final stages take exactly RunFinal")
-		}
-	default:
-		return bad("unknown phase")
-	}
-	if st.Emit < 0 {
-		return bad("negative Emit")
-	}
-	if (st.Emit > 0 || st.RunEmit != nil) && st.Phase != PhaseFrame {
-		return bad("windowed operators (Emit/RunEmit) are frame-phase only")
-	}
-	if st.RunEmit != nil && st.Emit <= 0 {
-		return bad("RunEmit requires an Emit cadence")
-	}
-	if st.Emit > 0 && st.RunEmit == nil {
-		return bad("Emit cadence without RunEmit")
-	}
-	return nil
-}
-
-// topoSort orders one phase's stages so providers precede consumers,
-// keeping the incoming (request) order among independent stages. Only
-// same-phase edges constrain the sort — cross-phase edges are already
-// satisfied by phase ordering.
-func topoSort(stages []*Stage, providers map[ArtifactKey]*Stage) ([]*Stage, error) {
-	if len(stages) <= 1 {
-		return stages, nil
-	}
-	idx := make(map[*Stage]int, len(stages))
-	for i, st := range stages {
-		idx[st] = i
-	}
-	indeg := make([]int, len(stages))
-	succ := make([][]int, len(stages))
-	for i, st := range stages {
-		for _, k := range st.Needs {
-			p := providers[k]
-			if p == nil || p == st {
-				continue
-			}
-			if j, same := idx[p]; same {
-				succ[j] = append(succ[j], i)
-				indeg[i]++
-			}
-		}
-	}
-	out := make([]*Stage, 0, len(stages))
-	ready := make([]int, 0, len(stages))
-	for i := range stages {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	for len(ready) > 0 {
-		// Lowest request index first keeps the order deterministic.
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			if ready[i] < ready[best] {
-				best = i
-			}
-		}
-		n := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
-		out = append(out, stages[n])
-		for _, s := range succ[n] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, s)
-			}
-		}
-	}
-	if len(out) != len(stages) {
-		stuck := make([]string, 0)
-		for i, d := range indeg {
-			if d > 0 {
-				stuck = append(stuck, stages[i].Name)
-			}
-		}
-		return nil, fmt.Errorf("core: stage dependency cycle through %v: %w", stuck, ErrBadConfig)
-	}
-	return out, nil
 }
 
 // configHash fingerprints a stage's Config string for the run manifest.

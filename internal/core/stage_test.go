@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,230 +42,193 @@ func TestConfigRejectsDuplicateStage(t *testing.T) {
 	}
 }
 
-func TestGraphRejectsMissingProvider(t *testing.T) {
-	reg := newRegistry()
-	if err := reg.register("needs-ghost", func(*stageBuild) (*Stage, error) {
-		return &Stage{
-			Name: "needs-ghost", Version: 1, Phase: PhaseFrame,
-			Needs:    []ArtifactKey{"ghost"},
-			RunFrame: func(*runEnv, *FrameArtifacts) error { return nil },
-		}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(Config{
-		Scenario:  scene.PrototypeScenario(),
-		registry:  reg,
-		Stages:    []string{"needs-ghost"},
-		MaxFrames: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("missing provider: err = %v, want ErrBadConfig", err)
-	}
-}
-
-func TestGraphRejectsDependencyCycle(t *testing.T) {
-	reg := newRegistry()
-	mk := func(name string, needs, provides ArtifactKey) {
-		if err := reg.register(name, func(*stageBuild) (*Stage, error) {
-			return &Stage{
-				Name: name, Version: 1, Phase: PhasePrepare,
-				Needs: []ArtifactKey{needs}, Provides: []ArtifactKey{provides},
-				RunCam: func(*runEnv, *Artifacts) error { return nil },
-			}, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mk("cyc-a", "key-b", "key-a")
-	mk("cyc-b", "key-a", "key-b")
-	p, err := New(Config{
-		Scenario:  scene.PrototypeScenario(),
-		registry:  reg,
-		Stages:    []string{"cyc-a", "cyc-b"},
-		MaxFrames: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("cycle: err = %v, want ErrBadConfig", err)
-	}
-}
-
-func TestGraphOrdersProviderBeforeConsumer(t *testing.T) {
-	reg := newRegistry()
-	var order []string
-	var mu sync.Mutex
-	record := func(name string) {
-		mu.Lock()
-		order = append(order, name)
-		mu.Unlock()
-	}
-	// Requested consumer-first: the topological sort must still run the
-	// provider first.
-	if err := reg.register("t-consumer", func(*stageBuild) (*Stage, error) {
-		return &Stage{
-			Name: "t-consumer", Version: 1, Phase: PhasePrepare,
-			Needs:  []ArtifactKey{"t-key"},
-			RunCam: func(_ *runEnv, _ *Artifacts) error { record("t-consumer"); return nil },
-		}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.register("t-provider", func(*stageBuild) (*Stage, error) {
-		return &Stage{
-			Name: "t-provider", Version: 1, Phase: PhasePrepare,
-			Provides: []ArtifactKey{"t-key"},
-			RunCam:   func(_ *runEnv, _ *Artifacts) error { record("t-provider"); return nil },
-		}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(Config{
-		Scenario:  scene.PrototypeScenario(),
-		registry:  reg,
-		Stages:    []string{"t-consumer", "t-provider"},
-		MaxFrames: 1,
-		Workers:   1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Repo.Close()
-	if len(order) != 2 || order[0] != "t-provider" || order[1] != "t-consumer" {
-		t.Errorf("execution order = %v, want provider before consumer", order)
-	}
-}
-
-// TestGraphRejectsExpiredArtifacts: gray planes are pooled (released
-// after the ordered phase) and Track pointers are live tracker state —
-// declaring a Need on them from a later phase must fail graph
-// validation instead of reading nil or racing the lane consumer.
-func TestGraphRejectsExpiredArtifacts(t *testing.T) {
+// TestConfigStagesOnlyAnalyzers: Config.Stages takes the three optional
+// analyzers, each at most once, in either mode; New refuses every other
+// name — another mode's extraction stage, a stage the run already
+// lists, the manifest, an unknown name — and the error names the
+// analyzers.
+func TestConfigStagesOnlyAnalyzers(t *testing.T) {
 	cases := []struct {
-		name  string
-		phase StagePhase
-		key   ArtifactKey
+		mode   VisionMode
+		inc    bool
+		stages []string
+		ok     bool
 	}{
-		{"gray-at-merge", PhaseMerge, ArtGray},
-		{"tracks-at-merge", PhaseMerge, ArtTracks},
-		{"tracks-at-frame", PhaseFrame, ArtTracks},
+		{GeometricVision, false, []string{StageAttention}, true},
+		{GeometricVision, false, []string{StageLiveSummary, StageDiningPhase, StageAttention}, true},
+		{PixelVision, true, []string{StageDiningPhase}, true},
+		{PixelVision, false, onlineStages, true},
+		{GeometricVision, false, []string{StageRender}, false},
+		{GeometricVision, false, []string{StageDetect}, false},
+		{GeometricVision, false, []string{StageTrack}, false},
+		{GeometricVision, false, []string{StageClassify}, false},
+		{GeometricVision, false, []string{StagePxGaze}, false},
+		{PixelVision, false, []string{StageGeoGaze}, false},
+		{PixelVision, false, []string{StageGeoEmotion}, false},
+		{PixelVision, false, []string{StageCollectGaze}, false},
+		{GeometricVision, false, []string{StageManifest}, false},
+		{GeometricVision, true, []string{StageManifest}, false},
+		{PixelVision, false, []string{StageFuseEmotions}, false},
+		{GeometricVision, false, []string{StageGazeAnalysis}, false},
+		{GeometricVision, false, []string{StageObservations}, false},
+		{GeometricVision, false, []string{StageDerived}, false},
+		{GeometricVision, false, []string{StageAttention, StageAttention}, false},
+		{PixelVision, false, []string{StageLiveSummary, StageDiningPhase, StageLiveSummary}, false},
+		{GeometricVision, false, []string{"no-such-analyzer"}, false},
+		{GeometricVision, false, []string{""}, false},
 	}
 	for _, c := range cases {
-		reg := newRegistry()
-		c := c
-		if err := reg.register(c.name, func(*stageBuild) (*Stage, error) {
-			return &Stage{
-				Name: c.name, Version: 1, Phase: c.phase,
-				Needs:    []ArtifactKey{c.key},
-				RunFrame: func(*runEnv, *FrameArtifacts) error { return nil },
-			}, nil
-		}); err != nil {
-			t.Fatal(err)
+		_, err := New(Config{Scenario: scene.PrototypeScenario(), Mode: c.mode, Incremental: c.inc, Stages: c.stages})
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%v incremental=%v %q: New = %v, want accepted", c.mode, c.inc, c.stages, err)
+		case !c.ok && !errors.Is(err, ErrBadConfig):
+			t.Errorf("%v incremental=%v %q: New = %v, want ErrBadConfig", c.mode, c.inc, c.stages, err)
+		case !c.ok && slices.Contains(analyzerStages, c.stages[0]):
+			// A repeated analyzer: the message names the repeat.
+		case !c.ok:
+			for _, a := range analyzerStages {
+				if !strings.Contains(err.Error(), a) {
+					t.Errorf("%v %q: error %q does not name analyzer %s", c.mode, c.stages, err, a)
+				}
+			}
 		}
-		p, err := New(Config{
-			Scenario:   scene.PrototypeScenario(),
-			Mode:       PixelVision,
-			Classifier: engineTestClassifier(t),
-			MaxFrames:  3,
-			registry:   reg,
-			Stages:     []string{c.name},
-		})
+	}
+}
+
+// TestStageOrderGolden pins each phase's stage list, for both modes with
+// and without a manifest, with no analyzers and with all three named
+// out of order: analyzers run after the analysis chain in the order
+// Config.Stages names them.
+func TestStageOrderGolden(t *testing.T) {
+	type phases [numPhases][]string
+	geoExtract := phases{
+		PhasePrepare: {StageGeoGaze, StageGeoEmotion},
+		PhaseMerge:   {StageCollectGaze, StageFuseEmotions},
+	}
+	pxExtract := phases{
+		PhasePrepare: {StageRender, StageDetect},
+		PhaseOrdered: {StageTrack, StageClassify},
+		PhaseMerge:   {StageFuseEmotions, StagePxGaze},
+	}
+	chain := []string{StageGazeAnalysis, StageMultilayer, StageObservations}
+	extras := []string{StageLiveSummary, StageAttention, StageDiningPhase}
+	for _, mode := range []VisionMode{GeometricVision, PixelVision} {
+		for _, inc := range []bool{false, true} {
+			for _, stages := range [][]string{nil, extras} {
+				want := geoExtract
+				if mode == PixelVision {
+					want = pxExtract
+				}
+				want[PhaseFrame] = append(append([]string(nil), chain...), stages...)
+				want[PhaseFinal] = []string{StageDerived, StageSummarize}
+				if inc {
+					want[PhaseFinal] = []string{StageDerived, StageManifest, StageSummarize}
+				}
+				p, err := New(Config{
+					Scenario: scene.PrototypeScenario(), Mode: mode, Incremental: inc,
+					Stages: stages, Classifier: engineTestClassifier(t),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, _, err := p.buildStages(inc, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got phases
+				for ph, sts := range g.byPhase {
+					for _, st := range sts {
+						got[ph] = append(got[ph], st.Name)
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v incremental=%v stages=%q:\n got %q\nwant %q", mode, inc, stages, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBuiltinStageShapes builds every built-in stage in both modes and
+// checks it carries its own name and the callbacks its phase runs; the
+// analyzers are frame-phase stages.
+func TestBuiltinStageShapes(t *testing.T) {
+	for _, mode := range []VisionMode{GeometricVision, PixelVision} {
+		p, err := New(Config{Scenario: scene.PrototypeScenario(), Mode: mode, Classifier: engineTestClassifier(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Run(); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("%s: err = %v, want ErrBadConfig", c.name, err)
-		}
-	}
-}
-
-func TestRegistryRejectsDuplicates(t *testing.T) {
-	reg := newRegistry()
-	err := reg.register(StageRender, func(*stageBuild) (*Stage, error) { return nil, nil })
-	if !errors.Is(err, ErrBadConfig) {
-		t.Errorf("duplicate registration: err = %v, want ErrBadConfig", err)
-	}
-}
-
-// --- artifact sharing ---
-
-// TestIntegralsBuiltOncePerCameraFrame is the artifact-store contract:
-// when the detect stage plus two extra registered analyzers all
-// consume the summed-area tables, BuildIntegrals still runs exactly
-// once per (camera, frame) — on the worker pool too.
-func TestIntegralsBuiltOncePerCameraFrame(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pixel vision is expensive")
-	}
-	reg := newRegistry()
-	for _, name := range []string{"emotion-integrals", "gaze-integrals"} {
-		name := name
-		if err := reg.register(name, func(*stageBuild) (*Stage, error) {
-			return &Stage{
-				Name: name, Version: 1, Phase: PhasePrepare,
-				Needs:    []ArtifactKey{ArtGray, ArtIntegrals},
-				Provides: []ArtifactKey{ArtifactKey(name)},
-				RunCam: func(_ *runEnv, a *Artifacts) error {
-					in, sq := a.Integrals()
-					if in == nil || sq == nil {
-						t.Error("nil integral tables")
-					}
-					return nil
-				},
-			}, nil
-		}); err != nil {
+		_, b, err := p.buildStages(true, 10)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	var mu sync.Mutex
-	builds := map[[2]int]int{}
-	integralsHook = func(cam, frame int) {
-		mu.Lock()
-		builds[[2]int{cam, frame}]++
-		mu.Unlock()
-	}
-	defer func() { integralsHook = nil }()
-
-	const frames, cams = 9, 2
-	p, err := New(Config{
-		Scenario:     scene.PrototypeScenario(),
-		Mode:         PixelVision,
-		Gaze:         gaze.EstimatorOptions{Seed: 4},
-		Classifier:   engineTestClassifier(t),
-		MaxFrames:    frames,
-		DetectEvery:  1, // every frame on cadence: all three stages consume
-		PixelCameras: cams,
-		Workers:      4,
-		registry:     reg,
-		Stages:       []string{"emotion-integrals", "gaze-integrals"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Repo.Close()
-
-	if len(builds) != frames*cams {
-		t.Errorf("built tables for %d (camera, frame) pairs, want %d", len(builds), frames*cams)
-	}
-	for key, n := range builds {
-		if n != 1 {
-			t.Errorf("camera %d frame %d built %d times, want exactly 1", key[0], key[1], n)
+		for name, f := range builtinStages {
+			st, err := f(b)
+			if err != nil {
+				t.Fatalf("%v: building %s: %v", mode, name, err)
+			}
+			if st.Name != name {
+				t.Errorf("%v: stage %q built under name %q", mode, name, st.Name)
+			}
+			if err := checkStageShape(st); err != nil {
+				t.Errorf("%v: %v", mode, err)
+			}
 		}
 	}
+	for _, name := range analyzerStages {
+		p, err := New(Config{Scenario: scene.PrototypeScenario(), Stages: []string{name}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _, err := p.buildStages(false, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := g.stages[len(g.stages)-1]; st.Name != name || st.Phase != PhaseFrame {
+			t.Errorf("analyzer %s: last stage %s in phase %v, want itself in %v", name, st.Name, st.Phase, PhaseFrame)
+		}
+	}
+}
+
+// checkStageShape validates the phase ↔ callback pairing.
+func checkStageShape(st *Stage) error {
+	bad := func(why string) error {
+		return fmt.Errorf("stage %q (%v): %s", st.Name, st.Phase, why)
+	}
+	switch st.Phase {
+	case PhasePrepare, PhaseOrdered:
+		if st.RunCam == nil || st.RunFrame != nil || st.RunFinal != nil {
+			return bad("per-camera phases take exactly RunCam")
+		}
+	case PhaseMerge:
+		if st.RunFrame == nil || st.RunCam != nil || st.RunFinal != nil {
+			return bad("merge stages take exactly RunFrame")
+		}
+	case PhaseFrame:
+		if st.RunFrame == nil || st.RunCam != nil {
+			return bad("frame stages take RunFrame (plus optional RunFinal)")
+		}
+	case PhaseFinal:
+		if st.RunFinal == nil || st.RunCam != nil || st.RunFrame != nil {
+			return bad("final stages take exactly RunFinal")
+		}
+	default:
+		return bad("unknown phase")
+	}
+	if st.Emit < 0 {
+		return bad("negative Emit")
+	}
+	if (st.Emit > 0 || st.RunEmit != nil) && st.Phase != PhaseFrame {
+		return bad("windowed operators (Emit/RunEmit) are frame-phase only")
+	}
+	if st.RunEmit != nil && st.Emit <= 0 {
+		return bad("RunEmit requires an Emit cadence")
+	}
+	if st.Emit > 0 && st.RunEmit == nil {
+		return bad("Emit cadence without RunEmit")
+	}
+	return nil
 }
 
 // --- attention-span analyzer ---
@@ -437,9 +402,8 @@ func TestRunStreamedStepFailurePropagates(t *testing.T) {
 		MaxFrames: 100,
 		Workers:   4,
 	}
-	reg := newRegistry()
 	boom := errors.New("stage exploded")
-	if err := reg.register("exploding", func(*stageBuild) (*Stage, error) {
+	cfg.testStages = map[string]stageFactory{"exploding": func(*stageBuild) (*Stage, error) {
 		return &Stage{
 			Name: "exploding", Version: 1, Phase: PhasePrepare,
 			RunCam: func(_ *runEnv, a *Artifacts) error {
@@ -449,10 +413,7 @@ func TestRunStreamedStepFailurePropagates(t *testing.T) {
 				return nil
 			},
 		}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cfg.registry = reg
+	}}
 	cfg.Stages = []string{"exploding"}
 	p, err := New(cfg)
 	if err != nil {
@@ -466,8 +427,7 @@ func TestRunStreamedStepFailurePropagates(t *testing.T) {
 // TestStrictRunPanicPropagates: a stage panic fails the run fast —
 // stage callbacks run with no recover.
 func TestStrictRunPanicPropagates(t *testing.T) {
-	reg := newRegistry()
-	if err := reg.register("boom", func(*stageBuild) (*Stage, error) {
+	boom := map[string]stageFactory{"boom": func(*stageBuild) (*Stage, error) {
 		return &Stage{
 			Name: "boom", Version: 1, Phase: PhaseFrame,
 			RunFrame: func(_ *runEnv, fa *FrameArtifacts) error {
@@ -477,17 +437,15 @@ func TestStrictRunPanicPropagates(t *testing.T) {
 				return nil
 			},
 		}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	}}
 	p, err := New(Config{
-		Scenario:  scene.PrototypeScenario(),
-		Mode:      GeometricVision,
-		Gaze:      gaze.EstimatorOptions{Seed: 21},
-		MaxFrames: 120,
-		Workers:   1,
-		Stages:    []string{"boom"},
-		registry:  reg,
+		Scenario:   scene.PrototypeScenario(),
+		Mode:       GeometricVision,
+		Gaze:       gaze.EstimatorOptions{Seed: 21},
+		MaxFrames:  120,
+		Workers:    1,
+		Stages:     []string{"boom"},
+		testStages: boom,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 package core
 
 // Built-in stages (DESIGN.md §7): the geometric and pixel visions,
-// the frame-serial analysis chain and the end-of-run stages, each
-// re-expressed as a registered Stage over the shared artifact stores.
+// the frame-serial analysis chain and the end-of-run stages, each a
+// Stage over the shared artifact stores.
 // graphVision at the bottom schedules a resolved graph onto the
 // concurrent engine (engine.go).
 
@@ -43,40 +43,6 @@ const (
 	StageSummarize    = "summarize"
 )
 
-// registerBuiltins seeds a registry with every built-in stage.
-func registerBuiltins(r *registry) {
-	builtins := []struct {
-		name string
-		f    stageFactory
-	}{
-		{StageRender, renderStage},
-		{StageDetect, detectStage},
-		{StageTrack, trackStage},
-		{StageClassify, classifyStage},
-		{StageGeoGaze, geoGazeStage},
-		{StageGeoEmotion, geoEmotionStage},
-		{StageCollectGaze, collectGazeStage},
-		{StagePxGaze, pxGazeStage},
-		{StageFuseEmotions, fuseEmotionsStage},
-		{StageGazeAnalysis, gazeAnalysisStage},
-		{StageMultilayer, multilayerStage},
-		{StageObservations, observationsStage},
-		{StageAttention, attentionStage},
-		{StageDiningPhase, diningPhaseStage},
-		{StageLiveSummary, liveSummaryStage},
-		{StageDerived, derivedRecordsStage},
-		{StageManifest, manifestStage},
-		{StageSummarize, summarizeStage},
-	}
-	for _, b := range builtins {
-		if err := r.register(b.name, b.f); err != nil {
-			// Registration of the built-in set over a fresh registry
-			// cannot collide; a failure here is a programming error.
-			panic(err)
-		}
-	}
-}
-
 // --- pixel extraction stages ---
 
 // renderStage renders each camera's view into a pooled gray plane.
@@ -86,10 +52,9 @@ func renderStage(b *stageBuild) (*Stage, error) {
 		rends[c] = video.NewRenderer(b.sim, b.rig.Cameras[c], video.RenderOptions{})
 	}
 	return &Stage{
-		Name:     StageRender,
-		Version:  1,
-		Phase:    PhasePrepare,
-		Provides: []ArtifactKey{ArtGray, ArtIntegrals},
+		Name:    StageRender,
+		Version: 1,
+		Phase:   PhasePrepare,
 		// The text the run manifest has always hashed for the default
 		// sensor.
 		Config: fmt.Sprintf("render={NoiseSigma:0 LightDrift:0 LightPeriod:0 Background:0 TableTone:0} cams=%d", b.nCams),
@@ -107,8 +72,8 @@ func renderStage(b *stageBuild) (*Stage, error) {
 // per-frame cost stays flat.
 func onCadence(index, cam, every int) bool { return (index+cam)%every == 0 }
 
-// detectStage runs face detection on cadence frames, sharing the
-// frame's summed-area tables through the artifact store.
+// detectStage runs face detection on cadence frames, building the
+// frame's summed-area tables into the worker's reusable scratch.
 func detectStage(b *stageBuild) (*Stage, error) {
 	det, err := face.NewDetector(face.DetectorOptions{})
 	if err != nil {
@@ -116,16 +81,15 @@ func detectStage(b *stageBuild) (*Stage, error) {
 	}
 	every := b.cfg.DetectEvery
 	return &Stage{
-		Name:     StageDetect,
-		Version:  1,
-		Phase:    PhasePrepare,
-		Needs:    []ArtifactKey{ArtGray, ArtIntegrals},
-		Provides: []ArtifactKey{ArtDetections},
-		Config:   fmt.Sprintf("every=%d", every),
+		Name:    StageDetect,
+		Version: 1,
+		Phase:   PhasePrepare,
+		Config:  fmt.Sprintf("every=%d", every),
 		RunCam: func(_ *runEnv, a *Artifacts) error {
 			if onCadence(a.FS.Index, a.Cam, every) {
-				in, sq := a.Integrals()
-				a.Dets = det.DetectIntegrals(a.Gray, in, sq)
+				sc := a.scratch
+				sc.in, sc.sq = img.BuildIntegrals(a.Gray, sc.in, sc.sq)
+				a.Dets = det.DetectIntegrals(a.Gray, sc.in, sc.sq)
 			}
 			return nil
 		},
@@ -145,12 +109,10 @@ func trackStage(b *stageBuild) (*Stage, error) {
 	}
 	every := b.cfg.DetectEvery
 	return &Stage{
-		Name:     StageTrack,
-		Version:  2,
-		Phase:    PhaseOrdered,
-		Needs:    []ArtifactKey{ArtDetections},
-		Provides: []ArtifactKey{ArtTracks},
-		Config:   fmt.Sprintf("every=%d", every),
+		Name:    StageTrack,
+		Version: 2,
+		Phase:   PhaseOrdered,
+		Config:  fmt.Sprintf("every=%d", every),
 		RunCam: func(_ *runEnv, a *Artifacts) error {
 			if onCadence(a.FS.Index, a.Cam, every) {
 				trackers[a.Cam].Step(a.Dets)
@@ -195,12 +157,10 @@ func classifyStage(b *stageBuild) (*Stage, error) {
 	// per face, and crop buffers that recycle instead of reallocating.
 	scr := make([]classifyScratch, b.nCams)
 	return &Stage{
-		Name:     StageClassify,
-		Version:  1,
-		Phase:    PhaseOrdered,
-		Needs:    []ArtifactKey{ArtGray, ArtTracks},
-		Provides: []ArtifactKey{ArtCamEmotions},
-		Config:   fmt.Sprintf("classifier=%016x", clf.Fingerprint()),
+		Name:    StageClassify,
+		Version: 1,
+		Phase:   PhaseOrdered,
+		Config:  fmt.Sprintf("classifier=%016x", clf.Fingerprint()),
 		RunCam: func(_ *runEnv, a *Artifacts) error {
 			emotions := make(map[int]layers.EmotionObs)
 			sc := &scr[a.Cam]
@@ -284,7 +244,6 @@ func pxGazeStage(b *stageBuild) (*Stage, error) {
 		Name:       StagePxGaze,
 		Version:    1,
 		Phase:      PhaseMerge,
-		Provides:   []ArtifactKey{ArtGazeObs},
 		Config:     fmt.Sprintf("gaze=%+v", b.cfg.Gaze),
 		Replayable: true,
 		RunFrame: func(_ *runEnv, fa *FrameArtifacts) error {
@@ -305,7 +264,6 @@ func geoGazeStage(b *stageBuild) (*Stage, error) {
 		Name:       StageGeoGaze,
 		Version:    1,
 		Phase:      PhasePrepare,
-		Provides:   []ArtifactKey{ArtCamGaze},
 		Config:     fmt.Sprintf("gaze=%+v", b.cfg.Gaze),
 		Replayable: true,
 		RunCam: func(_ *runEnv, a *Artifacts) error {
@@ -327,7 +285,6 @@ func geoEmotionStage(b *stageBuild) (*Stage, error) {
 		Name:       StageGeoEmotion,
 		Version:    1,
 		Phase:      PhasePrepare,
-		Provides:   []ArtifactKey{ArtCamEmotions},
 		Config:     fmt.Sprintf("noise=%v seed=%d", noise, seed),
 		Replayable: true,
 		RunCam: func(_ *runEnv, a *Artifacts) error {
@@ -356,8 +313,6 @@ func collectGazeStage(*stageBuild) (*Stage, error) {
 		Name:       StageCollectGaze,
 		Version:    1,
 		Phase:      PhaseMerge,
-		Needs:      []ArtifactKey{ArtCamGaze},
-		Provides:   []ArtifactKey{ArtGazeObs},
 		Replayable: true,
 		RunFrame: func(_ *runEnv, fa *FrameArtifacts) error {
 			if len(fa.PerCam) == 1 {
@@ -378,11 +333,9 @@ func collectGazeStage(*stageBuild) (*Stage, error) {
 // single-map rule.
 func fuseEmotionsStage(b *stageBuild) (*Stage, error) {
 	return &Stage{
-		Name:     StageFuseEmotions,
-		Version:  1,
-		Phase:    PhaseMerge,
-		Needs:    []ArtifactKey{ArtCamEmotions},
-		Provides: []ArtifactKey{ArtEmotions},
+		Name:    StageFuseEmotions,
+		Version: 1,
+		Phase:   PhaseMerge,
 		// Replayable only when its upstream is: the geometric emotion
 		// synthesiser recomputes from frame state, but the pixel
 		// classify chain needs rendered frames — a stale fuse there
@@ -411,12 +364,10 @@ func gazeAnalysisStage(b *stageBuild) (*Stage, error) {
 	rig := b.rig
 	ids := b.ids
 	return &Stage{
-		Name:     StageGazeAnalysis,
-		Version:  1,
-		Phase:    PhaseFrame,
-		Needs:    []ArtifactKey{ArtGazeObs},
-		Provides: []ArtifactKey{ArtLookAt},
-		Config:   fmt.Sprintf("radius-scale=%v", det.RadiusScale),
+		Name:    StageGazeAnalysis,
+		Version: 1,
+		Phase:   PhaseFrame,
+		Config:  fmt.Sprintf("radius-scale=%v", det.RadiusScale),
 		RunFrame: func(_ *runEnv, fa *FrameArtifacts) error {
 			m, err := det.LookAt(fa.Obs, rig, ids)
 			if err != nil {
@@ -453,7 +404,6 @@ func multilayerStage(b *stageBuild) (*Stage, error) {
 		Name:    StageMultilayer,
 		Version: 1,
 		Phase:   PhaseFrame,
-		Needs:   []ArtifactKey{ArtLookAt, ArtEmotions},
 		Config:  "layers={SmoothWindow:0 MinECFrames:0 EmotionHold:0}", // the manifest's text for the default options
 		Emit:    multilayerEmitEvery,
 		RunFrame: func(_ *runEnv, fa *FrameArtifacts) error {
@@ -496,7 +446,6 @@ func observationsStage(b *stageBuild) (*Stage, error) {
 		Name:    StageObservations,
 		Version: 1,
 		Phase:   PhaseFrame,
-		Needs:   []ArtifactKey{ArtEmotions, ArtLookAt},
 		Config:  fmt.Sprintf("incremental=%v", incremental),
 		RunFrame: func(env *runEnv, fa *FrameArtifacts) error {
 			pids = pids[:0]

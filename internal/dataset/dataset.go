@@ -15,7 +15,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/camera"
 	"repro/internal/metadata"
@@ -271,23 +270,4 @@ func Load(dir string) (*Dataset, error) {
 	}
 	ds.Annotations = repo
 	return ds, nil
-}
-
-// TrueEmotion returns the annotated emotion name for a person at a
-// frame, or "" when the frame is not annotated.
-func (d *Dataset) TrueEmotion(frame, person int) (string, error) {
-	recs, err := d.Annotations.Query(fmt.Sprintf(
-		"label = 'true-emotion' AND frame = %d AND person = %d", frame, person+1))
-	if err != nil {
-		return "", err
-	}
-	if len(recs) == 0 {
-		return "", nil
-	}
-	return recs[0].Tags["value"], nil
-}
-
-// Duration returns the dataset length.
-func (d *Dataset) Duration() time.Duration {
-	return time.Duration(float64(d.Manifest.Frames) / d.Manifest.FPS * float64(time.Second))
 }

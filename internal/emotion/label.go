@@ -41,9 +41,6 @@ func (l Label) String() string {
 	return labelNames[l]
 }
 
-// Valid reports whether l is a defined label.
-func (l Label) Valid() bool { return int(l) < NumLabels }
-
 // ParseLabel maps a name back to its Label.
 func ParseLabel(s string) (Label, error) {
 	for i, n := range labelNames {

@@ -291,10 +291,6 @@ func TestSummaryAccumulation(t *testing.T) {
 	if cols[0] != 0 || cols[1] != 10 {
 		t.Errorf("column sums = %v", cols)
 	}
-	rows := s.RowSums()
-	if rows[0] != 10 || rows[1] != 0 {
-		t.Errorf("row sums = %v", rows)
-	}
 	if s.Dominant() != 1 {
 		t.Errorf("dominant = %d, want 1", s.Dominant())
 	}

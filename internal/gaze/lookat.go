@@ -202,17 +202,6 @@ func (s *Summary) ColumnSums() []int {
 	return out
 }
 
-// RowSums returns per-participant "looked at others" totals.
-func (s *Summary) RowSums() []int {
-	out := make([]int, len(s.IDs))
-	for i := range s.IDs {
-		for j := range s.IDs {
-			out[i] += s.Counts[i][j]
-		}
-	}
-	return out
-}
-
 // Dominant returns the participant ID with the maximal column sum — the
 // paper identifies the meeting's dominant participant this way ("the
 // yellow participant (P1) is the dominate of the meeting since the

@@ -248,37 +248,3 @@ func groupKey(rec Record, key GroupKey) string {
 	}
 	return ""
 }
-
-// TimeHistogram buckets matching records into fixed-width frame bins and
-// returns per-bin counts — the "activity over time" view a sociologist
-// scans first. binFrames must be positive; bins are [i*bin, (i+1)*bin).
-func (r *Repository) TimeHistogram(query string, binFrames int) (map[int]int, error) {
-	if binFrames <= 0 {
-		return nil, fmt.Errorf("metadata: bin width %d: %w", binFrames, ErrBadQuery)
-	}
-	expr, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	// Bin counting is order-insensitive: OrderID skips the segment sorts.
-	it, err := r.QueryExprIter(expr, QueryOpts{Order: OrderID, Project: []string{"frame"}})
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	out := make(map[int]int)
-	for {
-		rec, ok := it.Next()
-		if !ok {
-			break
-		}
-		if rec.Frame < 0 {
-			continue
-		}
-		out[rec.Frame/binFrames]++
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -168,26 +168,6 @@ func TestAggregateGroupByKind(t *testing.T) {
 	}
 }
 
-func TestTimeHistogram(t *testing.T) {
-	r := seedRepo(t)
-	h, err := r.TimeHistogram("kind = observation", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 20 frames × 3 persons in bins of 5 frames → 4 bins × 15.
-	if len(h) != 4 {
-		t.Fatalf("bins = %v", h)
-	}
-	for bin, n := range h {
-		if n != 15 {
-			t.Errorf("bin %d = %d, want 15", bin, n)
-		}
-	}
-	if _, err := r.TimeHistogram("frame >= 0", 0); !errors.Is(err, ErrBadQuery) {
-		t.Error("zero bin width should fail")
-	}
-}
-
 func TestFrameEndIntervalQuery(t *testing.T) {
 	r := seedRepo(t)
 	// Events overlapping frame window [10, 15): interval [s,e) overlaps

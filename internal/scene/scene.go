@@ -201,11 +201,6 @@ func (sc *Scenario) Validate() error {
 	return nil
 }
 
-// Duration returns the event length.
-func (sc *Scenario) Duration() time.Duration {
-	return time.Duration(float64(sc.NumFrames) / sc.FPS * float64(time.Second))
-}
-
 // Person returns the spec for an ID.
 func (sc *Scenario) Person(id int) (PersonSpec, bool) {
 	for _, p := range sc.Persons {

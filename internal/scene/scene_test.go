@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/emotion"
 	"repro/internal/geom"
@@ -71,13 +70,6 @@ func TestValidateRejections(t *testing.T) {
 				t.Errorf("err = %v, want %v", err, c.want)
 			}
 		})
-	}
-}
-
-func TestDuration(t *testing.T) {
-	sc := validScenario()
-	if got := sc.Duration(); got != 2*time.Second {
-		t.Errorf("duration = %v, want 2s", got)
 	}
 }
 

@@ -156,7 +156,10 @@ else
 	# size-triggered or cadence flush ends the run with no later batch
 	# and no goroutine left, a failing stage waits for the in-flight
 	# append, and Monitor on a cadence frame sees every earlier record.
-	go test -race -run 'TestStageGraphMatchesOracle|TestRunStreamedSinkFailureStopsWorkers|TestIncremental|TestAppendFailureEndsStream|TestStageFailureWaitsForInflightAppend|TestCadenceMonitorSeesFlushedFrames' ./internal/core
+	# The stage list itself: each mode's per-phase order, Config.Stages
+	# taking only the optional analyzers, and every stage and pair of
+	# stages forced stale re-running to the full run's records.
+	go test -race -run 'TestStageGraphMatchesOracle|TestRunStreamedSinkFailureStopsWorkers|TestIncremental|TestAppendFailureEndsStream|TestStageFailureWaitsForInflightAppend|TestCadenceMonitorSeesFlushedFrames|TestIncrementalEveryStalePair|TestStageOrderGolden|TestConfigStagesOnlyAnalyzers' ./internal/core
 	# The simulator's per-segment script states against the per-frame
 	# fold, on every frame of the prototype and a dinner.
 	go test -run 'TestScriptAtMatchesFold' ./internal/scene
