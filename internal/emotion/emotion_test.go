@@ -3,6 +3,8 @@ package emotion
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -92,35 +94,87 @@ func TestRenderFaceIntoTinyRect(t *testing.T) {
 }
 
 var (
-	trainedClf  *Classifier
-	trainedTest *Dataset
-	trainOnce   sync.Once
-	trainErr    error
+	sharedClf  *Classifier
+	sharedTest *Dataset
+	sharedOnce sync.Once
+	sharedErr  error
 )
 
-// sharedClassifier trains one classifier for all accuracy tests — LBP
-// extraction over hundreds of crops dominates test time otherwise.
+// sharedModelPath holds the trained weights of the shared classifier,
+// so its users (the raced batch and concurrency gates among them) load
+// it instead of training it; TestSharedClassifierModelGolden keeps the
+// file equal to what training produces.
+var sharedModelPath = filepath.Join("testdata", "shared_classifier.model")
+
+// sharedDataset is the shared classifier's dataset, split into its
+// training and held-out halves.
+func sharedDataset() (train, test *Dataset) {
+	return GenerateDataset(40, 1).Split(0.25)
+}
+
+// sharedClassifier loads one trained classifier for all accuracy tests
+// from sharedModelPath — LBP extraction over hundreds of crops and 60
+// epochs dominate test time otherwise, above all under -race.
 func sharedClassifier(t *testing.T) (*Classifier, *Dataset) {
 	t.Helper()
-	trainOnce.Do(func() {
-		ds := GenerateDataset(40, 1)
-		train, test := ds.Split(0.25)
-		clf, err := NewClassifier(48, 2)
+	sharedOnce.Do(func() {
+		_, test := sharedDataset()
+		f, err := os.Open(sharedModelPath)
 		if err != nil {
-			trainErr = err
+			sharedErr = err
 			return
 		}
-		_, err = clf.Train(train, TrainOptions{Epochs: 60, Seed: 3, LearningRate: 0.01})
+		defer f.Close()
+		clf, err := LoadClassifier(f)
 		if err != nil {
-			trainErr = err
+			sharedErr = err
 			return
 		}
-		trainedClf, trainedTest = clf, test
+		sharedClf, sharedTest = clf, test
 	})
-	if trainErr != nil {
-		t.Fatal(trainErr)
+	if sharedErr != nil {
+		t.Fatal(sharedErr)
 	}
-	return trainedClf, trainedTest
+	return sharedClf, sharedTest
+}
+
+// TestSharedClassifierModelGolden trains the shared classifier and
+// requires sharedModelPath to hold exactly its saved weights, so the
+// tests that load the file test what training produces today
+// (UPDATE_GOLDEN=1 rewrites the file).
+func TestSharedClassifierModelGolden(t *testing.T) {
+	train, _ := sharedDataset()
+	clf, err := NewClassifier(48, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clf.Train(train, TrainOptions{Epochs: 60, Seed: 3, LearningRate: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := clf.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(sharedModelPath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(sharedModelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("%s is stale: training now saves %d bytes that differ from its %d (rerun with UPDATE_GOLDEN=1)",
+			sharedModelPath, buf.Len(), len(want))
+	}
+	loaded, err := LoadClassifier(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := loaded.Fingerprint(), clf.Fingerprint(); got != want {
+		t.Fatalf("loaded fingerprint %016x, trained %016x", got, want)
+	}
 }
 
 // TestClassifyBatchMatchesClassify checks the batched entry point gives

@@ -79,10 +79,14 @@ var ErrBadOptions = errors.New("face: bad options")
 // Scanning runs on the fused template-matching engine (DESIGN.md §6):
 // each scale's zero-mean template is precomputed once here, window
 // mean/variance come from per-frame summed-area tables in O(1), and
-// the NCC numerator is a single in-place dot product over the frame —
-// no per-window crop or mean pass. The pre-engine crop-and-img.NCC
-// scan is retained in the package's tests as detectOracle, the
-// reference the fused path must match box-for-box.
+// the NCC numerator is one exact in-place dot product over the window
+// (a single SIMD kernel call on amd64) — no per-window crop or mean
+// pass. Windows reach that kernel through three cheap rejects (a
+// flat-cell skip, a contrast pre-filter and a variance gate), and the
+// sub-stride refinement reuses exact scores through a per-scale memo.
+// The pre-engine crop-and-img.NCC scan is retained in the package's
+// tests as detectOracle, the reference the fused path must match
+// box-for-box.
 type Detector struct {
 	opt DetectorOptions
 	// templates holds the canonical face resized per scale, wider
@@ -95,10 +99,10 @@ type Detector struct {
 	// callers that don't supply their own, keeping concurrent Detect
 	// calls allocation-free in steady state.
 	tables sync.Pool
-	// scratch pools per-call cascade state (block pyramid, cell-skip
-	// bitmap, refinement memo) for DetectIntegrals, so the pooled and
-	// shared-table entry points run the identical machinery and both
-	// stay allocation-free in steady state.
+	// scratch pools per-call scan state (cell-skip bitmap, refinement
+	// memo) for DetectIntegrals, so the pooled and shared-table entry
+	// points run the identical machinery and both stay allocation-free
+	// in steady state.
 	scratch sync.Pool
 }
 
@@ -110,21 +114,12 @@ type integralPair struct {
 
 // detScratch is one pooled DetectIntegrals working set.
 type detScratch struct {
-	pyr  img.Pyramid
 	skip []bool
-	memo map[uint32]memoEntry
+	// memo holds the exact score of every window position scored at
+	// the current scale, keyed by its anchor's pixel index y·W + x —
+	// unique for any frame the summed-area tables accept.
+	memo map[int]float64
 }
-
-// memoEntry is one refinement-memo record for a window position: the
-// exact score when exact, otherwise an upper bound the true score is
-// strictly below.
-type memoEntry struct {
-	v     float64
-	exact bool
-}
-
-// memoKey packs a window anchor; frame dimensions are far below 64k.
-func memoKey(x, y int) uint32 { return uint32(y)<<16 | uint32(x) }
 
 // NewDetector builds a detector.
 func NewDetector(opt DetectorOptions) (*Detector, error) {
@@ -176,20 +171,19 @@ func (d *Detector) Detect(g *img.Gray) []Detection {
 // g (plain and squared), sharing one table build across every consumer
 // of the frame. in and sq must have been built from exactly g.
 //
-// Scanning runs the reject cascade of DESIGN.md §12: a per-frame block
-// pyramid is built once and shared across every scale, a flat-cell
-// tier clears 2×2 groups of scan anchors with one dilated-window probe
-// where the contrast pre-filter provably fails, survivors bound
-// through the pyramid tier before any full-resolution kernel work, and
-// refinement climbs share an exact-score/upper-bound memo per scale.
-// Every skip is proven below the corresponding oracle threshold, so
-// output stays byte-identical to the exhaustive detectOracle.
+// Per scale, scanning runs the path of DESIGN.md §12: a flat-cell skip
+// clears 2×2 groups of scan anchors with one dilated-window probe
+// where the contrast pre-filter provably fails; each remaining grid
+// window takes the contrast pre-filter, then the variance gate, then
+// one exact window kernel call; and the refinement climbs of promoted
+// windows share a per-scale memo of exact scores. The two skips are
+// proven to fail the oracle's own filters, and every score is exact,
+// so output stays byte-identical to the exhaustive detectOracle.
 func (d *Detector) DetectIntegrals(g *img.Gray, in *img.Integral, sq *img.IntegralSq) []Detection {
 	sc, _ := d.scratch.Get().(*detScratch)
 	if sc == nil {
-		sc = &detScratch{memo: make(map[uint32]memoEntry, 256)}
+		sc = &detScratch{memo: make(map[int]float64, 256)}
 	}
-	img.BuildPyramid(g, in, &sc.pyr)
 	var raw []Detection
 	for _, h := range d.opt.scales {
 		m := d.matchers[h]
@@ -223,23 +217,19 @@ func (d *Detector) DetectIntegrals(g *img.Gray, in *img.Integral, sq *img.Integr
 				if diff*diff < d.opt.minVariance/4 {
 					continue
 				}
-				// Variance gate + coarse score behind the pyramid
-				// tier: full-resolution kernel work only for windows
-				// the block-level bound cannot reject.
-				score, ok := m.ScoreCascade(g, in, sq, &sc.pyr, x, y, d.opt.coarseScore, d.opt.minVariance)
-				if ok {
-					// Exact scores seed the refinement memo — climbs
-					// from neighbouring promotions revisit grid
-					// positions. A (0,false) reject is not memoised:
-					// it may come from the variance gate, which bounds
-					// nothing about the score.
-					sc.memo[memoKey(x, y)] = memoEntry{v: score, exact: true}
+				// Variance gate, then the exact score.
+				score, ok := m.ScoreCascade(g, in, sq, x, y, d.opt.minVariance)
+				if !ok {
+					continue
 				}
-				if !ok || score < d.opt.coarseScore {
+				// Grid scores seed the refinement memo — climbs from
+				// neighbouring promotions revisit grid positions.
+				sc.memo[y*g.W+x] = score
+				if score < d.opt.coarseScore {
 					continue
 				}
 				var best Detection
-				if best, ok = d.refine(g, m, in, sq, &sc.pyr, sc.memo, win, stride, score); ok {
+				if best, ok = d.refine(g, m, in, sq, sc.memo, win, stride, score); ok {
 					raw = append(raw, best)
 				}
 			}
@@ -290,16 +280,12 @@ func (sc *detScratch) buildCellSkip(in *img.Integral, sq *img.IntegralSq, nax, n
 
 // refine hill-climbs the window position at progressively finer steps
 // to undo the coarse grid's localisation loss, returning the best
-// detection if it clears minScore. Candidates score through the reject
-// cascade with the current best as the early-out bound (no variance
-// gate — the oracle refine scores every candidate), and every scored
-// position lands in the per-scale memo shared across climbs: an exact
-// entry is reused directly (the oracle would recompute the identical
-// value), and a bound entry u proves score < u, so whenever u is at or
-// below the current best the candidate provably cannot improve —
-// decisions match the exhaustive climb exactly. When a candidate is
-// rescored past a stale higher bound, the lower bound replaces it.
-func (d *Detector) refine(g *img.Gray, m *img.TemplateMatcher, in *img.Integral, sq *img.IntegralSq, pyr *img.Pyramid, memo map[uint32]memoEntry, win img.Rect, stride int, score float64) (Detection, bool) {
+// detection if it clears minScore. Candidates are scored exactly (no
+// variance gate — the oracle refine scores every candidate), and every
+// scored position lands in the per-scale memo shared across climbs;
+// a memoised score is the value the oracle would recompute, so
+// decisions match the exhaustive climb exactly.
+func (d *Detector) refine(g *img.Gray, m *img.TemplateMatcher, in *img.Integral, sq *img.IntegralSq, memo map[int]float64, win img.Rect, stride int, score float64) (Detection, bool) {
 	best := Detection{Box: win, Score: score}
 	for step := stride / 2; step >= 1; step /= 2 {
 		improved := true
@@ -310,27 +296,15 @@ func (d *Detector) refine(g *img.Gray, m *img.TemplateMatcher, in *img.Integral,
 				if cand.X < 0 || cand.Y < 0 || cand.X+cand.W > g.W || cand.Y+cand.H > g.H {
 					continue
 				}
-				key := memoKey(cand.X, cand.Y)
-				if e, ok := memo[key]; ok {
-					if e.exact {
-						if e.v > best.Score {
-							best = Detection{Box: cand, Score: e.v}
-							improved = true
-						}
-						continue
-					}
-					if e.v <= best.Score {
-						continue
-					}
+				key := cand.Y*g.W + cand.X
+				s, ok := memo[key]
+				if !ok {
+					s = m.Score(g, in, sq, cand.X, cand.Y)
+					memo[key] = s
 				}
-				if s, ok := m.ScoreCascade(g, in, sq, pyr, cand.X, cand.Y, best.Score, -1); ok {
-					memo[key] = memoEntry{v: s, exact: true}
-					if s > best.Score {
-						best = Detection{Box: cand, Score: s}
-						improved = true
-					}
-				} else {
-					memo[key] = memoEntry{v: best.Score}
+				if s > best.Score {
+					best = Detection{Box: cand, Score: s}
+					improved = true
 				}
 			}
 		}

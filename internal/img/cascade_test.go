@@ -1,7 +1,6 @@
 package img
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -58,98 +57,75 @@ func TestBuildPyramidReuse(t *testing.T) {
 	}
 }
 
-// TestDotRowMatchesGeneric fuzzes the architecture-specific dot kernel
-// against the scalar reference for every length, including the 16/8/4
-// chunk boundaries and ragged tails. The sum is exact integer, so the
-// match must be exact.
-func TestDotRowMatchesGeneric(t *testing.T) {
+// TestDotWindowMatchesGeneric is a generated property test of the
+// architecture-specific window kernel against the scalar reference:
+// every width 1–96 (so every 16/8/4 chunk boundary and ragged tail),
+// heights 1–96, frame strides wider than the window, and random
+// byte offsets. The sum is exact integer, so the match must be exact.
+// It ends at the largest template NewTemplateMatcher accepts, with
+// every pixel of template and frame at 255 (the widest lane values and
+// a sum just below 2³²), and checks that the matcher refuses one pixel
+// more.
+func TestDotWindowMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	buf := make([]uint8, 256)
-	buf2 := make([]uint8, 256)
-	for i := range buf {
-		buf[i] = uint8(rng.Intn(256))
-		buf2[i] = uint8(rng.Intn(256))
+	const maxW, maxH, maxPad = 96, 96, 40
+	tbuf := make([]uint8, maxW*maxH+16)
+	fbuf := make([]uint8, (maxW+maxPad)*maxH+16)
+	for i := range tbuf {
+		tbuf[i] = uint8(rng.Intn(256))
 	}
-	for n := 1; n <= 128; n++ {
-		for off := 0; off < 3; off++ {
-			a, b := buf[off:off+n], buf2[off:off+n]
-			got := dotRow(&a[0], &b[0], n)
-			want := dotRowGeneric(&a[0], &b[0], n)
+	for i := range fbuf {
+		fbuf[i] = uint8(rng.Intn(256))
+	}
+	for w := 1; w <= maxW; w++ {
+		for trial := 0; trial < 12; trial++ {
+			h := 1 + rng.Intn(maxH)
+			if trial < 2 {
+				h = []int{1, maxH}[trial]
+			}
+			stride := w + rng.Intn(maxPad+1)
+			tp, fp := &tbuf[rng.Intn(16)], &fbuf[rng.Intn(16)]
+			got := dotWindow(tp, fp, w, h, stride)
+			want := dotWindowGeneric(tp, fp, w, h, stride)
 			if got != want {
-				t.Fatalf("n=%d off=%d: dotRow=%d generic=%d", n, off, got, want)
+				t.Fatalf("w=%d h=%d stride=%d: dotWindow=%d generic=%d", w, h, stride, got, want)
 			}
 		}
 	}
-	// Saturation check: all-255 rows exercise the widest lane values.
-	for i := range buf {
-		buf[i], buf2[i] = 255, 255
-	}
-	if got, want := dotRow(&buf[0], &buf2[0], 256), dotRowGeneric(&buf[0], &buf2[0], 256); got != want {
-		t.Fatalf("saturated: dotRow=%d generic=%d", got, want)
-	}
-}
 
-// TestPyrBoundNeverBelowNumerator is the pyramid tier's never-wrong-
-// skip contract: for every tier, window and anchor parity, the tier's
-// bound must sit at or above the window's true NCC numerator (up to
-// the documented 1e-6·den slack the cascade budgets for float
-// accumulation). A violation is exactly the failure that would let the
-// cascade skip a window the oracle accepts.
-func TestPyrBoundNeverBelowNumerator(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		g := scenicImage(160, 120, seed)
-		in, sq := BuildIntegrals(g, nil, nil)
-		pyr := BuildPyramid(g, in, nil)
-		for _, th := range []int{12, 24, 48} {
-			tpl := scenicImage(th*5/6, th, seed+100)
-			m := NewTemplateMatcher(tpl)
-			rng := rand.New(rand.NewSource(seed * 31))
-			for trial := 0; trial < 200; trial++ {
-				x := rng.Intn(g.W - m.W + 1)
-				y := rng.Intn(g.H - m.H + 1)
-				// True numerator Σ tpl′·(f − mw) = Σ tpl′·f (since Σ tpl′ = 0
-				// exactly in exact arithmetic — reconstructed here in float,
-				// hence the slack).
-				var num float64
-				for j := 0; j < m.H; j++ {
-					for i := 0; i < m.W; i++ {
-						num += (float64(m.tpl[j*m.W+i]) - m.mean) * float64(g.Pix[(y+j)*g.W+x+i])
-					}
-				}
-				n := uint64(m.W * m.H)
-				win := Rect{X: x, Y: y, W: m.W, H: m.H}
-				s := in.RegionSumUnclipped(win)
-				q := sq.RegionSumUnclipped(win)
-				da := float64(n*q-s*s) / float64(n)
-				den := math.Sqrt(da * m.norm2)
-				slack := 1e-6*den + 1e-6
-				for ti := range m.tiers {
-					b := m.pyrBound(&m.tiers[ti], sq, pyr, x, y)
-					if b < num-slack {
-						t.Fatalf("seed=%d h=%d (%d,%d) tier k=%d: bound %.6f below numerator %.6f",
-							seed, th, x, y, m.tiers[ti].k, b, num)
-					}
-				}
-			}
+	for _, dims := range [][2]int{{257, maxTemplatePixels / 257}, {maxTemplatePixels, 1}} {
+		w, h := dims[0], dims[1]
+		tpl := New(w, h)
+		tpl.Fill(255)
+		frame := New(w+3, h)
+		frame.Fill(255)
+		NewTemplateMatcher(tpl)
+		want := int64(w*h) * 255 * 255
+		if got := dotWindowGeneric(&tpl.Pix[0], &frame.Pix[0], w, h, frame.W); got != want {
+			t.Fatalf("%dx%d saturated: generic=%d, want %d", w, h, got, want)
+		}
+		if got := dotWindow(&tpl.Pix[0], &frame.Pix[0], w, h, frame.W); got != want {
+			t.Fatalf("%dx%d saturated: dotWindow=%d, want %d", w, h, got, want)
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("NewTemplateMatcher accepted %d pixels", maxTemplatePixels+1)
+		}
+	}()
+	NewTemplateMatcher(New(maxTemplatePixels+1, 1))
 }
 
-// TestScoreCascadeSkipContract fuzzes the full cascade: an accepted
-// score must be bit-identical to the exact kernel, and a skip must be
-// justified — either the window truly scores below the bound, or (when
-// a variance floor is given) it truly falls below the floor. This is
-// the never-wrong-skip contract for every reject tier at once
-// (variance gate, pyramid ladder, and the in-scan row early-out with
-// its deviation tracking). The variance gate must also be exact the
-// other way — a window below the floor is never scored — and both
-// outcomes must occur, or the contract is checked vacuously.
+// TestScoreCascadeSkipContract fuzzes the matcher's one reject, the
+// variance gate: a scored window must be bit-identical to Score, a
+// skip must be justified (the window truly falls below the floor), and
+// a window below the floor is never scored. Both outcomes must occur,
+// or the contract is checked vacuously.
 func TestScoreCascadeSkipContract(t *testing.T) {
 	var skips, accepts int
 	for seed := int64(0); seed < 4; seed++ {
 		g := scenicImage(160, 120, seed+50)
 		in, sq := BuildIntegrals(g, nil, nil)
-		pyr := BuildPyramid(g, in, nil)
 		for _, th := range []int{12, 24, 48} {
 			tpl := scenicImage(th*5/6, th, seed+150)
 			m := NewTemplateMatcher(tpl)
@@ -157,39 +133,35 @@ func TestScoreCascadeSkipContract(t *testing.T) {
 			for trial := 0; trial < 300; trial++ {
 				x := rng.Intn(g.W - m.W + 1)
 				y := rng.Intn(g.H - m.H + 1)
-				bound := []float64{-0.5, 0, 0.3, 0.7, 0.95}[trial%5]
-				minVar := []float64{-1, -1, 60, 400}[trial%4]
+				minVar := []float64{-1, 0, 60, 400}[trial%4]
 				exact := m.Score(g, in, sq, x, y)
 				n := uint64(m.W * m.H)
 				win := Rect{X: x, Y: y, W: m.W, H: m.H}
 				s := in.RegionSumUnclipped(win)
 				q := sq.RegionSumUnclipped(win)
 				variance := float64(n*q-s*s) / float64(n*n)
-				got, ok := m.ScoreCascade(g, in, sq, pyr, x, y, bound, minVar)
-				if ok {
-					accepts++
-					if minVar >= 0 && variance < minVar {
-						t.Fatalf("seed=%d h=%d (%d,%d): variance %v < floor %v but window was scored",
-							seed, th, x, y, variance, minVar)
-					}
-					if got != exact {
-						t.Fatalf("seed=%d h=%d (%d,%d): accepted score %v != exact %v",
-							seed, th, x, y, got, exact)
+				below := minVar >= 0 && variance < minVar
+				got, ok := m.ScoreCascade(g, in, sq, x, y, minVar)
+				if !ok {
+					skips++
+					if !below {
+						t.Fatalf("seed=%d h=%d (%d,%d) minVar=%v: window of variance %v skipped",
+							seed, th, x, y, minVar, variance)
 					}
 					continue
 				}
-				skips++
-				if minVar >= 0 && variance < minVar {
-					continue // variance-gate skip: justified
+				accepts++
+				if below {
+					t.Fatalf("seed=%d h=%d (%d,%d): variance %v < floor %v but window was scored",
+						seed, th, x, y, variance, minVar)
 				}
-				if exact >= bound {
-					t.Fatalf("seed=%d h=%d (%d,%d) bound=%v minVar=%v: skipped window scores %v",
-						seed, th, x, y, bound, minVar, exact)
+				if got != exact {
+					t.Fatalf("seed=%d h=%d (%d,%d): score %v != Score %v", seed, th, x, y, got, exact)
 				}
 			}
 		}
 	}
 	if skips == 0 || accepts == 0 {
-		t.Errorf("%d skips, %d accepts: the cascade must both prune and score", skips, accepts)
+		t.Errorf("%d skips, %d accepts: the gate must both skip and score", skips, accepts)
 	}
 }

@@ -2,10 +2,9 @@ package img
 
 import "unsafe"
 
-// dotRowGeneric is the portable scalar Σ t[i]·f[i] kernel — the
-// reference implementation every architecture-specific dotRow must
-// match bit for bit (a pure-integer sum, so "match" is exact
-// equality). It also serves as the oracle in the equivalence tests.
+// dotRowGeneric is the portable scalar Σ t[i]·f[i] kernel over one row.
+// It is exact integer arithmetic, so every implementation of dotWindow
+// must match the row loop over it (dotWindowGeneric) bit for bit.
 func dotRowGeneric(t, f *byte, n int) int64 {
 	ts := unsafe.Slice(t, n)
 	fs := unsafe.Slice(f, n)
@@ -23,4 +22,17 @@ func dotRowGeneric(t, f *byte, n int) int64 {
 		p0 += int64(ts[i]) * int64(fs[i])
 	}
 	return (p0 + p1) + (p2 + p3)
+}
+
+// dotWindowGeneric is the portable Σ t·f over a w×h window: t is the
+// template, w×h contiguous bytes, and f the window's top-left pixel in a
+// frame whose rows are stride bytes apart. It is the reference every
+// architecture-specific dotWindow must match exactly.
+func dotWindowGeneric(t, f *byte, w, h, stride int) int64 {
+	var sum int64
+	for j := 0; j < h; j++ {
+		sum += dotRowGeneric((*byte)(unsafe.Add(unsafe.Pointer(t), j*w)),
+			(*byte)(unsafe.Add(unsafe.Pointer(f), j*stride)), w)
+	}
+	return sum
 }

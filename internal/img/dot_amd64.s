@@ -2,23 +2,31 @@
 
 #include "textflag.h"
 
-// func dotRow(t, f *byte, n int) int64
+// func dotWindow(t, f *byte, w, h, stride int) int64
 //
-// Σ t[i]·f[i] over two byte rows, exact integer. SSE2 only (the amd64
+// Σ t·f over a w×h window, exact integer. SSE2 only (the amd64
 // baseline): 16 bytes per iteration are widened to 16-bit lanes with
 // PUNPCK{L,H}BW against zero and multiplied pairwise into 32-bit lanes
-// with PMADDWL. Products are ≤ 255² and each PMADDWD lane holds the
-// sum of two of them, so a 32-bit lane accumulates without overflow
-// for any n below ~16k — far above the widest template row. The
-// horizontal fold and the ≤3-byte scalar tail keep the result
-// bit-identical to dotRowGeneric.
-TEXT ·dotRow(SB), NOSPLIT, $0-32
+// with PMADDWL; the ≤3-byte row tails go through a scalar 64-bit sum.
+// The template rows are contiguous, the frame rows stride bytes apart.
+// Products are ≤ 255², and the caller bounds w·h so that the whole
+// window's sum stays below 2³²: the lanes and their fold wrap modulo
+// 2³², and the zero-extending MOVL of the fold is then exact.
+TEXT ·dotWindow(SB), NOSPLIT, $0-48
 	MOVQ t+0(FP), SI
 	MOVQ f+8(FP), DI
-	MOVQ n+16(FP), CX
-	PXOR X7, X7 // zero lanes for byte→word widening
-	PXOR X6, X6 // packed int32 accumulator
-	XORQ R8, R8 // scalar tail accumulator
+	MOVQ w+16(FP), BX
+	MOVQ h+24(FP), R9
+	MOVQ stride+32(FP), R10
+	SUBQ BX, R10 // frame step from one row's end to the next row
+	PXOR X7, X7  // zero lanes for byte→word widening
+	PXOR X6, X6  // packed 32-bit accumulator
+	XORQ R8, R8  // scalar tail accumulator
+	TESTQ R9, R9
+	JEQ   fold
+
+row:
+	MOVQ BX, CX
 
 loop16:
 	CMPQ CX, $16
@@ -70,7 +78,7 @@ tail4:
 
 tail1:
 	TESTQ CX, CX
-	JEQ   fold
+	JEQ   nextrow
 
 scalar:
 	MOVBLZX (SI), AX
@@ -82,14 +90,19 @@ scalar:
 	DECQ    CX
 	JNE     scalar
 
+nextrow:
+	ADDQ R10, DI
+	DECQ R9
+	JNE  row
+
 fold:
-	// Horizontal sum of the four int32 lanes (all non-negative and
-	// well under 2³¹, so 32-bit adds are exact).
+	// Horizontal sum of the four 32-bit lanes, modulo 2³², then
+	// zero-extended: exact because the window sum is below 2³².
 	PSHUFD $0xEE, X6, X0
 	PADDD  X0, X6
 	PSHUFD $0x55, X6, X0
 	PADDD  X0, X6
 	MOVL   X6, AX
 	ADDQ   R8, AX
-	MOVQ   AX, ret+24(FP)
+	MOVQ   AX, ret+40(FP)
 	RET

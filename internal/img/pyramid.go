@@ -1,18 +1,11 @@
 package img
 
 // Pyramid holds the block-sum pyramid of one frame: per-block pixel
-// sums at 2×2 and 4×4 granularity, row-major — the two block sizes the
-// template matcher's tiers use. It is the frame half of
-// the template matcher's coarse reject tier (DESIGN.md §12): where the
-// full-resolution summed-area tables span megabytes and make every
-// corner probe a cache miss, the block arrays are compact (a 640×480
-// frame's S2 is 150KB, S4 under 40KB) and are read as contiguous rows,
-// so a downsampled correlation bound costs a fraction of one exact
-// kernel evaluation.
+// sums at 2×2 and 4×4 granularity, row-major. No product path builds
+// one; it is kept for the benchmark's img.pyramid_us probe.
 //
 // Edge blocks clipped by the frame boundary hold the sum of the pixels
-// actually present; consumers account for partial blocks on the
-// template side (see TemplateMatcher's parity tiers).
+// actually present.
 type Pyramid struct {
 	// W, H are the source frame dimensions.
 	W, H int
@@ -24,15 +17,6 @@ type Pyramid struct {
 	W4, H4 int
 	// S4 holds each 4×4 block's pixel sum (≤ 4080), row-major W4×H4.
 	S4 []uint16
-}
-
-// Level returns the block-sum array and grid width for block size k
-// (2 or 4).
-func (p *Pyramid) Level(k int) ([]uint16, int) {
-	if k == 2 {
-		return p.S2, p.W2
-	}
-	return p.S4, p.W4
 }
 
 // BuildPyramid fills p (allocating when nil) with the block sums of g,

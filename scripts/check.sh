@@ -131,21 +131,23 @@ else
 	go test -race -run 'TestStressConcurrentAppendQueryCompact|TestCompactUnderLoadMatchesOracle' ./internal/metadata
 	# Concurrent detection, raced: the fused matcher's thread-safety
 	# gate (one shared detector hit from many goroutines), plus the
-	# cascade-equivalence gate — fused multi-tier detection must stay
-	# byte-identical to the exhaustive detectOracle on scenario frames
-	# and synthetic edge cases.
+	# equivalence gate — fused detection must stay byte-identical to the
+	# exhaustive detectOracle on scenario frames and synthetic edge
+	# cases.
 	go test -race -run 'TestDetectConcurrentSharedDetector|TestDetectMatchesOracle' ./internal/face
-	# Never-wrong-skip contracts for every reject tier (pyramid bound,
-	# full cascade, flat-cell skip), exactness of the SIMD dot kernel and
-	# pyramid block sums, and of the per-face kernels against their
-	# per-pixel oracles (LBP interior pass, table-driven resize, the
-	# row-copy clamped crop).
-	go test -run 'TestScoreCascadeSkipContract|TestPyrBoundNeverBelowNumerator|TestDotRowMatchesGeneric|TestBuildPyramidMatchesNaive|TestImageIntoMatchesOracle|TestResizeMatchesOracle|TestCropClampedMatchesOracle' ./internal/img ./internal/lbp
+	# Never-wrong-skip contracts for the detector's rejects (variance
+	# gate, flat-cell skip), exactness of the SIMD window kernel (up to
+	# the largest template the matcher accepts) and pyramid block sums,
+	# and of the per-face kernels against their per-pixel oracles (LBP
+	# interior pass, table-driven resize, the row-copy clamped crop).
+	go test -run 'TestScoreCascadeSkipContract|TestDotWindowMatchesGeneric|TestBuildPyramidMatchesNaive|TestImageIntoMatchesOracle|TestResizeMatchesOracle|TestCropClampedMatchesOracle' ./internal/img ./internal/lbp
 	go test -run 'TestCellSkipContract' ./internal/face
 	# One forward pass, raced: the batched entry points must match their
 	# single-sample (batch-of-one) forms and the single-accumulator
 	# oracle bit for bit, and one shared classifier/network must stay
-	# exact under concurrent callers.
+	# exact under concurrent callers. The shared classifier is loaded
+	# from internal/emotion/testdata, which the plain-build golden
+	# TestSharedClassifierModelGolden keeps equal to training's output.
 	go test -race -run 'TestClassifyBatchMatchesClassify|TestSharedClassifierConcurrentBatch|TestPredictBatchMatchesPredict|TestForwardBatchMatchesOracle|TestNetworkBatchConcurrent' ./internal/emotion ./internal/nn
 	go test -run 'TestIdentifyBatchMatchesIdentify' ./internal/face
 	# Stage-graph equivalence vs the frozen monolithic oracle, raced
