@@ -124,11 +124,6 @@ type detScratch struct {
 // NewDetector builds a detector.
 func NewDetector(opt DetectorOptions) (*Detector, error) {
 	opt = opt.withDefaults()
-	for _, s := range opt.scales {
-		if s < 8 {
-			return nil, fmt.Errorf("face: scale %d too small: %w", s, ErrBadOptions)
-		}
-	}
 	if opt.strideFrac <= 0 || opt.strideFrac > 1 {
 		return nil, fmt.Errorf("face: stride %v outside (0,1]: %w", opt.strideFrac, ErrBadOptions)
 	}
@@ -140,7 +135,17 @@ func NewDetector(opt DetectorOptions) (*Detector, error) {
 		matchers:  make(map[int]*img.TemplateMatcher, len(opt.scales)),
 	}
 	for _, h := range opt.scales {
+		if h < 8 {
+			return nil, fmt.Errorf("face: scale %d too small: %w", h, ErrBadOptions)
+		}
 		w := h * 5 / 6 // renderer draws faces slightly taller than wide
+		// The largest region a scale queries is buildCellSkip's dilated
+		// cell, which contains the window; the squared table answers
+		// exactly only up to img.MaxExactRegionPixels.
+		if st := d.scanStride(h); (w+st)*(h+st) > img.MaxExactRegionPixels {
+			return nil, fmt.Errorf("face: scale %d queries %d-pixel regions, over %d: %w",
+				h, (w+st)*(h+st), img.MaxExactRegionPixels, ErrBadOptions)
+		}
 		tpl := base.Resize(w, h)
 		d.templates[h] = tpl
 		d.matchers[h] = img.NewTemplateMatcher(tpl)

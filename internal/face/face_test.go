@@ -64,6 +64,35 @@ func TestDetectorValidation(t *testing.T) {
 	}
 }
 
+// TestDetectorRefusesInexactRegions checks that NewDetector refuses any
+// scale whose window or dilated flat-cell region exceeds the squared
+// table's exactness bound, img.MaxExactRegionPixels (66 051), and
+// accepts the scales just inside it.
+func TestDetectorRefusesInexactRegions(t *testing.T) {
+	for _, c := range []struct {
+		scales     []int
+		strideFrac float64
+		ok         bool
+	}{
+		{scales: []int{96}, ok: true},                         // the default's largest: 104×120 cell
+		{scales: []int{221}, ok: true},                        // 239×276 = 65 964-px cell
+		{scales: []int{222}},                                  // 240×277 = 66 480-px cell
+		{scales: []int{240}},                                  // 200×240 window passes the matcher, 260×300 cell does not
+		{scales: []int{24, 48, 240}},                          // one bad scale refuses the set
+		{scales: []int{280}, strideFrac: 1.0 / 280, ok: true}, // 234×281 cell
+		{scales: []int{281}, strideFrac: 1.0 / 281},           // 234×281 window, 235×282 cell
+		{scales: []int{282}, strideFrac: 1.0 / 282},           // 235×282 window alone is over
+	} {
+		_, err := NewDetector(DetectorOptions{scales: c.scales, strideFrac: c.strideFrac})
+		if c.ok && err != nil {
+			t.Errorf("scales %v stride %v: %v", c.scales, c.strideFrac, err)
+		}
+		if !c.ok && !errors.Is(err, ErrBadOptions) {
+			t.Errorf("scales %v stride %v: err %v, want ErrBadOptions", c.scales, c.strideFrac, err)
+		}
+	}
+}
+
 func TestNMSSuppressesOverlaps(t *testing.T) {
 	dets := []Detection{
 		{Box: img.Rect{X: 0, Y: 0, W: 10, H: 10}, Score: 0.9},

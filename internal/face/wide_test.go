@@ -1,8 +1,9 @@
 //go:build !race
 
 // The frame below is as large as the summed-area tables accept (16.8M
-// pixels, about 220 MB with its tables); the race detector's shadow
-// memory would multiply that, so the test runs in normal builds only.
+// pixels, about 150 MB with its 8 bytes per pixel of tables); the race
+// detector's shadow memory would multiply that, so the test runs in
+// normal builds only.
 
 package face
 

@@ -88,9 +88,8 @@ func MeanAbsDiff(a, b *Gray) float64 {
 // Integral is a summed-area table: Sum[y][x] holds the sum of all pixels
 // strictly above and left of (x,y), so region sums are four lookups.
 // Sums are stored as uint32 — any 8-bit image up to 16.8M pixels fits,
-// and halving the table's footprint matters on the detection hot path,
-// where building and probing the tables is bandwidth-bound. The
-// constructors reject images whose total intensity could overflow.
+// and the constructors reject images whose total intensity could
+// overflow. Together with IntegralSq the tables take 8 bytes per pixel.
 type Integral struct {
 	W, H int
 	Sum  []uint32 // (W+1)*(H+1)
@@ -99,30 +98,31 @@ type Integral struct {
 // maxIntegralPixels bounds W*H so that W*H*255 fits in uint32.
 const maxIntegralPixels = (1<<32 - 1) / 255
 
-// NewIntegral builds the summed-area table of g.
-func NewIntegral(g *Gray) *Integral {
-	return BuildIntegral(g, nil)
-}
+// MaxExactRegionPixels is the most pixels whose sum of 8-bit products
+// stays below 2³² however bright they are (255² per pixel): 66 051,
+// about 257×257. It bounds the regions IntegralSq.RegionSumUnclipped
+// answers exactly and the templates TemplateMatcher accepts, whose
+// 32-bit window dot product obeys the same bound.
+const MaxExactRegionPixels = (1<<32 - 1) / (255 * 255)
 
-// BuildIntegral is NewIntegral reusing in's buffer when the capacity
-// allows (nil in allocates) — the steady-state form for per-frame
-// tables. It panics for images larger than 16.8M pixels, whose sums
-// could overflow the uint32 table.
-func BuildIntegral(g *Gray, in *Integral) *Integral {
+// integralStep is the pixel count integralRow advances per step:
+// BuildIntegrals hands it each row's longest multiple of integralStep
+// and finishes the rest itself.
+const integralStep = 4
+
+// NewIntegral builds the summed-area table of g with a scalar loop —
+// the plain half of BuildIntegrals, kept as its reference. It panics
+// for images larger than 16.8M pixels, whose sums could overflow the
+// uint32 table.
+func NewIntegral(g *Gray) *Integral {
 	w, h := g.W, g.H
 	if w*h > maxIntegralPixels {
 		panic(fmt.Sprintf("img: %dx%d image too large for integral table", w, h))
 	}
-	if in == nil {
-		in = &Integral{}
-	}
-	in.W, in.H = w, h
-	in.Sum = ensureU32(in.Sum, (w+1)*(h+1))
+	in := &Integral{W: w, H: h, Sum: make([]uint32, (w+1)*(h+1))}
 	stride := w + 1
-	clear(in.Sum[:stride]) // row 0 may hold stale data when reused
 	for y := 0; y < h; y++ {
 		var rowSum uint32
-		in.Sum[(y+1)*stride] = 0
 		for x := 0; x < w; x++ {
 			rowSum += uint32(g.Pix[y*w+x])
 			in.Sum[(y+1)*stride+x+1] = in.Sum[y*stride+x+1] + rowSum
@@ -136,9 +136,17 @@ func BuildIntegral(g *Gray, in *Integral) *Integral {
 // window's mean and variance in O(1), which is what lets the template
 // matcher and the detector's variance gate skip per-window pixel
 // passes entirely.
+//
+// Sum holds the true prefix sums modulo 2³², so it wraps once a
+// frame's Σp² passes 2³² (on 640×480, a root-mean-square intensity of
+// 119). Region sums stay exact all the same for every region of at
+// most MaxExactRegionPixels pixels: the
+// four-corner combination is exact modulo 2³², and the true Σp² of
+// such a region is below 2³² — the argument the plain table and the
+// matcher's dot kernel rely on too.
 type IntegralSq struct {
 	W, H int
-	Sum  []uint64 // (W+1)*(H+1)
+	Sum  []uint32 // (W+1)*(H+1), modulo 2³²
 }
 
 // BuildIntegrals builds the plain and squared summed-area tables of g
@@ -147,6 +155,14 @@ type IntegralSq struct {
 // path: the extraction engine builds both tables once per
 // (camera, frame) and shares them across the detector's pre-filters
 // and the fused matching kernel.
+//
+// A scalar build's cost is instructions, not memory traffic: the loop
+// spends 13 instructions per pixel on two serial add chains and two
+// stores, and narrowing the squared table to 32 bits did not by itself
+// speed it up much (DESIGN.md §12). So each row's longest multiple of
+// integralStep goes through one integralRow call (SSE2 prefix sums,
+// four pixels per step on amd64) and only the few pixels left take
+// integralRowScalar.
 func BuildIntegrals(g *Gray, in *Integral, sq *IntegralSq) (*Integral, *IntegralSq) {
 	w, h := g.W, g.H
 	if w*h > maxIntegralPixels {
@@ -162,41 +178,46 @@ func BuildIntegrals(g *Gray, in *Integral, sq *IntegralSq) (*Integral, *Integral
 	sq.W, sq.H = w, h
 	n := (w + 1) * (h + 1)
 	in.Sum = ensureU32(in.Sum, n)
-	sq.Sum = ensureU64(sq.Sum, n)
+	sq.Sum = ensureU32(sq.Sum, n)
 	stride := w + 1
 	clear(in.Sum[:stride])
 	clear(sq.Sum[:stride])
+	k := w - w%integralStep
 	for y := 0; y < h; y++ {
-		var rowSum uint32
-		var rowSq uint64
 		row := g.Pix[y*w : (y+1)*w]
-		// Shifted equal-length views so the inner loop indexes all four
-		// streams by x with no bounds checks.
+		// Shifted equal-length views: entry x of a row is the table's
+		// column x+1.
 		prevIn := in.Sum[y*stride+1 : (y+1)*stride][:len(row)]
 		curIn := in.Sum[(y+1)*stride+1 : (y+2)*stride][:len(row)]
 		prevSq := sq.Sum[y*stride+1 : (y+1)*stride][:len(row)]
 		curSq := sq.Sum[(y+1)*stride+1 : (y+2)*stride][:len(row)]
 		in.Sum[(y+1)*stride], sq.Sum[(y+1)*stride] = 0, 0
-		for x, pi := range prevIn {
-			pv := uint64(row[x])
-			rowSum += uint32(pv)
-			rowSq += pv * pv
-			curIn[x] = pi + rowSum
-			curSq[x] = prevSq[x] + rowSq
+		var s, q uint32
+		if k > 0 {
+			s, q = integralRow(&row[0], &prevIn[0], &curIn[0], &prevSq[0], &curSq[0], k)
 		}
+		integralRowScalar(row[k:], prevIn[k:], curIn[k:], prevSq[k:], curSq[k:], s, q)
 	}
 	return in, sq
 }
 
-// ensureU64 returns s resized to n, reusing capacity when possible.
-func ensureU64(s []uint64, n int) []uint64 {
-	if cap(s) >= n {
-		return s[:n]
+// integralRowScalar continues one row of both tables from the running
+// sums s and q over the pixels in row, with the other four slices at
+// least as long, and returns the row's sums after them: the portable
+// integralRow and BuildIntegrals's tail.
+func integralRowScalar(row []byte, prevIn, curIn, prevSq, curSq []uint32, s, q uint32) (uint32, uint32) {
+	prevIn, curIn = prevIn[:len(row)], curIn[:len(row)]
+	prevSq, curSq = prevSq[:len(row)], curSq[:len(row)]
+	for x, v := range row {
+		s += uint32(v)
+		q += uint32(v) * uint32(v)
+		curIn[x] = prevIn[x] + s
+		curSq[x] = prevSq[x] + q
 	}
-	return make([]uint64, n)
+	return s, q
 }
 
-// ensureU32 is ensureU64 for uint32 buffers.
+// ensureU32 returns s resized to n, reusing capacity when possible.
 func ensureU32(s []uint32, n int) []uint32 {
 	if cap(s) >= n {
 		return s[:n]
@@ -245,11 +266,14 @@ func (in *Integral) RegionMeanUnclipped(r Rect) float64 {
 }
 
 // RegionSumUnclipped returns the sum of squared pixels in r, which must
-// lie fully inside the image.
+// lie fully inside the image. It is exact only for regions of at most
+// MaxExactRegionPixels pixels (see IntegralSq): the corners combine
+// modulo 2³², and a larger bright region reads its sum modulo 2³²
+// without any error. The detector refuses scales that could query one.
 func (sq *IntegralSq) RegionSumUnclipped(r Rect) uint64 {
 	stride := sq.W + 1
 	x0, y0, x1, y1 := r.X, r.Y, r.X+r.W, r.Y+r.H
-	return sq.Sum[y1*stride+x1] - sq.Sum[y0*stride+x1] - sq.Sum[y1*stride+x0] + sq.Sum[y0*stride+x0]
+	return uint64(sq.Sum[y1*stride+x1] - sq.Sum[y0*stride+x1] - sq.Sum[y1*stride+x0] + sq.Sum[y0*stride+x0])
 }
 
 // NCC returns the normalised cross-correlation between two equally-sized

@@ -217,3 +217,157 @@ func TestBuildIntegralsReuse(t *testing.T) {
 		}
 	}
 }
+
+// buildIntegralsOracle is the scalar one-pass build of both tables with
+// a uint64 squared table: the reference BuildIntegrals must match, its
+// squared table taken modulo 2³².
+func buildIntegralsOracle(g *Gray) (in []uint32, sq []uint64) {
+	w, h, stride := g.W, g.H, g.W+1
+	in = make([]uint32, (w+1)*(h+1))
+	sq = make([]uint64, (w+1)*(h+1))
+	for y := 0; y < h; y++ {
+		var rowSum uint32
+		var rowSq uint64
+		for x := 0; x < w; x++ {
+			p := uint64(g.Pix[y*w+x])
+			rowSum += uint32(p)
+			rowSq += p * p
+			in[(y+1)*stride+x+1] = in[y*stride+x+1] + rowSum
+			sq[(y+1)*stride+x+1] = sq[y*stride+x+1] + rowSq
+		}
+	}
+	return in, sq
+}
+
+// poison fills s with a value no table entry in these tests holds, so
+// an entry a build fails to write shows.
+func poison(s []uint32) {
+	for i := range s {
+		s[i] = 0xdeadbeef
+	}
+}
+
+// TestBuildIntegralsMatchesOracle is a generated property test of the
+// row kernel and its scalar tail: every width 1–67 (every tail length
+// past every kernel step), every height 1–33, with random, all-0 and
+// all-255 content, built fresh and into reused buffers that grow and
+// shrink and are poisoned first. Both tables must equal the oracle's,
+// the squared one modulo 2³².
+func TestBuildIntegralsMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	var rin *Integral
+	var rsq *IntegralSq
+	for w := 1; w <= 67; w++ {
+		for h := 1; h <= 33; h++ {
+			for fill := 0; fill < 3; fill++ {
+				g := New(w, h)
+				switch fill {
+				case 0:
+					rng.Read(g.Pix)
+				case 2:
+					g.Fill(255)
+				}
+				wantIn, wantSq := buildIntegralsOracle(g)
+				if rin != nil {
+					poison(rin.Sum[:cap(rin.Sum)])
+					poison(rsq.Sum[:cap(rsq.Sum)])
+				}
+				rin, rsq = BuildIntegrals(g, rin, rsq)
+				in, sq := BuildIntegrals(g, nil, nil)
+				for _, tab := range []struct {
+					in *Integral
+					sq *IntegralSq
+				}{{in, sq}, {rin, rsq}} {
+					if tab.in.W != w || tab.in.H != h || tab.sq.W != w || tab.sq.H != h ||
+						len(tab.in.Sum) != len(wantIn) || len(tab.sq.Sum) != len(wantSq) {
+						t.Fatalf("%dx%d fill %d: tables %dx%d/%dx%d, lengths %d/%d", w, h, fill,
+							tab.in.W, tab.in.H, tab.sq.W, tab.sq.H, len(tab.in.Sum), len(tab.sq.Sum))
+					}
+					for i := range wantIn {
+						if tab.in.Sum[i] != wantIn[i] || tab.sq.Sum[i] != uint32(wantSq[i]) {
+							t.Fatalf("%dx%d fill %d: entry %d = (%d, %d), want (%d, %d)", w, h, fill, i,
+								tab.in.Sum[i], tab.sq.Sum[i], wantIn[i], uint32(wantSq[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIntegralSqWrappedRegionsExact checks the modular squared table's
+// exactness argument where it matters: on an all-255 frame whose
+// squared prefix sums wrap 2³² dozens of times, every region of at most
+// MaxExactRegionPixels pixels — random ones, the largest squares and
+// strips, and ones ending at the far corner — reads its true Σp².
+func TestIntegralSqWrappedRegionsExact(t *testing.T) {
+	const w, h = 2000, 1000
+	g := New(w, h)
+	g.Fill(255)
+	_, sq := BuildIntegrals(g, nil, nil)
+	if total := uint64(w*h) * 255 * 255; uint64(sq.Sum[len(sq.Sum)-1]) == total {
+		t.Fatalf("squared table did not wrap: corner %d", total)
+	}
+	rects := []Rect{
+		{0, 0, 257, 257}, {w - 257, h - 257, 257, 257}, {0, h - 33, w, 33},
+		{w - 66, 0, 66, h}, {w - 1, h - 1, 1, 1}, {0, 0, 1, 1},
+	}
+	rng := rand.New(rand.NewSource(46))
+	for len(rects) < 200 {
+		rw := 1 + rng.Intn(w)
+		rh := 1 + rng.Intn(min(h, MaxExactRegionPixels/rw))
+		rects = append(rects, Rect{rng.Intn(w - rw + 1), rng.Intn(h - rh + 1), rw, rh})
+	}
+	for _, r := range rects {
+		if r.Area() > MaxExactRegionPixels {
+			t.Fatalf("region %v over the bound", r)
+		}
+		var want uint64
+		for y := r.Y; y < r.Y+r.H; y++ {
+			for _, p := range g.Pix[y*w+r.X : y*w+r.X+r.W] {
+				want += uint64(p) * uint64(p)
+			}
+		}
+		if got := sq.RegionSumUnclipped(r); got != want {
+			t.Errorf("RegionSumUnclipped(%v) = %d, want %d", r, got, want)
+		}
+	}
+}
+
+// TestIntegralRowCoversAlignedRow keeps the oracle test from passing on
+// the scalar tail alone: for a 640-wide row (the pipeline's frame
+// width) BuildIntegrals's kernel span is the whole row, and the kernel
+// by itself overwrites every entry of poisoned output rows with the
+// oracle's values and returns the row's full sums.
+func TestIntegralRowCoversAlignedRow(t *testing.T) {
+	const w = 640
+	if w%integralStep != 0 {
+		t.Fatalf("integralStep %d leaves a %d-pixel tail on a %d-wide row", integralStep, w%integralStep, w)
+	}
+	g := randomImage(w, 2, 5)
+	wantIn, wantSq := buildIntegralsOracle(g)
+	stride := w + 1
+	prevIn := wantIn[stride+1 : 2*stride]
+	prevSq := make([]uint32, w)
+	for x := range prevSq {
+		prevSq[x] = uint32(wantSq[stride+1+x])
+	}
+	curIn, curSq := make([]uint32, w), make([]uint32, w)
+	poison(curIn)
+	poison(curSq)
+	s, q := integralRow(&g.Pix[w], &prevIn[0], &curIn[0], &prevSq[0], &curSq[0], w)
+	var ws, wq uint32
+	for _, p := range g.Pix[w:] {
+		ws += uint32(p)
+		wq += uint32(p) * uint32(p)
+	}
+	if s != ws || q != wq {
+		t.Fatalf("row sums (%d, %d), want (%d, %d)", s, q, ws, wq)
+	}
+	for x := 0; x < w; x++ {
+		if curIn[x] != wantIn[2*stride+1+x] || curSq[x] != uint32(wantSq[2*stride+1+x]) {
+			t.Fatalf("entry %d = (%d, %d), want (%d, %d)", x, curIn[x], curSq[x],
+				wantIn[2*stride+1+x], uint32(wantSq[2*stride+1+x]))
+		}
+	}
+}

@@ -93,7 +93,7 @@ func TestDotWindowMatchesGeneric(t *testing.T) {
 		}
 	}
 
-	for _, dims := range [][2]int{{257, maxTemplatePixels / 257}, {maxTemplatePixels, 1}} {
+	for _, dims := range [][2]int{{257, MaxExactRegionPixels / 257}, {MaxExactRegionPixels, 1}} {
 		w, h := dims[0], dims[1]
 		tpl := New(w, h)
 		tpl.Fill(255)
@@ -110,10 +110,10 @@ func TestDotWindowMatchesGeneric(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatalf("NewTemplateMatcher accepted %d pixels", maxTemplatePixels+1)
+			t.Fatalf("NewTemplateMatcher accepted %d pixels", MaxExactRegionPixels+1)
 		}
 	}()
-	NewTemplateMatcher(New(maxTemplatePixels+1, 1))
+	NewTemplateMatcher(New(MaxExactRegionPixels+1, 1))
 }
 
 // TestScoreCascadeSkipContract fuzzes the matcher's one reject, the

@@ -10,7 +10,7 @@ package img
 // amd64, to form eight products per instruction, and the four 32-bit
 // lanes carry the sum across rows. All arithmetic is exact modulo 2³²
 // and the true sum of a window NewTemplateMatcher accepts is below 2³²
-// (maxTemplatePixels), so the result is bit-identical to
+// (MaxExactRegionPixels), so the result is bit-identical to
 // dotWindowGeneric.
 //
 //go:noescape

@@ -33,16 +33,11 @@ type TemplateMatcher struct {
 	tpl []uint8
 }
 
-// maxTemplatePixels is the largest template area whose window dot
-// product stays below 2³² however bright both sides are (255² per
-// pixel): the bound under which dotWindow's 32-bit lanes are exact.
-const maxTemplatePixels = (1<<32 - 1) / (255 * 255)
-
 // NewTemplateMatcher precomputes the zero-mean form of tpl. It panics
-// for a template larger than maxTemplatePixels (66 051 pixels, about
+// for a template larger than MaxExactRegionPixels (66 051 pixels, about
 // 257×257), whose dot product could overflow the scoring kernel.
 func NewTemplateMatcher(tpl *Gray) *TemplateMatcher {
-	if tpl.W*tpl.H > maxTemplatePixels {
+	if tpl.W*tpl.H > MaxExactRegionPixels {
 		panic(fmt.Sprintf("img: %dx%d template too large for the matcher", tpl.W, tpl.H))
 	}
 	m := &TemplateMatcher{W: tpl.W, H: tpl.H, mean: tpl.Mean()}

@@ -92,7 +92,7 @@ func foldLevel(dst []uint16, dw, dh int, src []uint16, sw, sh int) {
 	}
 }
 
-// ensureU16 is ensureU64 for uint16 buffers.
+// ensureU16 is ensureU32 for uint16 buffers.
 func ensureU16(s []uint16, n int) []uint16 {
 	if cap(s) >= n {
 		return s[:n]

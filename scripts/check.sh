@@ -138,10 +138,14 @@ else
 	# Never-wrong-skip contracts for the detector's rejects (variance
 	# gate, flat-cell skip), exactness of the SIMD window kernel (up to
 	# the largest template the matcher accepts) and pyramid block sums,
-	# and of the per-face kernels against their per-pixel oracles (LBP
-	# interior pass, table-driven resize, the row-copy clamped crop).
-	go test -run 'TestScoreCascadeSkipContract|TestDotWindowMatchesGeneric|TestBuildPyramidMatchesNaive|TestImageIntoMatchesOracle|TestResizeMatchesOracle|TestCropClampedMatchesOracle' ./internal/img ./internal/lbp
-	go test -run 'TestCellSkipContract' ./internal/face
+	# of the SIMD summed-area row kernel against the scalar build (every
+	# tail length, reused buffers, a 640-wide row all in the kernel) and
+	# of the wrapped 32-bit squared table on regions up to its bound
+	# (which the detector refuses to exceed), and of the per-face kernels
+	# against their per-pixel oracles (LBP interior pass, table-driven
+	# resize, the row-copy clamped crop).
+	go test -run 'TestScoreCascadeSkipContract|TestDotWindowMatchesGeneric|TestBuildPyramidMatchesNaive|TestBuildIntegralsMatchesOracle|TestIntegralSqWrappedRegionsExact|TestIntegralRowCoversAlignedRow|TestImageIntoMatchesOracle|TestResizeMatchesOracle|TestCropClampedMatchesOracle' ./internal/img ./internal/lbp
+	go test -run 'TestCellSkipContract|TestDetectorRefusesInexactRegions' ./internal/face
 	# One forward pass, raced: the batched entry points must match their
 	# single-sample (batch-of-one) forms and the single-accumulator
 	# oracle bit for bit, and one shared classifier/network must stay
@@ -217,8 +221,9 @@ for FUZZ in FuzzRecordJSON FuzzDecodeBatch FuzzDecodeEnvelope; do
 	go test -run '^$' -fuzz "^$FUZZ\$" -fuzztime 5s ./internal/service
 done
 # Generic-build coverage: the detector-vs-oracle and skip-contract
-# suites and the stage-graph equivalence (pixel and geometric) on the
-# portable dot kernel (the purego tag selects it on amd64), and a
+# suites, the summed-area tables against their scalar oracle, and the
+# stage-graph equivalence (pixel and geometric) on the portable dot and
+# table-row kernels (the purego tag selects them on amd64), and a
 # cross-vet so the non-amd64 build keeps compiling.
 go test -tags purego ./internal/img ./internal/face
 go test -tags purego -run 'TestStageGraphMatchesOracle' ./internal/core
